@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import string
 import threading
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -282,9 +283,6 @@ def render_result_set(preds: Sequence[object]) -> str:
 
 SCHEMA_IDS = ("plan", "ruleset", "candidate", "fusion", "assessment", "failure_classification")
 
-# Membership gate below which an assessment must carry a deviation description.
-ASSESSMENT_DIFF_GATE = MembershipLabel.ML
-
 
 def parse_structured(response_text: str, schema_id: str) -> dict:
     """Extract the first well-formed JSON object from text and validate it.
@@ -369,8 +367,10 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
         if not has_answer and not has_assignments:
             raise SchemaViolation("answer", "fusion response needs 'answer' or 'assignments'")
     elif schema_id == "assessment":
-        membership = _need_label(doc, "membership")
-        if membership < ASSESSMENT_DIFF_GATE:
+        # The run's threshold decides when a deviation must be described
+        # (rules.run_global_rule). L fails every threshold but L itself, so an
+        # L judgement always carries one.
+        if _need_label(doc, "membership") is MembershipLabel.L:
             _need(doc, "diff_text", str, nonempty=True)
         elif "diff_text" in doc and not isinstance(doc["diff_text"], str):
             raise SchemaViolation("diff_text", "diff_text must be a string")
@@ -489,7 +489,10 @@ class LiveProvider:
             raise TransportError(f"server error {response.status_code}")
         if response.status_code != 200:
             raise ProviderFailure(f"provider returned {response.status_code}: {response.text[:200]}")
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise ProviderFailure(f"provider returned a non-JSON body: {exc}") from exc
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
         url = f"{self.base_url}/chat/completions"
@@ -539,11 +542,13 @@ class AttemptLedger:
         self._counts: dict[tuple[str, str], int] = {}
         self._lock = threading.Lock()
 
-    def next(self, node_id: str, role: RoleKind) -> int:
+    def next(self, node_id: str, role: RoleKind, count: int = 1) -> int:
+        """Take the next `count` numbers at once; returns the first of them."""
         with self._lock:
             key = (node_id, role.value)
-            self._counts[key] = self._counts.get(key, 0) + 1
-            return self._counts[key]
+            first = self._counts.get(key, 0) + 1
+            self._counts[key] = first + count - 1
+            return first
 
 
 @dataclass
@@ -554,7 +559,8 @@ class NodeSession:
     deterministic order so concurrent node processing cannot reorder the
     trace. Malformed responses are re-asked up to REASK_LIMIT times with the
     violation appended to the prompt, each re-ask under a fresh attempt
-    number.
+    number. With a pool, call_many runs its first tries on the pool's
+    threads.
     """
 
     run_id: str
@@ -563,20 +569,10 @@ class NodeSession:
     ledger: AttemptLedger
     temperatures: Mapping[RoleKind, float] = field(default_factory=lambda: DEFAULT_TEMPERATURES)
     events: list[tuple[str, dict]] = field(default_factory=list)
+    pool: Executor | None = None
 
     def emit(self, kind: str, payload: dict) -> None:
         self.events.append((kind, payload))
-
-    def for_node(self, node_id: str) -> "NodeSession":
-        """Session for another node sharing this run's ledger and buffer."""
-        return NodeSession(
-            run_id=self.run_id,
-            node_id=node_id,
-            provider=self.provider,
-            ledger=self.ledger,
-            temperatures=self.temperatures,
-            events=self.events,
-        )
 
     def call(
         self,
@@ -587,71 +583,156 @@ class NodeSession:
         extra_check: Callable[[dict], None] | None = None,
     ) -> dict:
         role = ROLES[template_key]
-        base_prompt = render_prompt(role, slots)
-        violation: str | None = None
-        for _ in range(REASK_LIMIT + 1):
-            attempt = self.ledger.next(self.node_id, role.kind)
-            prompt = base_prompt
-            if violation:
-                prompt += (
-                    "\n\nYour previous response was rejected: "
-                    f"{violation}\nRespond again following the required format."
-                )
-            request = ProviderRequest(
-                role_kind=role.kind,
-                rendered_prompt=prompt,
-                response_schema=schema_id,
-                temperature=self.temperatures.get(role.kind, 0.0),
-                context_key=(self.run_id, self.node_id, role.kind.value, attempt),
-            )
+        prompt = render_prompt(role, slots)
+        attempt = self.ledger.next(self.node_id, role.kind)
+        doc, violation = self._ask(
+            role, prompt, schema_id, attempt, None, extra_check, self.events
+        )
+        if doc is not None:
+            return doc
+        return self._reask(role, prompt, schema_id, violation, failure, extra_check, self.events)
+
+    def call_many(
+        self,
+        template_key: str,
+        slot_list: Sequence[Mapping[str, object]],
+        schema_id: str,
+        failure: type[MalformedResponse],
+    ) -> list[tuple[dict | Exception, list[tuple[str, dict]]]]:
+        """One call per slot mapping: every first try at once, then the re-asks.
+
+        The first tries take the next len(slot_list) attempt numbers in
+        order and run on the session's pool when it has one. Re-asks follow
+        in order, numbered after them. Each call gets its own event buffer.
+        Returns (document, or the ProviderFailure or `failure` that ended
+        the call, buffer) per call; the caller appends the buffers in order.
+        """
+        role = ROLES[template_key]
+        prompts = [render_prompt(role, slots) for slots in slot_list]
+        first = self.ledger.next(self.node_id, role.kind, len(prompts))
+        buffers: list[list[tuple[str, dict]]] = [[] for _ in prompts]
+
+        def first_try(i: int) -> tuple[dict | Exception | None, str | None]:
             try:
-                response = self.provider.complete(request)
-            except ScriptMiss:
-                self._emit_call(request, "script_miss", None)
-                raise
+                return self._ask(role, prompts[i], schema_id, first + i, None, None, buffers[i])
             except ProviderFailure as exc:
-                self._emit_call(request, "transport_error", None, error=str(exc))
-                raise
-            if response.parsed is None:
+                return exc, None
+
+        if self.pool is None:
+            tries = [first_try(i) for i in range(len(prompts))]
+        else:
+            futures = [self.pool.submit(first_try, i) for i in range(len(prompts))]
+            wait(futures)
+            tries = [future.result() for future in futures]
+
+        outcomes = []
+        for i, (outcome, violation) in enumerate(tries):
+            if outcome is None:
                 try:
-                    parse_structured(response.raw_text, schema_id)
-                except ParseError as exc:
-                    violation = str(exc)
-                self._emit_call(request, "parse_error", response, error=violation)
-                continue
-            try:
-                if extra_check is not None:
-                    extra_check(response.parsed)
-            except ResponseViolation as exc:
-                violation = str(exc)
-                self._emit_call(request, "rejected", response, error=violation)
-                continue
-            self._emit_call(request, "ok", response)
-            return response.parsed
+                    outcome = self._reask(
+                        role, prompts[i], schema_id, violation, failure, None, buffers[i]
+                    )
+                except (ProviderFailure, MalformedResponse) as exc:
+                    outcome = exc
+            outcomes.append((outcome, buffers[i]))
+        return outcomes
+
+    def _reask(
+        self,
+        role: Role,
+        prompt: str,
+        schema_id: str,
+        violation: str | None,
+        failure: type[MalformedResponse],
+        extra_check: Callable[[dict], None] | None,
+        events: list[tuple[str, dict]],
+    ) -> dict:
+        """Re-ask a rejected call up to REASK_LIMIT times, each under a fresh attempt."""
+        for _ in range(REASK_LIMIT):
+            attempt = self.ledger.next(self.node_id, role.kind)
+            doc, violation = self._ask(
+                role, prompt, schema_id, attempt, violation, extra_check, events
+            )
+            if doc is not None:
+                return doc
         raise failure(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
 
-    def _emit_call(
+    def _ask(
         self,
-        request: ProviderRequest,
-        status: str,
-        response: ProviderResponse | None,
-        error: str | None = None,
-    ) -> None:
-        usage = response.token_usage if response else {"prompt_tokens": 0, "completion_tokens": 0}
-        payload = {
-            "context": {
-                "run": request.context_key[0],
-                "node": request.context_key[1],
-                "role": request.context_key[2],
-                "attempt": request.context_key[3],
-            },
-            "schema": request.response_schema,
-            "status": status,
-            "usage": dict(usage),
-        }
-        if error:
-            payload["error"] = error
-        self.emit("provider_call", payload)
+        role: Role,
+        prompt: str,
+        schema_id: str,
+        attempt: int,
+        violation: str | None,
+        extra_check: Callable[[dict], None] | None,
+        events: list[tuple[str, dict]],
+    ) -> tuple[dict | None, str | None]:
+        """One provider request, logged to `events`.
+
+        Returns (document, None) when the response is valid, else (None,
+        the violation to re-ask with). A previous violation is appended to
+        the prompt. Provider failures and script misses propagate.
+        """
+        if violation:
+            prompt += (
+                "\n\nYour previous response was rejected: "
+                f"{violation}\nRespond again following the required format."
+            )
+        request = ProviderRequest(
+            role_kind=role.kind,
+            rendered_prompt=prompt,
+            response_schema=schema_id,
+            temperature=self.temperatures.get(role.kind, 0.0),
+            context_key=(self.run_id, self.node_id, role.kind.value, attempt),
+        )
+        try:
+            response = self.provider.complete(request)
+        except ScriptMiss:
+            _log_call(events, request, "script_miss", None)
+            raise
+        except ProviderFailure as exc:
+            _log_call(events, request, "transport_error", None, error=str(exc))
+            raise
+        if response.parsed is None:
+            try:
+                parse_structured(response.raw_text, schema_id)
+            except ParseError as exc:
+                violation = str(exc)
+            _log_call(events, request, "parse_error", response, error=violation)
+            return None, violation
+        try:
+            if extra_check is not None:
+                extra_check(response.parsed)
+        except ResponseViolation as exc:
+            violation = str(exc)
+            _log_call(events, request, "rejected", response, error=violation)
+            return None, violation
+        _log_call(events, request, "ok", response)
+        return response.parsed, None
+
+
+def _log_call(
+    events: list[tuple[str, dict]],
+    request: ProviderRequest,
+    status: str,
+    response: ProviderResponse | None,
+    error: str | None = None,
+) -> None:
+    usage = response.token_usage if response else {"prompt_tokens": 0, "completion_tokens": 0}
+    payload = {
+        "context": {
+            "run": request.context_key[0],
+            "node": request.context_key[1],
+            "role": request.context_key[2],
+            "attempt": request.context_key[3],
+        },
+        "schema": request.response_schema,
+        "status": status,
+        "usage": dict(usage),
+    }
+    if error:
+        payload["error"] = error
+    events.append(("provider_call", payload))
 
 
 # ---------------------------------------------------------------------------

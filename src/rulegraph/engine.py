@@ -1,11 +1,16 @@
 """Run orchestration: plan, build the graph, execute nodes under the goal-alignment
 loop, repair failures by removal or chain splicing, and fuse the final answer.
 
-Every state change emits a trace event. Node processing may run
-concurrently up to a configured cap, but each node buffers its events
-locally and the single-owner run loop flushes buffers in node-id order, so
-the trace is a total order that does not depend on scheduling. Graph edits
-apply only between scheduling waves.
+Every state change emits a trace event. A node starts as soon as each of
+its predecessors has a result, with up to a configured cap of nodes in
+flight. Each node buffers its events locally, and a failed node's worker
+decides its repair (classification and replan calls) straight away. The
+single-owner run loop commits buffers, results and repair edits in the
+order a barrier engine running the graph in waves would have used: by
+logical wave (1 + the larger of the predecessors' waves and the wave of the
+repair that last rewired the node), node buffers in node-id order, then
+repairs in node-id order. So the trace is a total order that does not
+depend on scheduling.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -14,12 +19,16 @@ after which a still-failing node is force-removed.
 
 from __future__ import annotations
 
+import heapq
 import json
+import queue
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import IO, Mapping
+from functools import partial
+from typing import IO, Callable, Mapping
 
 from . import graph as g
 from .agents import (
@@ -303,20 +312,34 @@ def process_node(
     return None
 
 
+@dataclass(frozen=True)
+class Repair:
+    """A failed node's repair, decided by its worker and applied at commit time.
+
+    An empty chain means removal for `reason`; otherwise the chain's
+    (planner id, statement) entries replace the node, in order.
+    """
+
+    node: g.TaskNode
+    reason: str = ""
+    chain: tuple[tuple[str, str], ...] = ()
+
+
 def handle_failure(
     node: g.TaskNode,
     graph: g.TaskGraph,
     config: RunConfig,
     session: NodeSession,
-    used_ids: set[str],
-) -> g.TaskGraph:
-    """Repair the graph around a node that exhausted its reprocessing budget.
+) -> Repair:
+    """Decide the repair of a node that exhausted its reprocessing budget.
 
     A planner classification picks the scenario: an irrelevant node is
     removed (bridging predecessors to successors); a too-complex node below
-    the depth cap is replanned and spliced into a chain of simpler subtasks.
-    At the depth cap, and whenever classification or replanning itself
-    fails, removal is forced with a warning so the run always terminates.
+    the depth cap is replanned into a chain of at most M_max simpler
+    subtasks. At the depth cap, and whenever classification or replanning
+    itself fails, removal is forced with a warning so the run always
+    terminates. The graph is left untouched: apply_repair edits it at the
+    node's commit slot.
     """
     reason = "irrelevant"
     try:
@@ -355,22 +378,14 @@ def handle_failure(
                 )
                 reason = "replan_failed"
             else:
-                return _splice_subplan(node, graph, subplan, config, session, used_ids)
-
-    graph = g.remove_node(graph, node.id)
-    session.emit("node_removed", {"node": node.id, "reason": reason})
-    return graph
+                return Repair(node, chain=_clamp_chain(node, subplan, config, session))
+    return Repair(node, reason=reason)
 
 
-def _splice_subplan(
-    node: g.TaskNode,
-    graph: g.TaskGraph,
-    subplan: PlannerPlan,
-    config: RunConfig,
-    session: NodeSession,
-    used_ids: set[str],
-) -> g.TaskGraph:
-    entries = list(subplan.subtasks)
+def _clamp_chain(
+    node: g.TaskNode, subplan: PlannerPlan, config: RunConfig, session: NodeSession
+) -> tuple[tuple[str, str], ...]:
+    entries = subplan.subtasks
     if len(entries) > config.max_chain:
         session.emit(
             "warning",
@@ -381,16 +396,32 @@ def _splice_subplan(
             },
         )
         entries = entries[: config.max_chain]
+    return entries
 
-    ids = [sid for sid, _ in entries]
+
+def apply_repair(
+    repair: Repair, graph: g.TaskGraph, session: NodeSession, used_ids: set[str]
+) -> g.TaskGraph:
+    """Edit the graph for a decided repair and emit node_removed or node_spliced.
+
+    Chain ids are the planner's when fresh in this run, else prefixed with
+    the failed node's id, else numbered under it; used_ids records them.
+    """
+    node = repair.node
+    if not repair.chain:
+        graph = g.remove_node(graph, node.id)
+        session.emit("node_removed", {"node": node.id, "reason": repair.reason})
+        return graph
+
+    ids = [sid for sid, _ in repair.chain]
     if any(sid in used_ids for sid in ids):
         ids = [f"{node.id}.{sid}" for sid in ids]
     if any(sid in used_ids for sid in ids):
-        ids = [f"{node.id}.{i}" for i in range(1, len(entries) + 1)]
+        ids = [f"{node.id}.{i}" for i in range(1, len(ids) + 1)]
 
     chain = [
         g.TaskNode(new_id, g.NodeKind.SUBTASK, statement)
-        for new_id, (_, statement) in zip(ids, entries)
+        for new_id, (_, statement) in zip(ids, repair.chain)
     ]
     graph = g.splice_chain(graph, node.id, chain)
     used_ids.update(ids)
@@ -398,6 +429,168 @@ def _splice_subplan(
         "node_spliced", {"node": node.id, "chain": ids, "depth": node.depth + 1}
     )
     return graph
+
+
+@dataclass
+class _Finished:
+    """A node worker's output, held until the node's commit slot."""
+
+    events: list[tuple[str, dict]]
+    result: SubtaskResult | None = None
+    repair: Repair | None = None
+    repair_session: NodeSession | None = None
+    error: Exception | None = None  # raised while processing the node
+    repair_error: Exception | None = None  # raised while deciding its repair
+
+
+def _run_node(
+    node: g.TaskNode,
+    graph: g.TaskGraph,
+    results: Mapping[str, SubtaskResult],
+    config: RunConfig,
+    new_session: Callable[[str], NodeSession],
+) -> _Finished:
+    """Worker: process one node and, if it fails, decide its repair.
+
+    Exceptions are kept, not raised, so that the run loop re-raises them
+    at the node's commit slot.
+    """
+    session = new_session(node.id)
+    done = _Finished(session.events)
+    try:
+        done.result = process_node(node, graph, results, config, session)
+    except Exception as exc:
+        done.error = exc
+        return done
+    if done.result is None:
+        done.repair_session = new_session(node.id)
+        try:
+            done.repair = handle_failure(node, graph, config, done.repair_session)
+        except Exception as exc:
+            done.repair_error = exc
+    return done
+
+
+class _Scheduler:
+    """Runs the subtask nodes of one graph: dispatch on ready, commit in wave order.
+
+    waiting[n] counts n's predecessors that have no result yet; a node is
+    ready when it reaches zero. Ready nodes start in (wave, id) order while
+    fewer than `concurrency` are in flight. A wave commits once all of its
+    nodes have finished; every node of wave w is known by the time waves
+    before w have committed, because its predecessors and the repairs that
+    rewired it belong to earlier waves.
+    """
+
+    def __init__(
+        self,
+        graph: g.TaskGraph,
+        config: RunConfig,
+        tracer: _Tracer,
+        new_session: Callable[[str], NodeSession],
+        pool: Executor | None,
+    ):
+        self.graph = graph
+        self.config = config
+        self.tracer = tracer
+        self.new_session = new_session
+        self.pool = pool
+        self.used_ids = set(graph.nodes)
+        self.results: dict[str, SubtaskResult] = {}
+        self.waiting: dict[str, int] = {}
+        self.wave: dict[str, int] = {g.ROOT_ID: 0}
+        self.rewired: dict[str, int] = {}  # node -> wave of the last repair that rewired it
+        self.ready: list[tuple[int, str]] = []  # heap of (wave, node id)
+        self.members: dict[int, list[str]] = defaultdict(list)
+        self.unfinished: dict[int, int] = defaultdict(int)
+        self.finished: dict[str, _Finished] = {}
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.commit_wave = 1
+
+    def run(self) -> tuple[g.TaskGraph, dict[str, SubtaskResult]]:
+        for nid in self.graph.subtask_ids():
+            self._recount(nid)
+        in_flight = 0
+        while True:
+            while self.ready and in_flight < self.config.concurrency:
+                self._start(heapq.heappop(self.ready)[1])
+                in_flight += 1
+            if not in_flight:
+                return self.graph, self.results
+            nid, done = self.done.get()
+            in_flight -= 1
+            if isinstance(done, Future):
+                done = done.result()  # _run_node keeps its errors; this re-raises any other
+            self._finish(nid, done)
+            while self.members.get(self.commit_wave) and not self.unfinished[self.commit_wave]:
+                self._commit(self.commit_wave)
+                self.commit_wave += 1
+
+    def _start(self, nid: str) -> None:
+        args = (self.graph.node(nid), self.graph, self.results, self.config, self.new_session)
+        if self.pool is None:
+            self.done.put((nid, _run_node(*args)))
+        else:
+            future = self.pool.submit(_run_node, *args)
+            future.add_done_callback(lambda future: self.done.put((nid, future)))
+
+    def _recount(self, nid: str) -> None:
+        """Count nid's predecessors without a result; at zero, give nid its wave and queue it."""
+        waiting, wave = 0, self.rewired.get(nid, 0)
+        for p in self.graph.predecessors(nid):
+            if p == g.ROOT_ID or p in self.results:
+                wave = max(wave, self.wave[p])
+            else:
+                waiting += 1
+        self.waiting[nid] = waiting
+        if waiting:
+            return
+        wave += 1
+        self.wave[nid] = wave
+        self.members[wave].append(nid)
+        self.unfinished[wave] += 1
+        heapq.heappush(self.ready, (wave, nid))
+
+    def _finish(self, nid: str, done: _Finished) -> None:
+        self.finished[nid] = done
+        self.unfinished[self.wave[nid]] -= 1
+        if done.result is None:
+            return
+        self.results[nid] = done.result
+        for succ in self.graph.successors(nid):
+            if succ != g.FUSION_ID:
+                self.waiting[succ] -= 1
+                if not self.waiting[succ]:
+                    self._recount(succ)
+
+    def _commit(self, wave: int) -> None:
+        """Flush a finished wave's buffers in node-id order, then apply its repairs."""
+        ids = sorted(self.members.pop(wave))
+        done = [self.finished.pop(nid) for nid in ids]
+        for item in done:
+            if item.error is not None:
+                raise item.error
+        for item in done:
+            self.tracer.flush(item.events)
+        for nid, item in zip(ids, done):
+            if item.result is not None:
+                continue
+            if item.repair_error is not None:
+                raise item.repair_error
+            before = self.graph
+            self.graph = apply_repair(item.repair, before, item.repair_session, self.used_ids)
+            self.tracer.flush(item.repair_session.events)
+            new_nodes = self.graph.nodes.keys() - before.nodes.keys()
+            for succ in sorted((before.successors(nid) | new_nodes) - {g.FUSION_ID}):
+                self.rewired[succ] = wave
+                self._recount(succ)
+        if not self.graph.predecessors(g.FUSION_ID):
+            raise AllPathsFailed(
+                "every root-to-fusion path failed and was removed",
+                self.tracer.events,
+                self.tracer.provider_calls,
+                self.tracer.token_usage,
+            )
 
 
 def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> RunOutcome:
@@ -411,13 +604,14 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     tracer = _Tracer(deterministic=config.deterministic)
     ledger = AttemptLedger()
 
-    def new_session(node_id: str) -> NodeSession:
+    def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
         return NodeSession(
             run_id=run_id,
             node_id=node_id,
             provider=config.provider,
             ledger=ledger,
             temperatures=config.temperatures,
+            pool=pool,
         )
 
     root_session = new_session(g.ROOT_ID)
@@ -443,52 +637,17 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     tracer.flush(root_session.events)
 
     budget = call_budget(config, len(the_plan.subtasks))
-    used_ids = set(graph.nodes)
-    completed: set[str] = {g.ROOT_ID}
-    results: dict[str, SubtaskResult] = {}
-
-    while True:
-        if not graph.predecessors(g.FUSION_ID):
-            raise AllPathsFailed(
-                "every root-to-fusion path failed and was removed",
-                tracer.events,
-                tracer.provider_calls,
-                tracer.token_usage,
-            )
-        ready = sorted(g.ready_nodes(graph, completed))
-        if ready == [g.FUSION_ID]:
-            break
-        wave = [nid for nid in ready if nid != g.FUSION_ID]
-        sessions = {nid: new_session(nid) for nid in wave}
-
-        if config.concurrency > 1 and len(wave) > 1:
-            with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-                futures = {
-                    nid: pool.submit(
-                        process_node, graph.node(nid), graph, results, config, sessions[nid]
-                    )
-                    for nid in wave
-                }
-                outcomes = {nid: future.result() for nid, future in futures.items()}
-        else:
-            outcomes = {
-                nid: process_node(graph.node(nid), graph, results, config, sessions[nid])
-                for nid in wave
-            }
-
-        repairs = []
-        for nid in wave:
-            tracer.flush(sessions[nid].events)
-            if outcomes[nid] is not None:
-                results[nid] = outcomes[nid]
-                completed.add(nid)
-            else:
-                repairs.append(nid)
-        # Graph edits only between waves, so no node ran against a stale graph.
-        for nid in repairs:
-            repair_session = new_session(nid)
-            graph = handle_failure(graph.node(nid), graph, config, repair_session, used_ids)
-            tracer.flush(repair_session.events)
+    if config.concurrency == 1:
+        graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
+    else:
+        # At most `concurrency` nodes are in flight and each waits on at most K
+        # expert calls, so at most concurrency x K provider calls are in flight.
+        with ThreadPoolExecutor(config.concurrency) as nodes, ThreadPoolExecutor(
+            config.concurrency * config.k_rules
+        ) as experts:
+            graph, results = _Scheduler(
+                graph, config, tracer, partial(new_session, pool=experts), nodes
+            ).run()
 
     preds = g.predecessor_results(graph, g.FUSION_ID, results)
     fusion_session = new_session(g.FUSION_ID)

@@ -7,7 +7,8 @@ subtasks: removal (with predecessor-to-successor bridging) and splicing a
 planner-generated chain of simpler subtasks in place of the failed node.
 
 Graphs are immutable values; every edit returns a new graph and re-checks
-all structural invariants.
+all structural invariants. Each value indexes its predecessors and
+successors once, when it is built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 ROOT_ID = "T"
 FUSION_ID = "F"
 RESERVED_IDS = (ROOT_ID, FUSION_ID)
+_NONE: frozenset[str] = frozenset()
 
 
 class GraphError(Exception):
@@ -93,14 +95,24 @@ class TaskGraph:
     edges: frozenset[tuple[str, str]]
     global_goal: str
 
+    def __post_init__(self) -> None:
+        # Predecessor and successor index, built once per graph value.
+        preds: dict[str, list[str]] = {}
+        succs: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            succs.setdefault(a, []).append(b)
+            preds.setdefault(b, []).append(a)
+        object.__setattr__(self, "_preds", {n: frozenset(p) for n, p in preds.items()})
+        object.__setattr__(self, "_succs", {n: frozenset(s) for n, s in succs.items()})
+
     def node(self, node_id: str) -> TaskNode:
         return self.nodes[node_id]
 
-    def predecessors(self, node_id: str) -> set[str]:
-        return {a for a, b in self.edges if b == node_id}
+    def predecessors(self, node_id: str) -> frozenset[str]:
+        return self._preds.get(node_id, _NONE)
 
-    def successors(self, node_id: str) -> set[str]:
-        return {b for a, b in self.edges if a == node_id}
+    def successors(self, node_id: str) -> frozenset[str]:
+        return self._succs.get(node_id, _NONE)
 
     def subtask_ids(self) -> list[str]:
         return sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.SUBTASK)

@@ -19,7 +19,6 @@ from .agents import (
     MalformedAssessment,
     MalformedResponse,
     NodeSession,
-    ProviderFailure,
     ResponseViolation,
     render_result_set,
 )
@@ -49,14 +48,6 @@ DEFAULT_DOMAINS = (
     "Religion",
     "Linguistics",
 )
-
-
-class RuleExecutionFailure(Exception):
-    """A single rule's expert call failed after retries."""
-
-    def __init__(self, rule_index: int, message: str):
-        self.rule_index = rule_index
-        super().__init__(f"rule {rule_index} failed: {message}")
 
 
 class AllRulesFailed(Exception):
@@ -170,34 +161,34 @@ def run_rules(
 ) -> list[CandidateResult]:
     """Execute every domain rule once; rule failures do not stop the others.
 
-    Output is ordered by rule index and each candidate carries its rule's
-    membership unchanged. Raises AllRulesFailed only when no rule produced
-    a candidate.
+    The experts' first tries are issued at once (concurrently when the
+    session has a pool) and take the next K attempt numbers in rule order;
+    re-asks follow in rule order. Each rule's events stay together in rule
+    order. Output is ordered by rule index and each candidate carries its
+    rule's membership unchanged. Raises AllRulesFailed only when no rule
+    produced a candidate.
     """
     context = render_result_set(preds)
+    rules = sorted(ruleset.rules, key=lambda r: r.index)
+    outcomes = session.call_many(
+        "execute",
+        [
+            {"statement": input_text, "context": context, "instructions": rule.consequent_prompt}
+            for rule in rules
+        ],
+        "candidate",
+        failure=MalformedResponse,
+    )
     candidates: list[CandidateResult] = []
-    failures: list[RuleExecutionFailure] = []
-    for rule in sorted(ruleset.rules, key=lambda r: r.index):
-        try:
-            doc = session.call(
-                "execute",
-                {
-                    "statement": input_text,
-                    "context": context,
-                    "instructions": rule.consequent_prompt,
-                },
-                "candidate",
-                failure=MalformedResponse,
-            )
-        except (MalformedResponse, ProviderFailure) as exc:
-            failure = RuleExecutionFailure(rule.index, str(exc))
-            failures.append(failure)
+    for rule, (outcome, events) in zip(rules, outcomes):
+        session.events.extend(events)
+        if isinstance(outcome, Exception):
             session.emit(
                 "warning",
                 {
                     "node": ruleset.subtask_id,
                     "reason": "rule_failed",
-                    "detail": str(failure),
+                    "detail": f"rule {rule.index} failed: {outcome}",
                     "rule_index": rule.index,
                 },
             )
@@ -207,7 +198,7 @@ def run_rules(
                 rule_index=rule.index,
                 domain_name=rule.domain_name,
                 membership=rule.membership,
-                answer_text=doc["answer"],
+                answer_text=outcome["answer"],
             )
         )
     if not candidates:

@@ -221,6 +221,23 @@ class TestLiveProvider:
         assert response.parsed == {"membership": "H"}
         assert response.token_usage == {"prompt_tokens": 7, "completion_tokens": 5}
 
+    def test_non_json_body_is_provider_failure(self, monkeypatch):
+        import requests
+
+        from rulegraph.agents import ProviderFailure
+
+        class HtmlResponse:
+            status_code = 200
+            text = "<html>gateway</html>"
+
+            def json(self):
+                raise requests.JSONDecodeError("Expecting value", self.text, 0)
+
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: HtmlResponse())
+        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
+        with pytest.raises(ProviderFailure, match="non-JSON"):
+            provider.complete(self.request())
+
     def test_exhausted_retries_raise(self):
         transport = FlakyTransport(5, chat_body("x"))
         with pytest.raises(TransportError):
@@ -262,6 +279,11 @@ class TestNodeSession:
         assert ledger.next("T1", RoleKind.DEA) == 2
         assert ledger.next("T1", RoleKind.GEA) == 1
         assert ledger.next("T2", RoleKind.DEA) == 1
+
+    def test_reserved_attempt_numbers(self):
+        ledger = AttemptLedger()
+        assert ledger.next("T1", RoleKind.DEA, 3) == 1
+        assert ledger.next("T1", RoleKind.DEA) == 4
 
 
 class TestPlan:

@@ -1,4 +1,7 @@
 import io
+import sys
+import threading
+import time
 
 import pytest
 
@@ -20,7 +23,7 @@ from scenarios import (
     adversarial_script,
     email_script,
 )
-from rulegraph.agents import MockProvider, TransportError
+from rulegraph.agents import MockProvider, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
     ConfigError,
@@ -39,6 +42,12 @@ def mk_config(script, **overrides):
 
 def events_of(trace, kind):
     return [e for e in trace if e.kind == kind]
+
+
+def trace_text(outcome):
+    sink = io.StringIO()
+    write_trace(outcome, sink)
+    return sink.getvalue()
 
 
 SINGLE = {
@@ -335,12 +344,163 @@ class TestEmailScenario:
         assert first.getvalue() == second.getvalue()
 
     def test_schedule_independent(self):
-        baseline = io.StringIO()
-        write_trace(self.run(), baseline)
-        for cap in (2, 8):
-            other = io.StringIO()
-            write_trace(self.run(concurrency=cap), other)
-            assert other.getvalue() == baseline.getvalue()
+        baseline = trace_text(self.run())
+        for cap in (1, 2, 4, 8):
+            assert trace_text(self.run(concurrency=cap)) == baseline
+
+
+def repair_script():
+    """Two waves of two subtasks (a, b, then c after a and b, d after b).
+
+    a's rule 2 is malformed once, so it re-asks under attempt 4; c fails
+    its goal check and is removed; d fails it and is spliced into d1 -> d2.
+    REPAIR_FAULTS adds a transport error on b's rule 1.
+    """
+    script = {
+        ("PA", 1): plan_response(
+            "a goal",
+            [("a", "first"), ("b", "second"), ("c", "third"), ("d", "fourth")],
+            [("a", "c"), ("b", "c"), ("b", "d")],
+        ),
+        ("GEA", 1): assessment_response("H"),
+        ("FEA", 1): fusion_answer("combined"),
+        ("run-0", "a", "DEA", 2): "garbage",
+        ("run-0", "c", "PA", 1): classification_response("irrelevant"),
+        ("run-0", "d", "PA", 1): classification_response("too_complex"),
+        ("run-0", "d", "PA", 2): plan_response(
+            "sub-goal", [("d1", "simpler first"), ("d2", "simpler second")], [("d1", "d2")]
+        ),
+    }
+    for attempt in (1, 2, 3):
+        script[("DAA", attempt)] = ruleset_response(
+            [("History", "H"), ("Science", "M"), ("Law", "ML")]
+        )
+        for node in ("c", "d"):
+            script[("run-0", node, "GEA", attempt)] = assessment_response("L", "off goal")
+    for attempt in range(1, 10):
+        script[("DEA", attempt)] = candidate_response("some answer")
+    return script
+
+
+REPAIR_FAULTS = [("run-0", "b", "DEA", 1)]
+
+
+class Staggered(FaultInjector):
+    """Slows node a's calls so that d, a wave later, can finish before a does."""
+
+    def complete(self, request):
+        if request.context_key[1] == "a":
+            time.sleep(0.002)
+        return super().complete(request)
+
+
+class TestScheduler:
+    def run(self, provider, **overrides):
+        return execute_task("task", RunConfig(provider=provider, deterministic=True, **overrides))
+
+    def test_repair_script_covers_reask_fault_removal_and_splice(self):
+        trace = self.run(FaultInjector(repair_script(), REPAIR_FAULTS)).trace
+        dea = {
+            (e.payload["context"]["node"], e.payload["context"]["attempt"]): e.payload["status"]
+            for e in events_of(trace, "provider_call")
+            if e.payload["context"]["role"] == "DEA"
+        }
+        assert dea["a", 2] == "parse_error" and dea["a", 4] == "ok"
+        assert dea["b", 1] == "transport_error"
+        assert [e.payload["node"] for e in events_of(trace, "node_removed")] == ["c"]
+        assert [e.payload["chain"] for e in events_of(trace, "node_spliced")] == [["d1", "d2"]]
+        assert events_of(trace, "final")[0].payload["contributing_nodes"] == ["a", "b", "d2"]
+
+    @pytest.mark.parametrize("cap", [1, 2, 4, 8])
+    def test_repairs_and_reasks_schedule_independent(self, cap):
+        reference = trace_text(self.run(FaultInjector(repair_script(), REPAIR_FAULTS)))
+        outcome = self.run(Staggered(repair_script(), REPAIR_FAULTS), concurrency=cap)
+        assert trace_text(outcome) == reference
+
+    def test_node_starts_when_its_predecessors_are_done(self):
+        # c needs only b; a and b are both in the first wave
+        class Gated(MockProvider):
+            def __init__(self, script):
+                super().__init__(script)
+                self.released = threading.Event()
+                self.timed_out = False
+
+            def complete(self, request):
+                node = request.context_key[1]
+                if node == "c":
+                    self.released.set()
+                elif node == "a" and not self.released.wait(timeout=10):
+                    self.timed_out = True  # a wave barrier would hold c until a is done
+                    self.released.set()
+                return super().complete(request)
+
+        script = dict(SINGLE)
+        script[("PA", 1)] = plan_response(
+            "a goal", [("a", "first"), ("b", "second"), ("c", "third")], [("b", "c")]
+        )
+        provider = Gated(script)
+        outcome = self.run(provider, concurrency=2)
+        assert not provider.timed_out
+        assert outcome.final.contributing_nodes == ("a", "c")
+
+    def test_concurrency_one_stays_on_the_calling_thread(self):
+        threads_before = threading.active_count()
+        seen = []
+
+        class Recording(FaultInjector):
+            def complete(self, request):
+                seen.append((threading.get_ident(), threading.active_count()))
+                return super().complete(request)
+
+        self.run(Recording(repair_script(), REPAIR_FAULTS), concurrency=1)
+        assert set(seen) == {(threading.get_ident(), threads_before)}
+
+    @pytest.mark.parametrize("cap", [2, 4])
+    def test_in_flight_calls_stay_within_cap_times_k(self, cap):
+        lock = threading.Lock()
+        in_flight = [0, 0]  # current, peak
+
+        class Counting(FaultInjector):
+            def complete(self, request):
+                with lock:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight[1], in_flight[0])
+                try:
+                    time.sleep(0.001)
+                    return super().complete(request)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        self.run(Counting(repair_script(), REPAIR_FAULTS), concurrency=cap)
+        assert in_flight[1] <= cap * 3
+
+    def test_stress_many_workers_short_switch_interval(self):
+        # 12 nodes in flight on 2 cores, each with 3 expert threads, sharing
+        # one attempt ledger and one results map; a lost update shows as a
+        # changed trace or a repeated context key
+        script = dict(SINGLE)
+        script[("PA", 1)] = plan_response("a goal", [(f"w{i:02}", f"step {i}") for i in range(12)])
+        script[("run-0", "w03", "DEA", 2)] = "garbage"
+        script[("DEA", 4)] = candidate_response("the answer")
+        reference = trace_text(self.run(MockProvider(script)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = [self.run(MockProvider(script), concurrency=12) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for outcome in outcomes:
+            assert trace_text(outcome) == reference
+            calls = events_of(outcome.trace, "provider_call")
+            keys = [tuple(e.payload["context"].values()) for e in calls]
+            assert len(keys) == len(set(keys)) == 12 * 5 + 3  # 5 per node, a re-ask, plan, fusion
+
+    def test_worker_exception_raised_at_commit(self):
+        script = repair_script()
+        del script[("run-0", "d", "PA", 2)]  # d's replan misses the script
+        with pytest.raises(ScriptMiss):
+            self.run(MockProvider(script), concurrency=2)
 
 
 class TestTraceWriting:

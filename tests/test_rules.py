@@ -1,7 +1,16 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from helpers import assessment_response, candidate_response, ruleset_response
-from rulegraph.agents import AttemptLedger, MalformedAnalysis, MockProvider, NodeSession
+from rulegraph.agents import (
+    AttemptLedger,
+    MalformedAnalysis,
+    MockProvider,
+    NodeSession,
+    TransportError,
+)
 from rulegraph.graph import NodeKind, TaskNode
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import (
@@ -140,11 +149,12 @@ class TestRunRules:
             {
                 ("DAA", 1): T1_RULES,
                 ("DEA", 1): candidate_response(MOVIE_A),
-                # rule 2 stays malformed through its re-asks (attempts 2-4)
+                # first tries take attempts 1-3 in rule order; rule 2 stays
+                # malformed through its re-asks, numbered after them (4-5)
                 ("DEA", 2): "garbage",
-                ("DEA", 3): "garbage",
+                ("DEA", 3): candidate_response(MOVIE_A),
                 ("DEA", 4): "garbage",
-                ("DEA", 5): candidate_response(MOVIE_A),
+                ("DEA", 5): "garbage",
             }
         )
         session = session_for(provider)
@@ -153,6 +163,59 @@ class TestRunRules:
         assert [c.rule_index for c in candidates] == [1, 3]
         warnings = [p for kind, p in session.events if kind == "warning"]
         assert len(warnings) == 1 and warnings[0]["rule_index"] == 2
+
+    def fan_out_script(self):
+        return {
+            ("DAA", 1): T1_RULES,
+            ("DEA", 1): "garbage",  # rule 1 re-asks under attempts 4 and 5
+            ("DEA", 2): candidate_response(MOVIE_B),
+            ("DEA", 3): candidate_response(MOVIE_A),
+            ("DEA", 4): "garbage",
+            ("DEA", 5): candidate_response(MOVIE_A),
+        }
+
+    def run_with(self, provider, pool=None):
+        ruleset = built_ruleset(provider)
+        session = session_for(provider)
+        session.pool = pool
+        return run_rules(ruleset, T1.statement, [], session=session), session.events
+
+    def test_rule_events_stay_together_in_rule_order(self):
+        candidates, events = self.run_with(MockProvider(self.fan_out_script()))
+        assert [c.answer_text for c in candidates] == [MOVIE_A, MOVIE_B, MOVIE_A]
+        attempts = [p["context"]["attempt"] for kind, p in events if kind == "provider_call"]
+        assert attempts == [1, 4, 5, 2, 3]
+
+    def test_fan_out_matches_serial(self):
+        class Faulty(MockProvider):
+            def complete(self, request):
+                if request.context_key == ("run-0", "T1", "DEA", 2):
+                    raise TransportError("injected outage")
+                return super().complete(request)
+
+        serial = self.run_with(Faulty(self.fan_out_script()))
+        with ThreadPoolExecutor(3) as pool:
+            fanned = self.run_with(Faulty(self.fan_out_script()), pool)
+        assert fanned == serial
+        warnings = [p for kind, p in serial[1] if kind == "warning"]
+        assert [w["rule_index"] for w in warnings] == [2]
+
+    def test_first_tries_are_in_flight_together(self):
+        barrier = threading.Barrier(3, timeout=10)
+
+        class Gathering(MockProvider):
+            def complete(self, request):
+                if request.context_key[2] == "DEA":
+                    barrier.wait()  # breaks unless all three first tries arrive
+                return super().complete(request)
+
+        script = {
+            ("DAA", 1): T1_RULES,
+            **{("DEA", n): candidate_response(MOVIE_A) for n in (1, 2, 3)},
+        }
+        with ThreadPoolExecutor(3) as pool:
+            candidates, _ = self.run_with(Gathering(script), pool)
+        assert len(candidates) == 3
 
     def test_all_rules_failed(self):
         provider = MockProvider(
@@ -214,6 +277,15 @@ class TestGlobalRule:
             for _ in range(3)
         ]
         assert tokens == ["L", "Lr", "H"]
+
+    def test_threshold_below_ml_accepts_pass_without_diff(self):
+        rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.LR)
+        provider = MockProvider({("GEA", 1): assessment_response("Lr")})
+        session = session_for(provider)
+        assessment = run_global_rule(rule, self.fused(), session=session)
+        assert assessment.membership is MembershipLabel.LR
+        assert assessment.diff_text == ""
+        assert [p["status"] for _, p in session.events] == ["ok"]
 
     def test_custom_threshold_requires_diff_below_it(self):
         rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.M)
