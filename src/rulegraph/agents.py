@@ -368,11 +368,9 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
             raise SchemaViolation("answer", "fusion response needs 'answer' or 'assignments'")
     elif schema_id == "assessment":
         # The run's threshold decides when a deviation must be described
-        # (rules.run_global_rule). L fails every threshold but L itself, so an
-        # L judgement always carries one.
-        if _need_label(doc, "membership") is MembershipLabel.L:
-            _need(doc, "diff_text", str, nonempty=True)
-        elif "diff_text" in doc and not isinstance(doc["diff_text"], str):
+        # (rules.run_global_rule).
+        _need_label(doc, "membership")
+        if "diff_text" in doc and not isinstance(doc["diff_text"], str):
             raise SchemaViolation("diff_text", "diff_text must be a string")
     elif schema_id == "failure_classification":
         scenario = _need(doc, "scenario", str, nonempty=True)
@@ -395,17 +393,11 @@ class ProviderRequest:
 
 @dataclass(frozen=True)
 class ProviderResponse:
+    """A completion as the provider returned it; NodeSession parses and checks it."""
+
     raw_text: str
-    parsed: dict | None
     token_usage: dict[str, int]
     attempts: int = 1
-
-
-def _try_parse(text: str, schema_id: str) -> dict | None:
-    try:
-        return parse_structured(text, schema_id)
-    except ParseError:
-        return None
 
 
 class MockProvider:
@@ -441,11 +433,7 @@ class MockProvider:
             text = self._script.get((role, attempt))
         if text is None:
             raise ScriptMiss(f"no script entry for {request.context_key}")
-        return ProviderResponse(
-            raw_text=text,
-            parsed=_try_parse(text, request.response_schema),
-            token_usage={"prompt_tokens": 0, "completion_tokens": 0},
-        )
+        return ProviderResponse(raw_text=text, token_usage={"prompt_tokens": 0, "completion_tokens": 0})
 
 
 class LiveProvider:
@@ -520,7 +508,6 @@ class LiveProvider:
             usage = body.get("usage") or {}
             return ProviderResponse(
                 raw_text=text,
-                parsed=_try_parse(text, request.response_schema),
                 token_usage={
                     "prompt_tokens": int(usage.get("prompt_tokens", 0)),
                     "completion_tokens": int(usage.get("completion_tokens", 0)),
@@ -693,22 +680,16 @@ class NodeSession:
         except ProviderFailure as exc:
             _log_call(events, request, "transport_error", None, error=str(exc))
             raise
-        if response.parsed is None:
-            try:
-                parse_structured(response.raw_text, schema_id)
-            except ParseError as exc:
-                violation = str(exc)
-            _log_call(events, request, "parse_error", response, error=violation)
-            return None, violation
         try:
+            doc = parse_structured(response.raw_text, schema_id)
             if extra_check is not None:
-                extra_check(response.parsed)
-        except ResponseViolation as exc:
-            violation = str(exc)
-            _log_call(events, request, "rejected", response, error=violation)
-            return None, violation
+                extra_check(doc)
+        except (ParseError, ResponseViolation) as exc:
+            status = "parse_error" if isinstance(exc, ParseError) else "rejected"
+            _log_call(events, request, status, response, error=str(exc))
+            return None, str(exc)
         _log_call(events, request, "ok", response)
-        return response.parsed, None
+        return doc, None
 
 
 def _log_call(
@@ -754,19 +735,9 @@ class PlannerPlan:
 
 
 def _check_plan_semantics(doc: dict) -> None:
-    ids = [entry["id"] for entry in doc["subtasks"]]
-    if len(set(ids)) != len(ids):
-        raise ResponseViolation("subtask ids must be unique")
-    for sid in ids:
-        if sid in graph_mod.RESERVED_IDS:
-            raise ResponseViolation(f"subtask id {sid!r} is reserved")
-    known = set(ids)
-    edges = [tuple(edge) for edge in doc["edges"]]
-    for a, b in edges:
-        if a not in known or b not in known:
-            raise ResponseViolation(f"edge ({a}, {b}) references an unknown subtask")
-    if graph_mod.topological_order(ids, edges) is None:
-        raise ResponseViolation("dependency edges contain a cycle")
+    error = graph_mod.plan_error([entry["id"] for entry in doc["subtasks"]], doc["edges"])
+    if error is not None:
+        raise ResponseViolation(str(error))
 
 
 def plan(task: str, session: NodeSession) -> PlannerPlan:

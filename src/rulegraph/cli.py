@@ -8,10 +8,11 @@ to distinct exit codes, documented in the README.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 from .agents import (
@@ -34,7 +35,7 @@ from .engine import (
     write_trace_events,
 )
 from .graph import TaskGraph, export_dot
-from .membership import parse_label
+from .membership import UnrecognizedLabel, parse_label
 from .rules import DEFAULT_DOMAINS
 
 EXIT_OK = 0
@@ -46,6 +47,24 @@ EXIT_ALL_PATHS = 5
 EXIT_PROVIDER = 6
 
 DEFAULT_API_KEY_ENV = "RULEGRAPH_API_KEY"
+
+# RunConfig fields a config file sets directly, with the defaults that give their types.
+_SCALAR_FIELDS = {f.name: f.default for f in fields(RunConfig) if type(f.default) in (bool, int, str)}
+_LIVE_OPTIONS = ("timeout_s", "transport_retries", "backoff_s")
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _typed(spec: dict, key: str, default):
+    """spec[key] if it has the JSON type of default, default if absent, else a ConfigError.
+
+    Strict: a boolean is not an integer and a string is not a number; an integer is a number.
+    """
+    if key not in spec:
+        return default
+    value, kind = spec[key], type(default)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ConfigError(f"{key!r} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -65,14 +84,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    provider_spec = raw.get("provider")
+    provider_spec = raw.get("provider") if isinstance(raw, dict) else None
     if not isinstance(provider_spec, dict) or "type" not in provider_spec:
         raise ConfigError("config needs a provider object with a 'type'")
     provider = _build_provider(provider_spec, base_dir)
 
     domains = raw.get("domains")
     if domains is None and "catalog_path" in raw:
-        catalog_file = os.path.join(base_dir, raw["catalog_path"])
+        catalog_file = os.path.join(base_dir, _typed(raw, "catalog_path", ""))
         try:
             with open(catalog_file, encoding="utf-8") as handle:
                 domains = [line.strip() for line in handle if line.strip()]
@@ -84,29 +103,24 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("domains must be a list of non-empty strings")
 
     temperatures = dict(DEFAULT_TEMPERATURES)
-    for name, value in (raw.get("temperatures") or {}).items():
+    given = _typed(raw, "temperatures", {})
+    for name in given:
         try:
-            temperatures[RoleKind(name)] = float(value)
-        except (ValueError, TypeError) as exc:
+            temperatures[RoleKind(name)] = _typed(given, name, 0.0)
+        except ValueError as exc:
             raise ConfigError(f"bad temperature for role {name!r}: {exc}") from exc
 
     try:
-        threshold = parse_label(raw.get("threshold", "ML"))
-    except Exception as exc:
+        threshold = parse_label(_typed(raw, "threshold", RunConfig.threshold.token))
+    except UnrecognizedLabel as exc:
         raise ConfigError(f"bad threshold: {exc}") from exc
 
     config = RunConfig(
         provider=provider,
-        k_rules=int(raw.get("k_rules", 3)),
-        max_reprocess=int(raw.get("max_reprocess", 3)),
-        max_depth=int(raw.get("max_depth", 2)),
-        max_chain=int(raw.get("max_chain", 3)),
         threshold=threshold,
-        cluster_mode=raw.get("cluster_mode", "lexical"),
-        concurrency=int(raw.get("concurrency", 1)),
-        deterministic=bool(raw.get("deterministic", False)),
         domains=tuple(domains) if domains else DEFAULT_DOMAINS,
         temperatures=temperatures,
+        **{name: _typed(raw, name, default) for name, default in _SCALAR_FIELDS.items()},
     )
     config.validate()
     return config
@@ -115,31 +129,26 @@ def load_config(path: str) -> RunConfig:
 def _build_provider(spec: dict, base_dir: str):
     kind = spec["type"]
     if kind == "mock":
-        script_path = spec.get("script")
+        script_path = _typed(spec, "script", "")
         if not script_path:
             raise ConfigError("mock provider needs a 'script' path")
-        resolved = script_path if os.path.isabs(script_path) else os.path.join(base_dir, script_path)
+        resolved = os.path.join(base_dir, script_path)  # an absolute script_path wins
         try:
             return MockProvider.from_file(resolved)
         except (OSError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load mock script {resolved}: {exc}") from exc
     if kind == "live":
-        base_url = os.environ.get("RULEGRAPH_BASE_URL") or spec.get("base_url")
-        model = os.environ.get("RULEGRAPH_MODEL") or spec.get("model")
+        base_url = os.environ.get("RULEGRAPH_BASE_URL") or _typed(spec, "base_url", "")
+        model = os.environ.get("RULEGRAPH_MODEL") or _typed(spec, "model", "")
         if not base_url or not model:
             raise ConfigError("live provider needs base_url and model (config or env)")
-        key_env = spec.get("api_key_env", DEFAULT_API_KEY_ENV)
+        key_env = _typed(spec, "api_key_env", DEFAULT_API_KEY_ENV)
         api_key = os.environ.get(key_env, "")
         if not api_key:
             raise ConfigError(f"live provider key env var {key_env} is not set")
-        return LiveProvider(
-            base_url=base_url,
-            model=model,
-            api_key=api_key,
-            timeout_s=float(spec.get("timeout_s", 60.0)),
-            transport_retries=int(spec.get("transport_retries", 3)),
-            backoff_s=float(spec.get("backoff_s", 1.0)),
-        )
+        defaults = inspect.signature(LiveProvider).parameters
+        options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
+        return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
     raise ConfigError(f"unknown provider type {kind!r}")
 
 
@@ -171,28 +180,27 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     task = _read_task(args.task)
     try:
-        outcome = execute_task(task, config)
-    except EngineError as exc:
-        _write_partial_trace(exc, args.trace)
-        print(f"run failed: {exc}", file=sys.stderr)
-        return _engine_exit(exc)
-    except (ProviderFailure, MalformedResponse) as exc:
-        print(f"provider failure: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
-    with open(args.trace, "w", encoding="utf-8") as handle:
-        write_trace(outcome, handle)
+        sink = open(args.trace, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot open trace file: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    with sink:
+        try:
+            outcome = execute_task(task, config)
+        except EngineError as exc:
+            write_trace_events(exc.trace, sink)
+            print(f"run failed: {exc}", file=sys.stderr)
+            return _engine_exit(exc)
+        except (ProviderFailure, MalformedResponse) as exc:
+            print(f"provider failure: {exc}", file=sys.stderr)
+            return EXIT_PROVIDER
+        write_trace(outcome, sink)
     print(outcome.final.answer_text)
     print(
         f"trace written to {args.trace} ({outcome.provider_calls} provider calls)",
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _write_partial_trace(exc: EngineError, path: str) -> None:
-    if exc.trace:
-        with open(path, "w", encoding="utf-8") as handle:
-            write_trace_events(exc.trace, handle)
 
 
 def _cmd_bench(args) -> int:

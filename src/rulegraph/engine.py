@@ -233,12 +233,7 @@ def process_node(
     for attempt in range(1, config.max_reprocess + 1):
         try:
             ruleset = construct_rules(
-                node,
-                config.domains,
-                config.k_rules,
-                feedback,
-                global_rule=global_rule,
-                session=session,
+                node, config.domains, config.k_rules, feedback, session=session
             )
             session.emit(
                 "rules_built",
@@ -618,7 +613,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     try:
         the_plan = plan_task(task, root_session)
         graph = g.build_graph(the_plan)
-    except (ProviderFailure, MalformedPlan, g.GraphError) as exc:
+    except (ProviderFailure, MalformedPlan) as exc:
         root_session.emit("warning", {"reason": "planning_failed", "detail": str(exc)})
         tracer.flush(root_session.events)
         raise PlanningFailure(

@@ -206,6 +206,27 @@ def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
     return seen
 
 
+def plan_error(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> GraphError | None:
+    """The first reason a plan cannot form a run graph, or None.
+
+    Checked in order: no subtasks, duplicate ids, reserved ids, dangling edges, a cycle.
+    """
+    if not ids:
+        return EmptyPlan("plan contains no subtasks")
+    if len(set(ids)) != len(ids):
+        return DuplicateNodeId("subtask ids must be unique")
+    for sid in ids:
+        if sid in RESERVED_IDS:
+            return DuplicateNodeId(f"subtask id {sid!r} is reserved")
+    known = set(ids)
+    for a, b in edges:
+        if a not in known or b not in known:
+            return DanglingEdge(f"edge ({a}, {b}) references an unknown subtask")
+    if topological_order(ids, edges) is None:
+        return CyclicPlan("dependency edges contain a cycle")
+    return None
+
+
 def build_graph(plan: "PlannerPlan") -> TaskGraph:
     """Build the run graph from a planner plan.
 
@@ -213,20 +234,10 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
     predecessor, every subtask without an in-plan successor is wired to the
     fusion node, and all plan edges are preserved.
     """
-    if not plan.subtasks:
-        raise EmptyPlan("plan contains no subtasks")
     ids = [sid for sid, _ in plan.subtasks]
-    if len(set(ids)) != len(ids):
-        raise DuplicateNodeId("plan subtask ids are not unique")
-    for sid in ids:
-        if sid in RESERVED_IDS:
-            raise DuplicateNodeId(f"subtask id {sid!r} is reserved")
-    known = set(ids)
-    for a, b in plan.edges:
-        if a not in known or b not in known:
-            raise DanglingEdge(f"plan edge ({a}, {b}) references an unknown subtask")
-    if topological_order(ids, plan.edges) is None:
-        raise CyclicPlan("plan edges contain a cycle")
+    error = plan_error(ids, plan.edges)
+    if error is not None:
+        raise error
 
     nodes: dict[str, TaskNode] = {
         ROOT_ID: TaskNode(ROOT_ID, NodeKind.ORIGINAL, plan.task),

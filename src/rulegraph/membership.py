@@ -93,11 +93,6 @@ def parse_label(text: str) -> MembershipLabel:
         raise UnrecognizedLabel(f"unknown membership token: {text!r}") from None
 
 
-def render_label(label: MembershipLabel) -> str:
-    """Canonical short token for a label; inverse of parse_label."""
-    return label.token
-
-
 def below(label: MembershipLabel, threshold: MembershipLabel) -> bool:
     """True iff label is strictly lower than threshold (equal is not below)."""
     return label < threshold

@@ -73,7 +73,6 @@ class GlobalRule:
 class RuleSet:
     subtask_id: str
     rules: tuple[DomainRule, ...]
-    global_rule: GlobalRule
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,6 @@ def construct_rules(
     k: int,
     feedback: str | None = None,
     *,
-    global_rule: GlobalRule,
     session: NodeSession,
 ) -> RuleSet:
     """One domain-analyst call producing K rules with distinct catalog domains.
@@ -149,7 +147,7 @@ def construct_rules(
         )
         for i, entry in enumerate(doc["rules"], start=1)
     )
-    return RuleSet(subtask_id=subtask.id, rules=rules, global_rule=global_rule)
+    return RuleSet(subtask_id=subtask.id, rules=rules)
 
 
 def run_rules(

@@ -74,6 +74,35 @@ class TestLoadConfig:
         assert config.provider.model == "m"
 
 
+MOCK_SCRIPT = os.path.join(FIXTURES, "email_script.json")
+LIVE = {"type": "live", "base_url": "http://example.test/v1", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"k_rules": "abc"},
+        {"k_rules": True},
+        {"concurrency": 2.7},
+        {"deterministic": "false"},
+        {"provider": {**LIVE, "timeout_s": "x"}},
+    ],
+    ids=["k_rules-string", "k_rules-bool", "concurrency-float", "deterministic-string", "live-timeout-string"],
+)
+def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RULEGRAPH_API_KEY", "secret")
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"provider": {"type": "mock", "script": MOCK_SCRIPT}, **settings}), encoding="utf-8"
+    )
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "--task", "t", "--config", str(path), "--trace", str(trace)]) == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+    assert not trace.exists()
+
+
 class TestRunCommand:
     def test_run_prints_answer_and_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -123,6 +152,21 @@ class TestRunCommand:
         assert "run failed" in captured.err
         kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
         assert kinds.count("provider_call") == 3 and kinds[-1] == "warning"
+
+    def test_unwritable_trace_fails_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        from rulegraph.agents import MockProvider
+
+        calls = []
+        complete = MockProvider.complete
+        monkeypatch.setattr(
+            MockProvider, "complete", lambda self, request: calls.append(request) or complete(self, request)
+        )
+        trace = tmp_path / "missing" / "trace.jsonl"
+        code = main(["run", "--task", "t", "--config", DEMO_CONFIG, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert calls == []
+        assert "cannot open trace file" in captured.err and captured.out == ""
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--task", "t", "--config", str(tmp_path / "nope.json")])

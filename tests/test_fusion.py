@@ -162,7 +162,6 @@ class SynthesizingStub:
         self.calls += 1
         return ProviderResponse(
             raw_text=fusion_answer(self.answer),
-            parsed={"answer": self.answer},
             token_usage={"prompt_tokens": 0, "completion_tokens": 0},
         )
 

@@ -49,9 +49,7 @@ T1_RULES = ruleset_response(
 class TestConstructRules:
     def test_three_rules_with_expected_memberships(self):
         provider = MockProvider({("DAA", 1): T1_RULES})
-        ruleset = construct_rules(
-            T1, DEFAULT_DOMAINS, 3, global_rule=GLOBAL, session=session_for(provider)
-        )
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
         assert isinstance(ruleset, RuleSet)
         assert [r.index for r in ruleset.rules] == [1, 2, 3]
         assert [r.domain_name for r in ruleset.rules] == [
@@ -64,21 +62,16 @@ class TestConstructRules:
             MembershipLabel.M,
             MembershipLabel.ML,
         ]
-        assert ruleset.global_rule is GLOBAL
 
     def test_k_one(self):
         provider = MockProvider({("DAA", 1): ruleset_response([("History", "SH")])})
-        ruleset = construct_rules(
-            T1, DEFAULT_DOMAINS, 1, global_rule=GLOBAL, session=session_for(provider)
-        )
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
         assert len(ruleset.rules) == 1
 
     def test_feedback_travels_verbatim_with_statement(self):
         provider = RecordingMock({("DAA", 1): T1_RULES})
         feedback = "answer drifted from the acting career focus"
-        construct_rules(
-            T1, DEFAULT_DOMAINS, 3, feedback, global_rule=GLOBAL, session=session_for(provider)
-        )
+        construct_rules(T1, DEFAULT_DOMAINS, 3, feedback, session=session_for(provider))
         assert T1.statement in provider.prompts[0]
         assert feedback in provider.prompts[0]
 
@@ -86,29 +79,25 @@ class TestConstructRules:
         off_catalog = ruleset_response([("Astrology", "H")])
         provider = MockProvider({("DAA", n): off_catalog for n in (1, 2, 3)})
         with pytest.raises(MalformedAnalysis):
-            construct_rules(T1, DEFAULT_DOMAINS, 1, global_rule=GLOBAL, session=session_for(provider))
+            construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
 
     def test_duplicate_domains_rejected(self):
         dupes = ruleset_response([("History", "H"), ("History", "M")])
         good = ruleset_response([("History", "H"), ("Biology", "M")])
         provider = MockProvider({("DAA", 1): dupes, ("DAA", 2): good})
-        ruleset = construct_rules(
-            T1, DEFAULT_DOMAINS, 2, global_rule=GLOBAL, session=session_for(provider)
-        )
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 2, session=session_for(provider))
         assert len({r.domain_name for r in ruleset.rules}) == 2
 
     def test_wrong_rule_count_rejected(self):
         provider = MockProvider(
             {("DAA", 1): ruleset_response([("History", "H")]), ("DAA", 2): T1_RULES}
         )
-        ruleset = construct_rules(
-            T1, DEFAULT_DOMAINS, 3, global_rule=GLOBAL, session=session_for(provider)
-        )
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
         assert len(ruleset.rules) == 3
 
 
 def built_ruleset(provider):
-    return construct_rules(T1, DEFAULT_DOMAINS, 3, global_rule=GLOBAL, session=session_for(provider))
+    return construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
 
 
 MOVIE_A = "Guess Who's Coming to Dinner (1967)"
@@ -140,7 +129,7 @@ class TestRunRules:
             }
         )
         session = session_for(provider)
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, global_rule=GLOBAL, session=session)
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
         candidates = run_rules(ruleset, T1.statement, [], session=session)
         assert len(candidates) == 1 and candidates[0].rule_index == 1
 
@@ -222,7 +211,7 @@ class TestRunRules:
             {("DAA", 1): ruleset_response([("History", "H")]), **{("DEA", n): "junk" for n in (1, 2, 3)}}
         )
         session = session_for(provider)
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, global_rule=GLOBAL, session=session)
+        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
         with pytest.raises(AllRulesFailed):
             run_rules(ruleset, T1.statement, [], session=session)
 
@@ -284,6 +273,27 @@ class TestGlobalRule:
         session = session_for(provider)
         assessment = run_global_rule(rule, self.fused(), session=session)
         assert assessment.membership is MembershipLabel.LR
+        assert assessment.diff_text == ""
+        assert [p["status"] for _, p in session.events] == ["ok"]
+
+    def test_low_without_diff_is_reasked_at_ml(self):
+        provider = MockProvider(
+            {
+                ("GEA", 1): assessment_response("L"),
+                ("GEA", 2): assessment_response("L", "off the goal"),
+            }
+        )
+        session = session_for(provider)
+        assessment = run_global_rule(GLOBAL, self.fused(), session=session)
+        assert assessment.diff_text == "off the goal"
+        assert [p["status"] for _, p in session.events] == ["rejected", "ok"]
+
+    def test_threshold_l_accepts_low_without_diff(self):
+        rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.L)
+        provider = MockProvider({("GEA", 1): assessment_response("L")})
+        session = session_for(provider)
+        assessment = run_global_rule(rule, self.fused(), session=session)
+        assert assessment.membership is MembershipLabel.L
         assert assessment.diff_text == ""
         assert [p["status"] for _, p in session.events] == ["ok"]
 
