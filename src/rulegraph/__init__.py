@@ -15,6 +15,7 @@ from .engine import (
     AllPathsFailed,
     ConfigError,
     EngineError,
+    FusionFailure,
     PlanningFailure,
     RunConfig,
     RunOutcome,

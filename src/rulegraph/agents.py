@@ -79,26 +79,6 @@ class MalformedResponse(Exception):
     """A role response stayed invalid through all configured re-asks."""
 
 
-class MalformedPlan(MalformedResponse):
-    pass
-
-
-class MalformedAnalysis(MalformedResponse):
-    pass
-
-
-class MalformedAssessment(MalformedResponse):
-    pass
-
-
-class MalformedFusion(MalformedResponse):
-    pass
-
-
-class MalformedClassification(MalformedResponse):
-    pass
-
-
 class TemplateError(Exception):
     """A prompt template referenced a slot that was not supplied."""
 
@@ -432,7 +412,7 @@ class MockProvider:
         if text is None:
             text = self._script.get((role, attempt))
         if text is None:
-            raise ScriptMiss(f"no script entry for {request.context_key}")
+            raise ScriptMiss(f"mock script has no entry for {request.context_key}")
         return ProviderResponse(raw_text=text, token_usage={"prompt_tokens": 0, "completion_tokens": 0})
 
 
@@ -566,7 +546,6 @@ class NodeSession:
         template_key: str,
         slots: Mapping[str, object],
         schema_id: str,
-        failure: type[MalformedResponse],
         extra_check: Callable[[dict], None] | None = None,
     ) -> dict:
         role = ROLES[template_key]
@@ -577,22 +556,22 @@ class NodeSession:
         )
         if doc is not None:
             return doc
-        return self._reask(role, prompt, schema_id, violation, failure, extra_check, self.events)
+        return self._reask(role, prompt, schema_id, violation, extra_check, self.events)
 
     def call_many(
         self,
         template_key: str,
         slot_list: Sequence[Mapping[str, object]],
         schema_id: str,
-        failure: type[MalformedResponse],
     ) -> list[tuple[dict | Exception, list[tuple[str, dict]]]]:
         """One call per slot mapping: every first try at once, then the re-asks.
 
         The first tries take the next len(slot_list) attempt numbers in
         order and run on the session's pool when it has one. Re-asks follow
         in order, numbered after them. Each call gets its own event buffer.
-        Returns (document, or the ProviderFailure or `failure` that ended
-        the call, buffer) per call; the caller appends the buffers in order.
+        Returns (document, or the ProviderFailure or MalformedResponse that
+        ended the call, buffer) per call; the caller appends the buffers in
+        order.
         """
         role = ROLES[template_key]
         prompts = [render_prompt(role, slots) for slots in slot_list]
@@ -616,9 +595,7 @@ class NodeSession:
         for i, (outcome, violation) in enumerate(tries):
             if outcome is None:
                 try:
-                    outcome = self._reask(
-                        role, prompts[i], schema_id, violation, failure, None, buffers[i]
-                    )
+                    outcome = self._reask(role, prompts[i], schema_id, violation, None, buffers[i])
                 except (ProviderFailure, MalformedResponse) as exc:
                     outcome = exc
             outcomes.append((outcome, buffers[i]))
@@ -630,7 +607,6 @@ class NodeSession:
         prompt: str,
         schema_id: str,
         violation: str | None,
-        failure: type[MalformedResponse],
         extra_check: Callable[[dict], None] | None,
         events: list[tuple[str, dict]],
     ) -> dict:
@@ -642,7 +618,7 @@ class NodeSession:
             )
             if doc is not None:
                 return doc
-        raise failure(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
+        raise MalformedResponse(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
 
     def _ask(
         self,
@@ -744,13 +720,7 @@ def plan(task: str, session: NodeSession) -> PlannerPlan:
     """One planner invocation; used for the original task and for failed-subtask decomposition."""
     if not task or not task.strip():
         raise ValueError("task must be non-empty")
-    doc = session.call(
-        "plan",
-        {"task": task},
-        "plan",
-        failure=MalformedPlan,
-        extra_check=_check_plan_semantics,
-    )
+    doc = session.call("plan", {"task": task}, "plan", extra_check=_check_plan_semantics)
     return PlannerPlan(
         task=task,
         global_goal=doc["goal"],

@@ -14,7 +14,6 @@ import json
 import time
 from dataclasses import dataclass
 
-from .agents import MalformedResponse, ProviderFailure
 from .engine import EngineError, RunConfig, execute_task
 
 
@@ -115,10 +114,12 @@ def run_benchmark(
 ) -> ScoreReport:
     """Run every sample through the engine and aggregate scores in input order.
 
-    A failing sample scores 0 with its error kind annotated; the batch never
-    aborts. Deterministic runs key each sample's provider context by the
-    sample id so one script file can address the whole dataset, and report
-    wall time as 0 for byte-stable output.
+    A sample whose run raises an EngineError scores 0 with the error's class
+    name annotated, and its partial calls and tokens still count; any other
+    exception, such as a mock script miss, aborts the batch. Deterministic
+    runs key each sample's provider context by the sample id so one script
+    file can address the whole dataset, and report wall time as 0 for
+    byte-stable output.
     """
     if not dataset:
         raise EmptyDataset("dataset contains no samples")
@@ -129,18 +130,16 @@ def run_benchmark(
     for sample in dataset:
         run_id = sample.id if config.deterministic else None
         try:
-            outcome = execute_task(sample.task_text, config, run_id=run_id)
-        except (EngineError, ProviderFailure, MalformedResponse) as exc:
+            run = execute_task(sample.task_text, config, run_id=run_id)
+        except EngineError as exc:
+            run = exc
             scores.append(SampleScore(id=sample.id, correct=0, score=0.0, error=type(exc).__name__))
-            provider_calls += getattr(exc, "provider_calls", 0)
-            for key in tokens:
-                tokens[key] += getattr(exc, "token_usage", {}).get(key, 0)
-            continue
-        correct, score = score_sample(outcome.final.answer_text, sample)
-        scores.append(SampleScore(id=sample.id, correct=correct, score=score))
-        provider_calls += outcome.provider_calls
+        else:
+            correct, score = score_sample(run.final.answer_text, sample)
+            scores.append(SampleScore(id=sample.id, correct=correct, score=score))
+        provider_calls += run.provider_calls
         for key in tokens:
-            tokens[key] += outcome.token_usage.get(key, 0)
+            tokens[key] += run.token_usage.get(key, 0)
 
     aggregate = sum(s.score for s in scores) / len(scores)
     wall_time = 0.0 if config.deterministic else time.monotonic() - started

@@ -15,19 +15,13 @@ import sys
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
-from .agents import (
-    DEFAULT_TEMPERATURES,
-    LiveProvider,
-    MalformedResponse,
-    MockProvider,
-    ProviderFailure,
-    RoleKind,
-)
+from .agents import DEFAULT_TEMPERATURES, LiveProvider, MockProvider, RoleKind, ScriptMiss
 from .bench import DatasetError, load_dataset, render_table, report_to_json, run_benchmark
 from .engine import (
     AllPathsFailed,
     ConfigError,
     EngineError,
+    FusionFailure,
     PlanningFailure,
     RunConfig,
     execute_task,
@@ -135,7 +129,7 @@ def _build_provider(spec: dict, base_dir: str):
         resolved = os.path.join(base_dir, script_path)  # an absolute script_path wins
         try:
             return MockProvider.from_file(resolved)
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError) as exc:  # bad JSON is a ValueError
             raise ConfigError(f"cannot load mock script {resolved}: {exc}") from exc
     if kind == "live":
         base_url = os.environ.get("RULEGRAPH_BASE_URL") or _typed(spec, "base_url", "")
@@ -153,10 +147,13 @@ def _build_provider(spec: dict, base_dir: str):
 
 
 def _read_task(value: str) -> str:
-    if os.path.isfile(value):
+    if not os.path.isfile(value):
+        return value
+    try:
         with open(value, encoding="utf-8") as handle:
             return handle.read().strip()
-    return value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read task file {value}: {exc}") from exc
 
 
 def _engine_exit(exc: EngineError) -> int:
@@ -166,6 +163,8 @@ def _engine_exit(exc: EngineError) -> int:
         return EXIT_ALL_PATHS
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
+    if isinstance(exc, FusionFailure):
+        return EXIT_PROVIDER
     return EXIT_FAILURE
 
 
@@ -175,10 +174,10 @@ def _cmd_run(args) -> int:
         if args.deterministic:
             config = replace(config, deterministic=True)
             config.validate()
+        task = _read_task(args.task)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    task = _read_task(args.task)
     try:
         sink = open(args.trace, "w", encoding="utf-8")
     except OSError as exc:
@@ -191,9 +190,6 @@ def _cmd_run(args) -> int:
             write_trace_events(exc.trace, sink)
             print(f"run failed: {exc}", file=sys.stderr)
             return _engine_exit(exc)
-        except (ProviderFailure, MalformedResponse) as exc:
-            print(f"provider failure: {exc}", file=sys.stderr)
-            return EXIT_PROVIDER
         write_trace(outcome, sink)
     print(outcome.final.answer_text)
     print(
@@ -214,14 +210,17 @@ def _cmd_bench(args) -> int:
         print(f"bench setup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        report = run_benchmark(
-            dataset, config, dataset_name=os.path.basename(args.dataset)
-        )
-    except DatasetError as exc:
-        print(f"bench error: {exc}", file=sys.stderr)
+        sink = open(args.report, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot open report file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with open(args.report, "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
+    with sink:
+        try:
+            report = run_benchmark(dataset, config, dataset_name=os.path.basename(args.dataset))
+        except DatasetError as exc:
+            print(f"bench error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        sink.write(report_to_json(report))
     sys.stdout.write(render_table(report))
     print(f"report written to {args.report}", file=sys.stderr)
     return EXIT_OK
@@ -315,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScriptMiss as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

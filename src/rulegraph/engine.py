@@ -34,8 +34,6 @@ from . import graph as g
 from .agents import (
     REASK_LIMIT,
     AttemptLedger,
-    MalformedClassification,
-    MalformedPlan,
     MalformedResponse,
     NodeSession,
     PlannerPlan,
@@ -52,13 +50,15 @@ DETERMINISTIC_RUN_ID = "run-0"
 
 
 class EngineError(Exception):
-    """Base class for run-level failures; carries the partial trace."""
+    """Base class for run-level failures.
 
-    def __init__(self, message: str, trace=None, provider_calls: int = 0, token_usage=None):
-        super().__init__(message)
-        self.trace = trace or []
-        self.provider_calls = provider_calls
-        self.token_usage = token_usage or {"prompt_tokens": 0, "completion_tokens": 0}
+    execute_task sets trace, provider_calls and token_usage to the run's
+    partial trace and totals before the error leaves it.
+    """
+
+    trace: list[TraceEvent]
+    provider_calls: int
+    token_usage: dict[str, int]
 
 
 class ConfigError(EngineError):
@@ -71,6 +71,10 @@ class PlanningFailure(EngineError):
 
 class AllPathsFailed(EngineError):
     """Every path from the root to the fusion node was removed."""
+
+
+class FusionFailure(EngineError):
+    """The final fusion call failed at the provider or stayed malformed."""
 
 
 class SinkUnavailable(Exception):
@@ -346,10 +350,9 @@ def handle_failure(
                 "attempts": config.max_reprocess,
             },
             "failure_classification",
-            failure=MalformedClassification,
         )
         scenario = doc["scenario"]
-    except (ProviderFailure, MalformedClassification) as exc:
+    except (ProviderFailure, MalformedResponse) as exc:
         session.emit(
             "warning",
             {"node": node.id, "reason": "classification_failed", "detail": str(exc)},
@@ -366,7 +369,7 @@ def handle_failure(
         else:
             try:
                 subplan = plan_task(node.statement, session)
-            except (ProviderFailure, MalformedPlan) as exc:
+            except (ProviderFailure, MalformedResponse) as exc:
                 session.emit(
                     "warning",
                     {"node": node.id, "reason": "replan_failed", "detail": str(exc)},
@@ -434,8 +437,7 @@ class _Finished:
     result: SubtaskResult | None = None
     repair: Repair | None = None
     repair_session: NodeSession | None = None
-    error: Exception | None = None  # raised while processing the node
-    repair_error: Exception | None = None  # raised while deciding its repair
+    error: Exception | None = None  # raised while processing the node or deciding its repair
 
 
 def _run_node(
@@ -454,15 +456,11 @@ def _run_node(
     done = _Finished(session.events)
     try:
         done.result = process_node(node, graph, results, config, session)
+        if done.result is None:
+            done.repair_session = new_session(node.id)
+            done.repair = handle_failure(node, graph, config, done.repair_session)
     except Exception as exc:
         done.error = exc
-        return done
-    if done.result is None:
-        done.repair_session = new_session(node.id)
-        try:
-            done.repair = handle_failure(node, graph, config, done.repair_session)
-        except Exception as exc:
-            done.repair_error = exc
     return done
 
 
@@ -570,8 +568,6 @@ class _Scheduler:
         for nid, item in zip(ids, done):
             if item.result is not None:
                 continue
-            if item.repair_error is not None:
-                raise item.repair_error
             before = self.graph
             self.graph = apply_repair(item.repair, before, item.repair_session, self.used_ids)
             self.tracer.flush(item.repair_session.events)
@@ -580,87 +576,93 @@ class _Scheduler:
                 self.rewired[succ] = wave
                 self._recount(succ)
         if not self.graph.predecessors(g.FUSION_ID):
-            raise AllPathsFailed(
-                "every root-to-fusion path failed and was removed",
-                self.tracer.events,
-                self.tracer.provider_calls,
-                self.tracer.token_usage,
-            )
+            raise AllPathsFailed("every root-to-fusion path failed and was removed")
 
 
 def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> RunOutcome:
-    """Run one task end to end and return the fused answer with its full trace."""
-    config.validate()
-    if not task or not task.strip():
-        raise ConfigError("task must be non-empty")
-    if run_id is None:
-        run_id = DETERMINISTIC_RUN_ID if config.deterministic else uuid.uuid4().hex[:12]
+    """Run one task end to end and return the fused answer with its full trace.
 
+    Every run failure leaves as an EngineError carrying the trace, provider
+    calls and token usage of the run so far.
+    """
     tracer = _Tracer(deterministic=config.deterministic)
-    ledger = AttemptLedger()
-
-    def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
-        return NodeSession(
-            run_id=run_id,
-            node_id=node_id,
-            provider=config.provider,
-            ledger=ledger,
-            temperatures=config.temperatures,
-            pool=pool,
-        )
-
-    root_session = new_session(g.ROOT_ID)
     try:
-        the_plan = plan_task(task, root_session)
-        graph = g.build_graph(the_plan)
-    except (ProviderFailure, MalformedPlan) as exc:
-        root_session.emit("warning", {"reason": "planning_failed", "detail": str(exc)})
-        tracer.flush(root_session.events)
-        raise PlanningFailure(
-            str(exc), tracer.events, tracer.provider_calls, tracer.token_usage
-        ) from exc
-    root_session.emit(
-        "plan",
-        {
-            "task": task,
-            "goal": the_plan.global_goal,
-            "subtasks": [{"id": sid, "statement": st} for sid, st in the_plan.subtasks],
-            "edges": [list(e) for e in the_plan.edges],
-            "graph": graph.to_payload(),
-        },
-    )
-    tracer.flush(root_session.events)
+        config.validate()
+        if not task or not task.strip():
+            raise ConfigError("task must be non-empty")
+        if run_id is None:
+            run_id = DETERMINISTIC_RUN_ID if config.deterministic else uuid.uuid4().hex[:12]
+        ledger = AttemptLedger()
 
-    budget = call_budget(config, len(the_plan.subtasks))
-    if config.concurrency == 1:
-        graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
-    else:
-        # At most `concurrency` nodes are in flight and each waits on at most K
-        # expert calls, so at most concurrency x K provider calls are in flight.
-        with ThreadPoolExecutor(config.concurrency) as nodes, ThreadPoolExecutor(
-            config.concurrency * config.k_rules
-        ) as experts:
-            graph, results = _Scheduler(
-                graph, config, tracer, partial(new_session, pool=experts), nodes
-            ).run()
+        def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
+            return NodeSession(
+                run_id=run_id,
+                node_id=node_id,
+                provider=config.provider,
+                ledger=ledger,
+                temperatures=config.temperatures,
+                pool=pool,
+            )
 
-    preds = g.predecessor_results(graph, g.FUSION_ID, results)
-    fusion_session = new_session(g.FUSION_ID)
-    final = fuse_final(preds, task, session=fusion_session)
-    fusion_session.emit(
-        "final",
-        {
-            "answer_text": final.answer_text,
-            "contributing_nodes": list(final.contributing_nodes),
-            "graph": graph.to_payload(),
-        },
-    )
-    tracer.flush(fusion_session.events)
-
-    if tracer.provider_calls > budget:
-        raise EngineError(
-            f"provider calls {tracer.provider_calls} exceeded the termination budget {budget}"
+        root_session = new_session(g.ROOT_ID)
+        try:
+            the_plan = plan_task(task, root_session)
+            graph = g.build_graph(the_plan)
+        except (ProviderFailure, MalformedResponse) as exc:
+            root_session.emit("warning", {"reason": "planning_failed", "detail": str(exc)})
+            tracer.flush(root_session.events)
+            raise PlanningFailure(str(exc)) from exc
+        root_session.emit(
+            "plan",
+            {
+                "task": task,
+                "goal": the_plan.global_goal,
+                "subtasks": [{"id": sid, "statement": st} for sid, st in the_plan.subtasks],
+                "edges": [list(e) for e in the_plan.edges],
+                "graph": graph.to_payload(),
+            },
         )
+        tracer.flush(root_session.events)
+
+        budget = call_budget(config, len(the_plan.subtasks))
+        if config.concurrency == 1:
+            graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
+        else:
+            # At most `concurrency` nodes are in flight and each waits on at most K
+            # expert calls, so at most concurrency x K provider calls are in flight.
+            with ThreadPoolExecutor(config.concurrency) as nodes, ThreadPoolExecutor(
+                config.concurrency * config.k_rules
+            ) as experts:
+                graph, results = _Scheduler(
+                    graph, config, tracer, partial(new_session, pool=experts), nodes
+                ).run()
+
+        preds = g.predecessor_results(graph, g.FUSION_ID, results)
+        fusion_session = new_session(g.FUSION_ID)
+        try:
+            final = fuse_final(preds, task, session=fusion_session)
+        except (ProviderFailure, MalformedResponse) as exc:
+            fusion_session.emit("warning", {"reason": "final_fusion_failed", "detail": str(exc)})
+            tracer.flush(fusion_session.events)
+            raise FusionFailure(f"provider failure in final fusion: {exc}") from exc
+        fusion_session.emit(
+            "final",
+            {
+                "answer_text": final.answer_text,
+                "contributing_nodes": list(final.contributing_nodes),
+                "graph": graph.to_payload(),
+            },
+        )
+        tracer.flush(fusion_session.events)
+
+        if tracer.provider_calls > budget:
+            raise EngineError(
+                f"provider calls {tracer.provider_calls} exceeded the termination budget {budget}"
+            )
+    except EngineError as exc:
+        exc.trace, exc.provider_calls = tracer.events, tracer.provider_calls
+        exc.token_usage = tracer.token_usage
+        raise
     return RunOutcome(
         final=final,
         graph_final=graph,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import string as _string
 from dataclasses import dataclass, replace
 
-from .agents import MalformedFusion, NodeSession, ProviderFailure, ResponseViolation
+from .agents import MalformedResponse, NodeSession, ProviderFailure, ResponseViolation
 from .graph import TaskNode
 from .membership import MembershipLabel
 from .rules import CandidateResult
@@ -82,7 +82,7 @@ def cluster_candidates(
             raise ValueError("model mode needs a session")
         try:
             keys = _model_keys(candidates, session)
-        except (ProviderFailure, MalformedFusion) as exc:
+        except (ProviderFailure, MalformedResponse) as exc:
             session.emit(
                 "warning",
                 {"reason": "cluster_fallback_lexical", "detail": str(exc)},
@@ -107,13 +107,7 @@ def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list
         if not isinstance(assignments, list) or len(assignments) != len(candidates):
             raise ResponseViolation(f"need exactly {len(candidates)} cluster assignments")
 
-    doc = session.call(
-        "cluster",
-        {"candidates": listing},
-        "fusion",
-        failure=MalformedFusion,
-        extra_check=check,
-    )
+    doc = session.call("cluster", {"candidates": listing}, "fusion", extra_check=check)
     return [key.strip() for key in doc["assignments"]]
 
 
@@ -169,7 +163,6 @@ def fuse_subtask(
             "fuse_subtask",
             {"statement": subtask.statement, "candidates": listing},
             "fusion",
-            failure=MalformedFusion,
             extra_check=_check_answer,
         )
         answer = doc["answer"]
@@ -212,7 +205,6 @@ def fuse_final(preds: list[object], original_task: str, *, session: NodeSession)
         "fuse_final",
         {"task": original_task, "results": listing},
         "fusion",
-        failure=MalformedFusion,
         extra_check=_check_answer,
     )
     contributing = tuple(

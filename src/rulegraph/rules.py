@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import (
-    MalformedAnalysis,
-    MalformedAssessment,
-    MalformedResponse,
-    NodeSession,
-    ResponseViolation,
-    render_result_set,
-)
+from .agents import NodeSession, ResponseViolation, render_result_set
 from .graph import TaskNode
 from .membership import MembershipLabel, parse_label
 
@@ -134,7 +127,6 @@ def construct_rules(
             "feedback_block": feedback_block,
         },
         "ruleset",
-        failure=MalformedAnalysis,
         extra_check=check,
     )
     rules = tuple(
@@ -175,7 +167,6 @@ def run_rules(
             for rule in rules
         ],
         "candidate",
-        failure=MalformedResponse,
     )
     candidates: list[CandidateResult] = []
     for rule, (outcome, events) in zip(rules, outcomes):
@@ -235,7 +226,6 @@ def run_global_rule(
             "threshold": global_rule.threshold.token,
         },
         "assessment",
-        failure=MalformedAssessment,
         extra_check=check,
     )
     return GlobalAssessment(

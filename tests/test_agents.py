@@ -4,7 +4,7 @@ from helpers import candidate_response, json_doc, plan_response
 from rulegraph.agents import (
     AttemptLedger,
     LiveProvider,
-    MalformedPlan,
+    MalformedResponse,
     MockProvider,
     NodeSession,
     NoDocumentFound,
@@ -263,7 +263,6 @@ class TestNodeSession:
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
             "candidate",
-            failure=MalformedPlan,
         )
         assert doc == {"answer": "recovered"}
         assert len(prompts) == 2
@@ -287,7 +286,6 @@ class TestNodeSession:
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
             "candidate",
-            failure=MalformedPlan,
         )
         assert doc == {"answer": "ok"}
         assert schemas == ["candidate", "candidate"]
@@ -338,5 +336,5 @@ class TestPlan:
 
     def test_malformed_after_retries(self):
         script = {("PA", n): "garbage" for n in (1, 2, 3)}
-        with pytest.raises(MalformedPlan):
+        with pytest.raises(MalformedResponse):
             plan("the task", make_session(script))

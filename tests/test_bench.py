@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scenarios import bench_script
-from rulegraph.agents import MockProvider
+from rulegraph.agents import REASK_LIMIT, MockProvider
 from rulegraph.bench import (
     EmptyDataset,
     MalformedRecord,
@@ -151,6 +151,19 @@ class TestRunBenchmark:
         assert by_id["broken"].score == 0.0
         assert by_id["broken"].error == "PlanningFailure"
         assert report.aggregate == pytest.approx(0.5)
+
+    def test_final_fusion_failure_scores_zero_and_counts_its_calls(self):
+        script = bench_script()
+        for attempt in range(1, REASK_LIMIT + 2):
+            script[("broken", "F", "FEA", attempt)] = "junk"
+        config = RunConfig(provider=MockProvider(script), deterministic=True)
+        ok, broken = sample([("q", ["Paris"])], sid="ok"), sample([("q", ["Paris"])], sid="broken")
+        ok_calls = run_benchmark([ok], config).run_stats["provider_calls"]
+        report = run_benchmark([ok, broken], config)
+        by_id = {s.id: s for s in report.per_sample}
+        assert (by_id["broken"].score, by_id["broken"].error) == (0.0, "FusionFailure")
+        # the broken sample makes the ok sample's calls plus the final-fusion re-asks
+        assert report.run_stats["provider_calls"] == 2 * ok_calls + REASK_LIMIT
 
     def test_report_serialization_is_stable(self):
         dataset = load_dataset(f"{FIXTURES}/trivia5.jsonl")

@@ -78,6 +78,17 @@ MOCK_SCRIPT = os.path.join(FIXTURES, "email_script.json")
 LIVE = {"type": "live", "base_url": "http://example.test/v1", "model": "m"}
 
 
+def mock_config(tmp_path, script) -> str:
+    """Write a deterministic mock config and its script into tmp_path; returns the config path."""
+    (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"provider": {"type": "mock", "script": "script.json"}, "deterministic": True}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -101,6 +112,43 @@ def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
     assert main(["run", "--task", "t", "--config", str(path), "--trace", str(trace)]) == EXIT_CONFIG
     assert "must be" in capsys.readouterr().err
     assert not trace.exists()
+
+
+def verb_argv(verb, config, tmp_path):
+    argv = {
+        "validate-config": ["validate-config"],
+        "run": ["run", "--task", "reply", "--trace", str(tmp_path / "t.jsonl")],
+        "bench": ["bench", "--dataset", TRIVIA, "--report", str(tmp_path / "r.json")],
+    }[verb]
+    return argv + ["--config", config]
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run", "bench"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        {"entries": [{"role": "PA", "attempt": "one", "response": "{}"}]},
+        {"entries": [1, 2]},
+        {"entries": "abc"},
+        {"entries": 5},
+        ["not", "an", "object"],
+    ],
+    ids=["attempt-string", "entries-ints", "entries-string", "entries-number", "script-list"],
+)
+def test_bad_mock_script_exits_3(script, verb, tmp_path, capsys):
+    assert main(verb_argv(verb, mock_config(tmp_path, script), tmp_path)) == EXIT_CONFIG
+    assert "cannot load mock script" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture, verb", [("email_script.json", "run"), ("bench_script.json", "bench")]
+)
+def test_incomplete_mock_script_exits_3(fixture, verb, tmp_path, capsys):
+    with open(os.path.join(FIXTURES, fixture), encoding="utf-8") as handle:
+        entries = json.load(handle)["entries"][:5]
+    config = mock_config(tmp_path, {"entries": entries})
+    assert main(verb_argv(verb, config, tmp_path)) == EXIT_CONFIG
+    assert "mock script has no entry for" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -136,6 +184,16 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == EXIT_OK
 
+    def test_undecodable_task_file_exits_3(self, tmp_path, capsys):
+        task_file = tmp_path / "task.txt"
+        task_file.write_bytes(b"\xff\xfe")
+        trace = tmp_path / "t.jsonl"
+        code = main(["run", "--task", str(task_file), "--config", DEMO_CONFIG, "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "cannot read task file" in captured.err and captured.out == ""
+        assert not trace.exists()
+
     def test_planning_failure_exit_code_and_partial_trace(self, tmp_path, capsys):
         script = {"entries": [{"role": "PA", "attempt": n, "response": "junk"} for n in (1, 2, 3)]}
         script_path = tmp_path / "script.json"
@@ -167,6 +225,21 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert calls == []
         assert "cannot open trace file" in captured.err and captured.out == ""
+
+    def test_unwritable_report_fails_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        from rulegraph.agents import MockProvider
+
+        calls = []
+        complete = MockProvider.complete
+        monkeypatch.setattr(
+            MockProvider, "complete", lambda self, request: calls.append(request) or complete(self, request)
+        )
+        report = tmp_path / "missing" / "r.json"
+        code = main(["bench", "--dataset", TRIVIA, "--config", BENCH_CONFIG, "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert calls == []
+        assert "cannot open report file" in captured.err and captured.out == ""
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--task", "t", "--config", str(tmp_path / "nope.json")])
@@ -204,6 +277,10 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert code == EXIT_PROVIDER
         assert "provider failure" in captured.err
+        records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert records[-1]["kind"] == "warning"
+        assert records[-1]["payload"]["reason"] == "final_fusion_failed"
+        assert [r["kind"] for r in records].count("provider_call") == 9
 
 
 class TestBenchCommand:

@@ -27,6 +27,7 @@ from rulegraph.agents import MockProvider, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
     ConfigError,
+    EngineError,
     PlanningFailure,
     RunConfig,
     call_budget,
@@ -266,6 +267,15 @@ class TestProviderFaults:
         assert kinds.count("provider_call") == 3
         assert kinds[-1] == "warning"
         assert err.value.provider_calls == 3
+
+    def test_budget_failure_carries_partial_trace(self, monkeypatch):
+        import rulegraph.engine as engine
+
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: 0)
+        with pytest.raises(EngineError, match="exceeded the termination budget") as err:
+            execute_task("task", mk_config(SINGLE))
+        assert err.value.trace
+        assert err.value.provider_calls == len(events_of(err.value.trace, "provider_call"))
 
 
 class TestTermination:

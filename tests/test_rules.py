@@ -6,7 +6,7 @@ import pytest
 from helpers import assessment_response, candidate_response, ruleset_response
 from rulegraph.agents import (
     AttemptLedger,
-    MalformedAnalysis,
+    MalformedResponse,
     MockProvider,
     NodeSession,
     TransportError,
@@ -78,7 +78,7 @@ class TestConstructRules:
     def test_domain_outside_catalog_reasks_then_fails(self):
         off_catalog = ruleset_response([("Astrology", "H")])
         provider = MockProvider({("DAA", n): off_catalog for n in (1, 2, 3)})
-        with pytest.raises(MalformedAnalysis):
+        with pytest.raises(MalformedResponse):
             construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
 
     def test_duplicate_domains_rejected(self):
