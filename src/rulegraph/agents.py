@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import string
 import threading
+import time
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,16 +40,8 @@ class ProviderFailure(Exception):
     """Base class for provider-call failures."""
 
 
-class Timeout(ProviderFailure):
-    pass
-
-
-class RateLimited(ProviderFailure):
-    pass
-
-
 class TransportError(ProviderFailure):
-    pass
+    """A transient fault: timeout, connection error, HTTP 429 or 5xx. LiveProvider retries it."""
 
 
 class ScriptMiss(Exception):
@@ -98,6 +91,7 @@ class RoleKind(Enum):
 @dataclass(frozen=True)
 class Role:
     kind: RoleKind
+    schema: str  # the schema id every response of this role is validated against
     template: str
 
 
@@ -219,14 +213,14 @@ Fields: "answer" (string).
 """
 
 ROLES: dict[str, Role] = {
-    "plan": Role(RoleKind.PA, _PLAN_TEMPLATE),
-    "classify": Role(RoleKind.PA, _CLASSIFY_TEMPLATE),
-    "analyze": Role(RoleKind.DAA, _ANALYZE_TEMPLATE),
-    "execute": Role(RoleKind.DEA, _EXECUTE_TEMPLATE),
-    "assess": Role(RoleKind.GEA, _ASSESS_TEMPLATE),
-    "cluster": Role(RoleKind.FEA, _CLUSTER_TEMPLATE),
-    "fuse_subtask": Role(RoleKind.FEA, _FUSE_SUBTASK_TEMPLATE),
-    "fuse_final": Role(RoleKind.FEA, _FUSE_FINAL_TEMPLATE),
+    "plan": Role(RoleKind.PA, "plan", _PLAN_TEMPLATE),
+    "classify": Role(RoleKind.PA, "failure_classification", _CLASSIFY_TEMPLATE),
+    "analyze": Role(RoleKind.DAA, "ruleset", _ANALYZE_TEMPLATE),
+    "execute": Role(RoleKind.DEA, "candidate", _EXECUTE_TEMPLATE),
+    "assess": Role(RoleKind.GEA, "assessment", _ASSESS_TEMPLATE),
+    "cluster": Role(RoleKind.FEA, "fusion", _CLUSTER_TEMPLATE),
+    "fuse_subtask": Role(RoleKind.FEA, "fusion", _FUSE_SUBTASK_TEMPLATE),
+    "fuse_final": Role(RoleKind.FEA, "fusion", _FUSE_FINAL_TEMPLATE),
 }
 
 DEFAULT_TEMPERATURES: dict[RoleKind, float] = {
@@ -377,7 +371,6 @@ class ProviderResponse:
 
     raw_text: str
     token_usage: dict[str, int]
-    attempts: int = 1
 
 
 class MockProvider:
@@ -419,9 +412,9 @@ class MockProvider:
 class LiveProvider:
     """OpenAI-compatible chat-completions client with transport retries.
 
-    Timeouts, HTTP 429 and transient transport faults are retried up to
-    transport_retries total attempts; the API key is read once and never
-    logged or traced.
+    A TransportError (timeout, connection error, HTTP 429 or 5xx) is retried
+    up to transport_retries total attempts; the API key is read once and
+    never logged or traced.
     """
 
     scripted = False
@@ -447,12 +440,10 @@ class LiveProvider:
     def _http_post(self, url: str, headers: dict, payload: dict, timeout: float) -> dict:
         try:
             response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-        except requests.Timeout as exc:
-            raise Timeout(str(exc)) from exc
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         if response.status_code == 429:
-            raise RateLimited("rate limited by provider")
+            raise TransportError("rate limited by provider")
         if response.status_code >= 500:
             raise TransportError(f"server error {response.status_code}")
         if response.status_code != 200:
@@ -474,11 +465,9 @@ class LiveProvider:
         for attempt in range(1, self.transport_retries + 1):
             try:
                 body = self._transport(url, headers, payload, self.timeout_s)
-            except (Timeout, RateLimited, TransportError) as exc:
+            except TransportError as exc:
                 last = exc
                 if attempt < self.transport_retries and self.backoff_s:
-                    import time
-
                     time.sleep(self.backoff_s * (2 ** (attempt - 1)))
                 continue
             try:
@@ -492,7 +481,6 @@ class LiveProvider:
                     "prompt_tokens": int(usage.get("prompt_tokens", 0)),
                     "completion_tokens": int(usage.get("completion_tokens", 0)),
                 },
-                attempts=attempt,
             )
         assert last is not None
         raise last
@@ -524,10 +512,9 @@ class NodeSession:
 
     Buffers trace events locally; the engine flushes buffers in a
     deterministic order so concurrent node processing cannot reorder the
-    trace. Malformed responses are re-asked up to REASK_LIMIT times with the
-    violation appended to the prompt, each re-ask under a fresh attempt
-    number. With a pool, call_many runs its first tries on the pool's
-    threads.
+    trace. Each response is validated against its role's schema; a
+    malformed one is re-asked up to REASK_LIMIT times with the violation
+    appended to the prompt, each re-ask under a fresh attempt number.
     """
 
     run_id: str
@@ -545,151 +532,121 @@ class NodeSession:
         self,
         template_key: str,
         slots: Mapping[str, object],
-        schema_id: str,
         extra_check: Callable[[dict], None] | None = None,
     ) -> dict:
-        role = ROLES[template_key]
-        prompt = render_prompt(role, slots)
-        attempt = self.ledger.next(self.node_id, role.kind)
-        doc, violation = self._ask(
-            role, prompt, schema_id, attempt, None, extra_check, self.events
-        )
-        if doc is not None:
-            return doc
-        return self._reask(role, prompt, schema_id, violation, extra_check, self.events)
+        """call_many with one slot mapping, logged to this session's events.
+
+        Returns the document, or raises the ProviderFailure or
+        MalformedResponse that ended the call.
+        """
+        [(outcome, events)] = self.call_many(template_key, [slots], extra_check)
+        self.events.extend(events)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def call_many(
         self,
         template_key: str,
         slot_list: Sequence[Mapping[str, object]],
-        schema_id: str,
+        extra_check: Callable[[dict], None] | None = None,
     ) -> list[tuple[dict | Exception, list[tuple[str, dict]]]]:
         """One call per slot mapping: every first try at once, then the re-asks.
 
         The first tries take the next len(slot_list) attempt numbers in
-        order and run on the session's pool when it has one. Re-asks follow
-        in order, numbered after them. Each call gets its own event buffer.
-        Returns (document, or the ProviderFailure or MalformedResponse that
-        ended the call, buffer) per call; the caller appends the buffers in
-        order.
+        order; with more than one call they run on the session's pool when
+        it has one. Re-asks follow in order, numbered after them. Each call
+        gets its own event buffer. Returns (document, or the ProviderFailure
+        or MalformedResponse that ended the call, buffer) per call; the
+        caller appends the buffers in order.
         """
         role = ROLES[template_key]
-        prompts = [render_prompt(role, slots) for slots in slot_list]
-        first = self.ledger.next(self.node_id, role.kind, len(prompts))
-        buffers: list[list[tuple[str, dict]]] = [[] for _ in prompts]
+        calls = [(render_prompt(role, slots), []) for slots in slot_list]  # (prompt, events)
+        first = self.ledger.next(self.node_id, role.kind, len(calls))
 
-        def first_try(i: int) -> tuple[dict | Exception | None, str | None]:
-            try:
-                return self._ask(role, prompts[i], schema_id, first + i, None, None, buffers[i])
-            except ProviderFailure as exc:
-                return exc, None
+        def first_try(i: int) -> tuple[dict | ProviderFailure | None, str | None]:
+            prompt, events = calls[i]
+            return self._ask(role, prompt, first + i, None, extra_check, events)
 
-        if self.pool is None:
-            tries = [first_try(i) for i in range(len(prompts))]
+        if self.pool is None or len(calls) == 1:
+            tries = [first_try(i) for i in range(len(calls))]
         else:
-            futures = [self.pool.submit(first_try, i) for i in range(len(prompts))]
+            futures = [self.pool.submit(first_try, i) for i in range(len(calls))]
             wait(futures)
             tries = [future.result() for future in futures]
 
         outcomes = []
-        for i, (outcome, violation) in enumerate(tries):
+        for (outcome, violation), (prompt, events) in zip(tries, calls):
+            for _ in range(REASK_LIMIT):
+                if outcome is not None:
+                    break
+                attempt = self.ledger.next(self.node_id, role.kind)
+                outcome, violation = self._ask(
+                    role, prompt, attempt, violation, extra_check, events
+                )
             if outcome is None:
-                try:
-                    outcome = self._reask(role, prompts[i], schema_id, violation, None, buffers[i])
-                except (ProviderFailure, MalformedResponse) as exc:
-                    outcome = exc
-            outcomes.append((outcome, buffers[i]))
+                outcome = MalformedResponse(
+                    f"response still invalid after {REASK_LIMIT} re-asks: {violation}"
+                )
+            outcomes.append((outcome, events))
         return outcomes
-
-    def _reask(
-        self,
-        role: Role,
-        prompt: str,
-        schema_id: str,
-        violation: str | None,
-        extra_check: Callable[[dict], None] | None,
-        events: list[tuple[str, dict]],
-    ) -> dict:
-        """Re-ask a rejected call up to REASK_LIMIT times, each under a fresh attempt."""
-        for _ in range(REASK_LIMIT):
-            attempt = self.ledger.next(self.node_id, role.kind)
-            doc, violation = self._ask(
-                role, prompt, schema_id, attempt, violation, extra_check, events
-            )
-            if doc is not None:
-                return doc
-        raise MalformedResponse(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
 
     def _ask(
         self,
         role: Role,
         prompt: str,
-        schema_id: str,
         attempt: int,
         violation: str | None,
         extra_check: Callable[[dict], None] | None,
         events: list[tuple[str, dict]],
-    ) -> tuple[dict | None, str | None]:
-        """One provider request, logged to `events`.
+    ) -> tuple[dict | ProviderFailure | None, str | None]:
+        """One provider request, logged to `events` as one provider_call record.
 
-        Returns (document, None) when the response is valid, else (None,
-        the violation to re-ask with). A previous violation is appended to
-        the prompt. Provider failures and script misses propagate.
+        Returns (document, None) for a valid response, (the ProviderFailure,
+        its text) when the provider failed, else (None, the violation to
+        re-ask with). A previous violation is appended to the prompt. A
+        script miss is logged, then raised.
         """
         if violation:
             prompt += (
                 "\n\nYour previous response was rejected: "
                 f"{violation}\nRespond again following the required format."
             )
+        kind = role.kind.value
         request = ProviderRequest(
             role_kind=role.kind,
             rendered_prompt=prompt,
-            response_schema=schema_id,
+            response_schema=role.schema,
             temperature=self.temperatures.get(role.kind, 0.0),
-            context_key=(self.run_id, self.node_id, role.kind.value, attempt),
+            context_key=(self.run_id, self.node_id, kind, attempt),
         )
+        response = outcome = error = None
         try:
             response = self.provider.complete(request)
-        except ScriptMiss:
-            _log_call(events, request, "script_miss", None)
-            raise
-        except ProviderFailure as exc:
-            _log_call(events, request, "transport_error", None, error=str(exc))
-            raise
-        try:
-            doc = parse_structured(response.raw_text, schema_id)
+            outcome = parse_structured(response.raw_text, role.schema)
             if extra_check is not None:
-                extra_check(doc)
+                extra_check(outcome)
+            status = "ok"
+        except ScriptMiss as exc:
+            status, outcome = "script_miss", exc
+        except ProviderFailure as exc:
+            status, outcome, error = "transport_error", exc, str(exc)
         except (ParseError, ResponseViolation) as exc:
             status = "parse_error" if isinstance(exc, ParseError) else "rejected"
-            _log_call(events, request, status, response, error=str(exc))
-            return None, str(exc)
-        _log_call(events, request, "ok", response)
-        return doc, None
-
-
-def _log_call(
-    events: list[tuple[str, dict]],
-    request: ProviderRequest,
-    status: str,
-    response: ProviderResponse | None,
-    error: str | None = None,
-) -> None:
-    usage = response.token_usage if response else {"prompt_tokens": 0, "completion_tokens": 0}
-    payload = {
-        "context": {
-            "run": request.context_key[0],
-            "node": request.context_key[1],
-            "role": request.context_key[2],
-            "attempt": request.context_key[3],
-        },
-        "schema": request.response_schema,
-        "status": status,
-        "usage": dict(usage),
-    }
-    if error:
-        payload["error"] = error
-    events.append(("provider_call", payload))
+            outcome, error = None, str(exc)
+        usage = response.token_usage if response else {"prompt_tokens": 0, "completion_tokens": 0}
+        payload = {
+            "context": {"run": self.run_id, "node": self.node_id, "role": kind, "attempt": attempt},
+            "schema": role.schema,
+            "status": status,
+            "usage": dict(usage),
+        }
+        if error:
+            payload["error"] = error
+        events.append(("provider_call", payload))
+        if isinstance(outcome, ScriptMiss):
+            raise outcome
+        return outcome, error
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +677,7 @@ def plan(task: str, session: NodeSession) -> PlannerPlan:
     """One planner invocation; used for the original task and for failed-subtask decomposition."""
     if not task or not task.strip():
         raise ValueError("task must be non-empty")
-    doc = session.call("plan", {"task": task}, "plan", extra_check=_check_plan_semantics)
+    doc = session.call("plan", {"task": task}, extra_check=_check_plan_semantics)
     return PlannerPlan(
         task=task,
         global_goal=doc["goal"],

@@ -24,11 +24,12 @@ from .engine import (
     FusionFailure,
     PlanningFailure,
     RunConfig,
+    SinkUnavailable,
     execute_task,
     write_trace,
     write_trace_events,
 )
-from .graph import TaskGraph, export_dot
+from .graph import GraphError, TaskGraph, export_dot
 from .membership import UnrecognizedLabel, parse_label
 from .rules import DEFAULT_DOMAINS
 
@@ -156,6 +157,17 @@ def _read_task(value: str) -> str:
         raise ConfigError(f"cannot read task file {value}: {exc}") from exc
 
 
+def _save(sink, write, what: str) -> bool:
+    """Call write(), then close sink; if either fails, print one line and return False."""
+    try:
+        write()
+        sink.close()
+    except (OSError, SinkUnavailable) as exc:
+        print(f"cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _engine_exit(exc: EngineError) -> int:
     if isinstance(exc, PlanningFailure):
         return EXIT_PLANNING
@@ -187,11 +199,13 @@ def _cmd_run(args) -> int:
         try:
             outcome = execute_task(task, config)
         except EngineError as exc:
-            write_trace_events(exc.trace, sink)
+            _save(sink, lambda: write_trace_events(exc.trace, sink), "trace file")
             print(f"run failed: {exc}", file=sys.stderr)
             return _engine_exit(exc)
-        write_trace(outcome, sink)
+        saved = _save(sink, lambda: write_trace(outcome, sink), "trace file")
     print(outcome.final.answer_text)
+    if not saved:
+        return EXIT_CONFIG
     print(
         f"trace written to {args.trace} ({outcome.provider_calls} provider calls)",
         file=sys.stderr,
@@ -206,7 +220,7 @@ def _cmd_bench(args) -> int:
             config = replace(config, deterministic=True)
             config.validate()
         dataset = load_dataset(args.dataset)
-    except (ConfigError, DatasetError, OSError) as exc:
+    except (ConfigError, DatasetError, OSError, UnicodeDecodeError) as exc:
         print(f"bench setup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -220,8 +234,10 @@ def _cmd_bench(args) -> int:
         except DatasetError as exc:
             print(f"bench error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        sink.write(report_to_json(report))
+        saved = _save(sink, lambda: sink.write(report_to_json(report)), "report file")
     sys.stdout.write(render_table(report))
+    if not saved:
+        return EXIT_CONFIG
     print(f"report written to {args.report}", file=sys.stderr)
     return EXIT_OK
 
@@ -230,32 +246,38 @@ def _cmd_export_dot(args) -> int:
     try:
         with open(args.trace, encoding="utf-8") as handle:
             events = [json.loads(line) for line in handle if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
+        graph_payload = None
+        goal = ""
+        memberships: dict[str, str] = {}
+        for event in events:
+            if event["kind"] in ("plan", "final"):
+                graph_payload = event["payload"]["graph"]
+            if event["kind"] == "plan":
+                goal = event["payload"]["goal"]
+            if event["kind"] == "node_done":
+                memberships[event["payload"]["node"]] = event["payload"]["membership"]
+        if graph_payload is None:
+            print("trace contains no graph snapshot", file=sys.stderr)
+            return EXIT_CONFIG
+        graph = TaskGraph.from_payload(graph_payload, global_goal=goal or "-")
+        results = {
+            node: SimpleNamespace(membership_vs_goal=parse_label(token))
+            for node, token in memberships.items()
+            if node in graph.nodes
+        }
+    except (OSError, ValueError, LookupError, TypeError, GraphError) as exc:
+        # a decode or JSON error is a ValueError; a record of the wrong shape, a
+        # LookupError or TypeError; a graph that breaks an invariant, a GraphError
+        print(f"cannot read trace {args.trace}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    graph_payload = None
-    goal = ""
-    memberships: dict[str, str] = {}
-    for event in events:
-        if event["kind"] in ("plan", "final"):
-            graph_payload = event["payload"]["graph"]
-        if event["kind"] == "plan":
-            goal = event["payload"]["goal"]
-        if event["kind"] == "node_done":
-            memberships[event["payload"]["node"]] = event["payload"]["membership"]
-    if graph_payload is None:
-        print("trace contains no graph snapshot", file=sys.stderr)
-        return EXIT_CONFIG
-    graph = TaskGraph.from_payload(graph_payload, global_goal=goal or "-")
-    results = {
-        node: SimpleNamespace(membership_vs_goal=parse_label(token))
-        for node, token in memberships.items()
-        if node in graph.nodes
-    }
     dot = export_dot(graph, results)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+        except OSError as exc:
+            print(f"cannot write dot file: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"dot written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(dot)

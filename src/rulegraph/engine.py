@@ -349,7 +349,6 @@ def handle_failure(
                 "goal": graph.global_goal,
                 "attempts": config.max_reprocess,
             },
-            "failure_classification",
         )
         scenario = doc["scenario"]
     except (ProviderFailure, MalformedResponse) as exc:

@@ -107,7 +107,7 @@ def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list
         if not isinstance(assignments, list) or len(assignments) != len(candidates):
             raise ResponseViolation(f"need exactly {len(candidates)} cluster assignments")
 
-    doc = session.call("cluster", {"candidates": listing}, "fusion", extra_check=check)
+    doc = session.call("cluster", {"candidates": listing}, extra_check=check)
     return [key.strip() for key in doc["assignments"]]
 
 
@@ -162,7 +162,6 @@ def fuse_subtask(
         doc = session.call(
             "fuse_subtask",
             {"statement": subtask.statement, "candidates": listing},
-            "fusion",
             extra_check=_check_answer,
         )
         answer = doc["answer"]
@@ -204,7 +203,6 @@ def fuse_final(preds: list[object], original_task: str, *, session: NodeSession)
     doc = session.call(
         "fuse_final",
         {"task": original_task, "results": listing},
-        "fusion",
         extra_check=_check_answer,
     )
     contributing = tuple(

@@ -126,7 +126,6 @@ def construct_rules(
             "catalog": ", ".join(catalog),
             "feedback_block": feedback_block,
         },
-        "ruleset",
         extra_check=check,
     )
     rules = tuple(
@@ -166,7 +165,6 @@ def run_rules(
             {"statement": input_text, "context": context, "instructions": rule.consequent_prompt}
             for rule in rules
         ],
-        "candidate",
     )
     candidates: list[CandidateResult] = []
     for rule, (outcome, events) in zip(rules, outcomes):
@@ -225,7 +223,6 @@ def run_global_rule(
             "result": result_text,
             "threshold": global_rule.threshold.token,
         },
-        "assessment",
         extra_check=check,
     )
     return GlobalAssessment(

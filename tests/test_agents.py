@@ -1,6 +1,18 @@
-import pytest
+import json
 
-from helpers import candidate_response, json_doc, plan_response
+import pytest
+import requests
+
+from helpers import (
+    assessment_response,
+    assignments_response,
+    candidate_response,
+    classification_response,
+    fusion_answer,
+    json_doc,
+    plan_response,
+    ruleset_response,
+)
 from rulegraph.agents import (
     AttemptLedger,
     LiveProvider,
@@ -19,6 +31,19 @@ from rulegraph.agents import (
     render_prompt,
     ROLES,
 )
+
+
+# Slots that render each role's template.
+SLOTS = {
+    "plan": {"task": "t"},
+    "classify": {"statement": "s", "goal": "g", "attempts": 3},
+    "analyze": {"statement": "s", "k": 1, "catalog": "History", "feedback_block": ""},
+    "execute": {"statement": "s", "context": "(none)", "instructions": "i"},
+    "assess": {"goal": "g", "result": "r", "threshold": "ML"},
+    "cluster": {"candidates": "1. a"},
+    "fuse_subtask": {"statement": "s", "candidates": "- a"},
+    "fuse_final": {"task": "t", "results": "- a"},
+}
 
 
 def make_session(script, node_id="T", run_id="run-0"):
@@ -192,6 +217,18 @@ def chat_body(content):
     }
 
 
+class HttpResponse:
+    """The part of a requests.Response that LiveProvider reads."""
+
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self.body = body
+        self.text = json.dumps(body) if body is not None else "error"
+
+    def json(self):
+        return self.body
+
+
 class TestLiveProvider:
     def make(self, transport, retries=3):
         return LiveProvider(
@@ -215,7 +252,7 @@ class TestLiveProvider:
     def test_two_faults_then_success_records_three_attempts(self):
         transport = FlakyTransport(2, chat_body(json_doc({"membership": "H"})))
         response = self.make(transport).complete(self.request())
-        assert response.attempts == 3
+        assert transport.calls == 3
         assert response.raw_text == json_doc({"membership": "H"})
         assert response.token_usage == {"prompt_tokens": 7, "completion_tokens": 5}
 
@@ -242,6 +279,46 @@ class TestLiveProvider:
             self.make(transport).complete(self.request())
         assert transport.calls == 3
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (requests.Timeout("read timed out"), "read timed out"),
+            (requests.ConnectionError("connection refused"), "connection refused"),
+            (HttpResponse(429), "rate limited by provider"),
+            (HttpResponse(503), "server error 503"),
+        ],
+        ids=["timeout", "connection-error", "http-429", "http-503"],
+    )
+    def test_http_faults_are_retried_transport_errors(self, fault, message, monkeypatch):
+        posts = []
+
+        def post(*args, **kwargs):
+            posts.append(kwargs)
+            if len(posts) < 3:
+                if isinstance(fault, Exception):
+                    raise fault
+                return fault
+            return HttpResponse(200, chat_body(json_doc({"membership": "H"})))
+
+        monkeypatch.setattr(requests, "post", post)
+        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
+        with pytest.raises(TransportError, match=message):
+            provider._http_post("http://example.test/v1/chat/completions", {}, {}, 1.0)
+        posts.clear()
+        assert provider.complete(self.request()).raw_text == json_doc({"membership": "H"})
+        assert len(posts) == 3
+
+    def test_http_400_is_not_retried(self, monkeypatch):
+        from rulegraph.agents import ProviderFailure
+
+        posts = []
+        monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(k) or HttpResponse(400))
+        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
+        with pytest.raises(ProviderFailure, match="provider returned 400") as err:
+            provider.complete(self.request())
+        assert not isinstance(err.value, TransportError)
+        assert len(posts) == 1
+
 
 class TestNodeSession:
     def test_reask_appends_violation_and_uses_fresh_attempt(self):
@@ -262,7 +339,6 @@ class TestNodeSession:
         doc = session.call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
-            "candidate",
         )
         assert doc == {"answer": "recovered"}
         assert len(prompts) == 2
@@ -285,10 +361,61 @@ class TestNodeSession:
         doc = make_session(script, node_id="T1").call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
-            "candidate",
         )
         assert doc == {"answer": "ok"}
         assert schemas == ["candidate", "candidate"]
+
+    @pytest.mark.parametrize(
+        "template_key, schema, response",
+        [
+            ("plan", "plan", plan_response("g", [("s1", "one")])),
+            ("classify", "failure_classification", classification_response("irrelevant")),
+            ("analyze", "ruleset", ruleset_response([("History", "H")])),
+            ("execute", "candidate", candidate_response("a")),
+            ("assess", "assessment", assessment_response("H")),
+            ("cluster", "fusion", assignments_response(["k"])),
+            ("fuse_subtask", "fusion", fusion_answer("a")),
+            ("fuse_final", "fusion", fusion_answer("a")),
+        ],
+        ids=["plan", "classify", "analyze", "execute", "assess", "cluster", "fuse_subtask", "fuse_final"],
+    )
+    def test_each_role_fixes_its_schema(self, template_key, schema, response):
+        assert set(SLOTS) == set(ROLES)
+        session = make_session({(ROLES[template_key].kind.value, 1): response})
+        session.call(template_key, SLOTS[template_key])
+        [(kind, payload)] = session.events
+        assert kind == "provider_call"
+        assert payload["schema"] == schema and payload["status"] == "ok"
+
+    def test_transport_error_on_a_reask_propagates(self):
+        class FailsOnReask(MockProvider):
+            def complete(self, request):
+                if request.context_key[3] == 2:
+                    raise TransportError("outage on re-ask")
+                return super().complete(request)
+
+        session = NodeSession(
+            run_id="run-0",
+            node_id="T1",
+            provider=FailsOnReask({("DEA", 1): "not json"}),
+            ledger=AttemptLedger(),
+        )
+        with pytest.raises(TransportError, match="outage on re-ask"):
+            session.call("execute", SLOTS["execute"])
+        calls = [p for kind, p in session.events if kind == "provider_call"]
+        assert [c["status"] for c in calls] == ["parse_error", "transport_error"]
+        assert calls[1]["error"] == "outage on re-ask"
+
+    def test_one_call_never_uses_the_pool(self):
+        class NoPool:
+            def submit(self, *args, **kwargs):
+                raise AssertionError("a single call went to the pool")
+
+        session = make_session({("DEA", n): candidate_response("a") for n in (1, 2)})
+        session.pool = NoPool()
+        assert session.call("execute", SLOTS["execute"]) == {"answer": "a"}
+        [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]])
+        assert outcome == {"answer": "a"}
 
     def test_attempt_numbers_monotonic_per_node_and_role(self):
         ledger = AttemptLedger()

@@ -17,6 +17,8 @@ FIXTURES = os.path.join(REPO, "fixtures")
 DEMO_CONFIG = os.path.join(FIXTURES, "config.demo.json")
 BENCH_CONFIG = os.path.join(FIXTURES, "config.bench.json")
 TRIVIA = os.path.join(FIXTURES, "trivia5.jsonl")
+# Writes to /dev/full fail with ENOSPC, on write or at the latest on close.
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 
 
 class TestLoadConfig:
@@ -241,6 +243,31 @@ class TestRunCommand:
         assert calls == []
         assert "cannot open report file" in captured.err and captured.out == ""
 
+    @needs_dev_full
+    def test_failing_trace_write_prints_answer_then_exits_3(self, capsys):
+        code = main(
+            ["run", "--task", "reply to the editor", "--config", DEMO_CONFIG,
+             "--trace", "/dev/full", "--deterministic"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == FINAL_EMAIL + "\n"
+        assert "cannot write trace file" in captured.err and "trace written" not in captured.err
+
+    @needs_dev_full
+    def test_failing_trace_write_keeps_engine_exit_code(self, tmp_path, capsys):
+        script = {"entries": [{"role": "PA", "attempt": n, "response": "junk"} for n in (1, 2, 3)]}
+        (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        (tmp_path / "config.json").write_text(
+            json.dumps({"provider": {"type": "mock", "script": "script.json"}}), encoding="utf-8"
+        )
+        code = main(
+            ["run", "--task", "t", "--config", str(tmp_path / "config.json"), "--trace", "/dev/full"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_PLANNING
+        assert "cannot write trace file" in captured.err and "run failed" in captured.err
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--task", "t", "--config", str(tmp_path / "nope.json")])
         capsys.readouterr()
@@ -308,6 +335,26 @@ class TestBenchCommand:
         assert reports[0] == reports[1]
 
 
+    @needs_dev_full
+    def test_failing_report_write_prints_table_then_exits_3(self, capsys):
+        code = main(["bench", "--dataset", TRIVIA, "--config", BENCH_CONFIG, "--report", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out.splitlines()[-1].split()[:2] == ["aggregate", "0.400"]
+        assert "cannot write report file" in captured.err and "report written" not in captured.err
+
+    def test_undecodable_dataset_exits_3(self, tmp_path, capsys):
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_bytes(b"\xff\xfe")
+        code = main(
+            ["bench", "--dataset", str(dataset), "--config", BENCH_CONFIG,
+             "--report", str(tmp_path / "r.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "bench setup error" in captured.err and captured.out == ""
+
+
 class TestExportDot:
     def test_rerenders_final_graph_from_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -329,6 +376,35 @@ class TestExportDot:
         code = main(["export-dot", "--trace", str(trace), "--out", str(out)])
         capsys.readouterr()
         assert code == EXIT_OK and out.read_text(encoding="utf-8").startswith("digraph")
+
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"\xff\xfe", "UnicodeDecodeError"),
+            (b"[1, 2]\n", "TypeError"),
+            (b'{"a": 1}\n', "KeyError"),
+            (b'{"kind": "plan", "seq": 1, "payload": {"goal": "g", "graph": {"nodes": [], "edges": []}}}\n',
+             "InvariantViolation"),
+            (b'{"kind": "plan", "seq": 1}\n', "KeyError"),
+        ],
+        ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload"],
+    )
+    def test_unreadable_trace_exits_3(self, content, error, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(content)
+        code = main(["export-dot", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert f"cannot read trace {trace}: {error}" in captured.err and captured.out == ""
+
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(["run", "--task", "reply", "--config", DEMO_CONFIG, "--trace", str(trace)])
+        code = main(["export-dot", "--trace", str(trace), "--out", str(tmp_path / "missing" / "g.dot")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "cannot write dot file" in captured.err
 
 
 class TestValidateConfig:
