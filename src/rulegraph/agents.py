@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-import requests
-
 from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
 
@@ -410,11 +408,11 @@ class MockProvider:
 
 
 class LiveProvider:
-    """OpenAI-compatible chat-completions client with transport retries.
+    """OpenAI-compatible chat-completions client; complete checks every body.
 
-    A TransportError (timeout, connection error, HTTP 429 or 5xx) is retried
-    up to transport_retries total attempts; the API key is read once and
-    never logged or traced.
+    A TransportError (timeout, connection or protocol error, HTTP 429 or
+    5xx) is retried up to transport_retries total attempts; the API key is
+    read once and never logged or traced.
     """
 
     scripted = False
@@ -433,24 +431,32 @@ class LiveProvider:
         self.model = model
         self._api_key = api_key
         self.timeout_s = timeout_s
-        self.transport_retries = max(1, transport_retries)
+        self.transport_retries = transport_retries
         self.backoff_s = backoff_s
         self._transport = transport or self._http_post
 
     def _http_post(self, url: str, headers: dict, payload: dict, timeout: float) -> dict:
+        import http.client  # imported here: only a live call needs an HTTP stack
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(url, json.dumps(payload).encode(), headers, method="POST")
         try:
-            response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(request, timeout=timeout)
+            except urllib.error.HTTPError as exc:  # an OSError: caught first, its status decides
+                response = exc
+            with response:
+                status, body = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
-        if response.status_code == 429:
-            raise TransportError("rate limited by provider")
-        if response.status_code >= 500:
-            raise TransportError(f"server error {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderFailure(f"provider returned {response.status_code}: {response.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransportError("rate limited by provider" if status == 429 else f"server error {status}")
+        if status != 200:
+            raise ProviderFailure(f"provider returned {status}: {body[:200].decode(errors='replace')}")
         try:
-            return response.json()
-        except ValueError as exc:
+            return json.loads(body)
+        except ValueError as exc:  # bad JSON, or bytes that are not text
             raise ProviderFailure(f"provider returned a non-JSON body: {exc}") from exc
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
@@ -461,29 +467,23 @@ class LiveProvider:
             "messages": [{"role": "user", "content": request.rendered_prompt}],
             "temperature": request.temperature,
         }
-        last: ProviderFailure | None = None
-        for attempt in range(1, self.transport_retries + 1):
+        for attempt in range(self.transport_retries):
             try:
                 body = self._transport(url, headers, payload, self.timeout_s)
-            except TransportError as exc:
-                last = exc
-                if attempt < self.transport_retries and self.backoff_s:
-                    time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-                continue
-            try:
-                text = body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ProviderFailure(f"malformed completion body: {exc}") from exc
+                break
+            except TransportError:
+                if attempt == self.transport_retries - 1:
+                    raise
+                time.sleep(self.backoff_s * 2**attempt)
+        try:
+            text = body["choices"][0]["message"]["content"]
             usage = body.get("usage") or {}
-            return ProviderResponse(
-                raw_text=text,
-                token_usage={
-                    "prompt_tokens": int(usage.get("prompt_tokens", 0)),
-                    "completion_tokens": int(usage.get("completion_tokens", 0)),
-                },
-            )
-        assert last is not None
-        raise last
+            tokens = {key: usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")}
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise ProviderFailure(f"malformed completion body: {exc}") from exc
+        if not isinstance(text, str) or any(type(n) is not int for n in tokens.values()):
+            raise ProviderFailure(f"malformed completion body: content {text!r:.60}, usage {tokens}")
+        return ProviderResponse(raw_text=text, token_usage=tokens)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes, or text that is not JSON
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
 
@@ -90,7 +90,7 @@ def load_config(path: str) -> RunConfig:
         try:
             with open(catalog_file, encoding="utf-8") as handle:
                 domains = [line.strip() for line in handle if line.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read domain catalog: {exc}") from exc
     if domains is not None and (
         not isinstance(domains, list) or not all(isinstance(d, str) and d for d in domains)
@@ -113,7 +113,7 @@ def load_config(path: str) -> RunConfig:
     config = RunConfig(
         provider=provider,
         threshold=threshold,
-        domains=tuple(domains) if domains else DEFAULT_DOMAINS,
+        domains=DEFAULT_DOMAINS if domains is None else tuple(domains),
         temperatures=temperatures,
         **{name: _typed(raw, name, default) for name, default in _SCALAR_FIELDS.items()},
     )
@@ -137,12 +137,19 @@ def _build_provider(spec: dict, base_dir: str):
         model = os.environ.get("RULEGRAPH_MODEL") or _typed(spec, "model", "")
         if not base_url or not model:
             raise ConfigError("live provider needs base_url and model (config or env)")
+        if not base_url.lower().startswith(("http://", "https://")):
+            raise ConfigError(f"live provider base_url must be an http or https URL, got {base_url!r}")
         key_env = _typed(spec, "api_key_env", DEFAULT_API_KEY_ENV)
         api_key = os.environ.get(key_env, "")
         if not api_key:
             raise ConfigError(f"live provider key env var {key_env} is not set")
         defaults = inspect.signature(LiveProvider).parameters
         options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
+        if not (options["timeout_s"] > 0 and options["backoff_s"] >= 0 and options["transport_retries"] >= 1):
+            raise ConfigError(
+                "live options must be timeout_s > 0, backoff_s >= 0 and transport_retries >= 1, "
+                f"got {json.dumps(options)}"
+            )
         return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
     raise ConfigError(f"unknown provider type {kind!r}")
 

@@ -1,7 +1,10 @@
+import http.client
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 
 from helpers import (
     assessment_response,
@@ -27,6 +30,7 @@ from rulegraph.agents import (
     TemplateError,
     TransportError,
     parse_structured,
+    ProviderFailure,
     plan,
     render_prompt,
     ROLES,
@@ -218,15 +222,30 @@ def chat_body(content):
 
 
 class HttpResponse:
-    """The part of a requests.Response that LiveProvider reads."""
+    """What urllib.request.urlopen gives for one status: this response for 200, else an HTTPError.
 
-    def __init__(self, status_code, body=None):
-        self.status_code = status_code
-        self.body = body
-        self.text = json.dumps(body) if body is not None else "error"
+    The body is bytes, a JSON value to encode, or an exception that read() raises.
+    """
 
-    def json(self):
+    def __init__(self, status, body=b"error"):
+        self.status = status
+        self.body = body if isinstance(body, (bytes, Exception)) else json.dumps(body).encode()
+
+    def opened(self):
+        if self.status != 200:
+            raise urllib.error.HTTPError("http://example.test", self.status, "err", {}, io.BytesIO(self.body))
+        return self
+
+    def read(self):
+        if isinstance(self.body, Exception):
+            raise self.body
         return self.body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
 
 
 class TestLiveProvider:
@@ -257,18 +276,9 @@ class TestLiveProvider:
         assert response.token_usage == {"prompt_tokens": 7, "completion_tokens": 5}
 
     def test_non_json_body_is_provider_failure(self, monkeypatch):
-        import requests
-
-        from rulegraph.agents import ProviderFailure
-
-        class HtmlResponse:
-            status_code = 200
-            text = "<html>gateway</html>"
-
-            def json(self):
-                raise requests.JSONDecodeError("Expecting value", self.text, 0)
-
-        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: HtmlResponse())
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda *args, **kwargs: HttpResponse(200, b"<html>gateway</html>")
+        )
         provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
         with pytest.raises(ProviderFailure, match="non-JSON"):
             provider.complete(self.request())
@@ -282,25 +292,26 @@ class TestLiveProvider:
     @pytest.mark.parametrize(
         "fault, message",
         [
-            (requests.Timeout("read timed out"), "read timed out"),
-            (requests.ConnectionError("connection refused"), "connection refused"),
+            (TimeoutError("read timed out"), "read timed out"),
+            (urllib.error.URLError("connection refused"), "connection refused"),
             (HttpResponse(429), "rate limited by provider"),
             (HttpResponse(503), "server error 503"),
+            (HttpResponse(200, http.client.IncompleteRead(b"")), "IncompleteRead"),
         ],
-        ids=["timeout", "connection-error", "http-429", "http-503"],
+        ids=["timeout", "connection-error", "http-429", "http-503", "incomplete-read"],
     )
     def test_http_faults_are_retried_transport_errors(self, fault, message, monkeypatch):
         posts = []
 
-        def post(*args, **kwargs):
-            posts.append(kwargs)
+        def urlopen(request, timeout):
+            posts.append(request)
             if len(posts) < 3:
                 if isinstance(fault, Exception):
                     raise fault
-                return fault
+                return fault.opened()
             return HttpResponse(200, chat_body(json_doc({"membership": "H"})))
 
-        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
         with pytest.raises(TransportError, match=message):
             provider._http_post("http://example.test/v1/chat/completions", {}, {}, 1.0)
@@ -309,15 +320,38 @@ class TestLiveProvider:
         assert len(posts) == 3
 
     def test_http_400_is_not_retried(self, monkeypatch):
-        from rulegraph.agents import ProviderFailure
-
         posts = []
-        monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(k) or HttpResponse(400))
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda *a, **k: posts.append(k) or HttpResponse(400).opened()
+        )
         provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
         with pytest.raises(ProviderFailure, match="provider returned 400") as err:
             provider.complete(self.request())
         assert not isinstance(err.value, TransportError)
         assert len(posts) == 1
+
+    def test_post_carries_model_prompt_key_and_timeout(self, monkeypatch):
+        posts = []
+
+        def urlopen(request, timeout):
+            posts.append((request, timeout))
+            return HttpResponse(200, chat_body(json_doc({"membership": "H"})))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        provider = LiveProvider(base_url="http://example.test/v1/", model="m", api_key="k", timeout_s=9.0)
+        provider.complete(self.request())
+        [(request, timeout)] = posts
+        assert (request.get_method(), request.full_url, timeout) == (
+            "POST",
+            "http://example.test/v1/chat/completions",
+            9.0,
+        )
+        assert request.get_header("Authorization") == "Bearer k"
+        assert json.loads(request.data) == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "p"}],
+            "temperature": 0.0,
+        }
 
 
 class TestNodeSession:
@@ -405,6 +439,24 @@ class TestNodeSession:
         calls = [p for kind, p in session.events if kind == "provider_call"]
         assert [c["status"] for c in calls] == ["parse_error", "transport_error"]
         assert calls[1]["error"] == "outage on re-ask"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "n/a"}},
+        ],
+        ids=["null-content", "non-integer-usage"],
+    )
+    def test_malformed_live_body_fails_the_call(self, body):
+        provider = LiveProvider(
+            base_url="http://example.test/v1", model="m", api_key="k", transport=lambda *args: body
+        )
+        session = NodeSession(run_id="run-0", node_id="T1", provider=provider, ledger=AttemptLedger())
+        with pytest.raises(ProviderFailure, match="malformed completion body"):
+            session.call("execute", SLOTS["execute"])
+        [(kind, payload)] = session.events
+        assert (kind, payload["status"]) == ("provider_call", "transport_error")
 
     def test_one_call_never_uses_the_pool(self):
         class NoPool:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,8 +101,22 @@ def mock_config(tmp_path, script) -> str:
         {"concurrency": 2.7},
         {"deterministic": "false"},
         {"provider": {**LIVE, "timeout_s": "x"}},
+        {"provider": {**LIVE, "timeout_s": -1}},
+        {"provider": {**LIVE, "backoff_s": -1.0}},
+        {"provider": {**LIVE, "transport_retries": 0}},
+        {"provider": {**LIVE, "base_url": "file:///tmp/v1"}},
     ],
-    ids=["k_rules-string", "k_rules-bool", "concurrency-float", "deterministic-string", "live-timeout-string"],
+    ids=[
+        "k_rules-string",
+        "k_rules-bool",
+        "concurrency-float",
+        "deterministic-string",
+        "live-timeout-string",
+        "live-timeout-negative",
+        "live-backoff-negative",
+        "live-retries-zero",
+        "live-base-url-file",
+    ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RULEGRAPH_API_KEY", "secret")
@@ -114,6 +130,47 @@ def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
     assert main(["run", "--task", "t", "--config", str(path), "--trace", str(trace)]) == EXIT_CONFIG
     assert "must be" in capsys.readouterr().err
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "undecodable, message",
+    [("config.json", "config file is not valid JSON"), ("domains.txt", "cannot read domain catalog")],
+    ids=["config", "catalog"],
+)
+def test_undecodable_config_or_catalog_exits_3(undecodable, message, verb, tmp_path, capsys):
+    config = {"provider": {"type": "mock", "script": MOCK_SCRIPT}, "catalog_path": "domains.txt"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / undecodable).write_bytes(b"\xff\xfe")
+    assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "catalog", [{"domains": []}, {"catalog_path": "blank.txt"}], ids=["domains-empty", "catalog-blank-lines"]
+)
+def test_empty_catalog_exits_3(catalog, tmp_path, capsys):
+    (tmp_path / "blank.txt").write_text("\n  \n", encoding="utf-8")
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"provider": {"type": "mock", "script": MOCK_SCRIPT}, **catalog}), encoding="utf-8"
+    )
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    assert "domain catalog is empty" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_http_stack():
+    # Only a live call needs HTTP, so importing the CLI must load no HTTP client.
+    code = (
+        "import sys, rulegraph.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
+    )
+    paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout.strip()) == (0, "[]"), result.stderr
 
 
 def verb_argv(verb, config, tmp_path):
