@@ -40,12 +40,15 @@ EXIT_CONFIG = 3
 EXIT_PLANNING = 4
 EXIT_ALL_PATHS = 5
 EXIT_PROVIDER = 6
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 DEFAULT_API_KEY_ENV = "RULEGRAPH_API_KEY"
 
 # RunConfig fields a config file sets directly, with the defaults that give their types.
 _SCALAR_FIELDS = {f.name: f.default for f in fields(RunConfig) if type(f.default) in (bool, int, str)}
 _LIVE_OPTIONS = ("timeout_s", "transport_retries", "backoff_s")
+_MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
+_MAX_TRANSPORT_RETRIES = 10
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
@@ -145,10 +148,15 @@ def _build_provider(spec: dict, base_dir: str):
             raise ConfigError(f"live provider key env var {key_env} is not set")
         defaults = inspect.signature(LiveProvider).parameters
         options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
-        if not (options["timeout_s"] > 0 and options["backoff_s"] >= 0 and options["transport_retries"] >= 1):
+        # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
+        if not (
+            0 < options["timeout_s"] <= _MAX_WAIT_S
+            and 0 <= options["backoff_s"] <= _MAX_WAIT_S
+            and 1 <= options["transport_retries"] <= _MAX_TRANSPORT_RETRIES
+        ):
             raise ConfigError(
-                "live options must be timeout_s > 0, backoff_s >= 0 and transport_retries >= 1, "
-                f"got {json.dumps(options)}"
+                f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, 0 <= backoff_s <= {_MAX_WAIT_S} "
+                f"and 1 <= transport_retries <= {_MAX_TRANSPORT_RETRIES}, got {json.dumps(options)}"
             )
         return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
     raise ConfigError(f"unknown provider type {kind!r}")
@@ -348,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScriptMiss as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

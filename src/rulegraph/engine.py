@@ -85,9 +85,9 @@ class SinkUnavailable(Exception):
 class RunConfig:
     """Tunable limits and provider selection for one run.
 
-    provider must expose complete(request) and a scripted flag; deterministic
-    mode refuses non-scripted providers, fixes the run id and drops
-    timestamps so traces are byte-stable.
+    provider must expose complete(request) and a scripted flag, true when it
+    replays a fixed script; deterministic mode requires that flag, fixes the
+    run id and drops timestamps so traces are byte-stable.
     """
 
     provider: object
@@ -117,8 +117,8 @@ class RunConfig:
             raise ConfigError(f"unknown cluster_mode {self.cluster_mode!r}")
         if not self.domains:
             raise ConfigError("domain catalog is empty")
-        if self.k_rules > len(self.domains):
-            raise ConfigError("k_rules exceeds the domain catalog size")
+        if self.k_rules > len(set(self.domains)):
+            raise ConfigError("k_rules exceeds the number of distinct catalog domains")
         if self.deterministic and not getattr(self.provider, "scripted", False):
             raise ConfigError("deterministic mode requires a scripted provider")
 
@@ -194,16 +194,16 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
 
     Each failing node at depth d < D spawns at most max_chain children, so
     node count is bounded by the geometric sum over depths; each node makes
-    at most R * (K + 3) logical calls (construct, K rules, fuse, assess)
-    plus one classification, and each non-depth-capped node one replan.
-    Every logical call costs at most 1 + REASK_LIMIT provider calls.
+    at most R attempts of K + 2 logical calls (construct, K rules, assess;
+    model clustering adds cluster and synthesis), one classification and,
+    below D, one replan. A logical call costs at most 1 + REASK_LIMIT tries.
     """
     m, d, r, k = config.max_chain, config.max_depth, config.max_reprocess, config.k_rules
     nodes_total = n_subtasks * sum(m**level for level in range(d + 1))
     nodes_splicable = n_subtasks * sum(m**level for level in range(d))
     logical = (
         1  # plan
-        + nodes_total * r * (k + 3)
+        + nodes_total * r * (k + (4 if config.cluster_mode == "model" else 2))
         + nodes_total  # failure classifications
         + nodes_splicable  # replans
         + 1  # final fusion

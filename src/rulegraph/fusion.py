@@ -146,16 +146,16 @@ def fuse_subtask(
 ) -> SubtaskResult:
     """Cluster candidates, resolve the conflict and synthesize the subtask answer.
 
-    Scripted providers skip the synthesis call and return the winning
-    cluster's strongest member verbatim, which keeps conflict-resolution
-    tests byte-exact.
+    The synthesis call is made only when the winning cluster holds answers
+    that differ lexically, which only model clustering can produce;
+    otherwise the cluster's strongest member is the answer, verbatim.
     """
     clusters = cluster_candidates(candidates, mode, session)
     winner = resolve_conflict(clusters)
     layer = resolution_layer(clusters)
     best = sorted(winner.members, key=lambda c: (-c.membership.value, c.rule_index))[0]
 
-    if getattr(session.provider, "scripted", False) or len(winner.members) == 1:
+    if len({lexical_key(m.answer_text) for m in winner.members}) == 1:
         answer = best.answer_text
     else:
         listing = "\n".join(f"- {m.answer_text}" for m in winner.members)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+from collections import Counter
 
-from rulegraph.agents import PlannerPlan
-from rulegraph.graph import TaskGraph, build_graph, validate
+from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
+from rulegraph.graph import ROOT_ID, TaskGraph, build_graph, validate
+from rulegraph.rules import DEFAULT_DOMAINS
 
 
 def json_doc(payload: dict) -> str:
@@ -95,3 +98,50 @@ def random_graph(rng: random.Random, max_subtasks: int = 10) -> TaskGraph:
     graph = build_graph(random_plan(rng, max_subtasks))
     validate(graph)
     return graph
+
+
+class WorstCaseProvider:
+    """Drives a run into its call budget's worst case.
+
+    Each (node, prompt without the re-ask suffix) gets a valid answer only on
+    every (1 + REASK_LIMIT)-th ask, so every logical call uses all its tries.
+    Every assessment fails, every failure is too complex and every replan
+    has three subtasks. Expert answers differ lexically; model clustering
+    puts them all in one cluster, so the synthesis call is made.
+    """
+
+    scripted = False
+
+    def __init__(self, k: int):
+        self.k = k
+        self.calls = 0
+        self._asks: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        node = request.context_key[1]
+        prompt = request.rendered_prompt.split("\n\nYour previous response was rejected:")[0]
+        with self._lock:
+            self.calls += 1
+            self._asks[node, prompt] += 1
+            valid = self._asks[node, prompt] % (1 + REASK_LIMIT) == 0
+        text = self._answer(request.role_kind, node, prompt) if valid else "no document here"
+        return ProviderResponse(raw_text=text, token_usage={"prompt_tokens": 0, "completion_tokens": 0})
+
+    def _answer(self, role: RoleKind, node: str, prompt: str) -> str:
+        if "Decompose the task" in prompt:
+            if node == ROOT_ID:
+                return plan_response("an unreachable goal", [("s1", "solve the unsolvable part")])
+            pieces = [("a", "piece one"), ("b", "piece two"), ("c", "piece three")]
+            return plan_response("split it further", pieces, [("a", "b"), ("b", "c")])
+        if "Decide why" in prompt:
+            return classification_response("too_complex", "still too hard")
+        if role is RoleKind.DAA:
+            return ruleset_response([(domain, "M") for domain in DEFAULT_DOMAINS[: self.k]])
+        if role is RoleKind.DEA:  # the first prompt line names the rule's domain
+            return candidate_response(f"the view of {prompt.splitlines()[0]}")
+        if role is RoleKind.GEA:
+            return assessment_response("L", "the output does not approach the goal")
+        if "Group the candidate" in prompt:
+            return assignments_response(["one cluster"] * self.k)
+        return fusion_answer("a consolidated answer")

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from scenarios import FINAL_EMAIL
+import rulegraph.cli as cli
 from rulegraph.cli import (
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PLANNING,
     load_config,
@@ -105,6 +107,11 @@ def mock_config(tmp_path, script) -> str:
         {"provider": {**LIVE, "backoff_s": -1.0}},
         {"provider": {**LIVE, "transport_retries": 0}},
         {"provider": {**LIVE, "base_url": "file:///tmp/v1"}},
+        {"provider": {**LIVE, "timeout_s": 1e12}},
+        {"provider": {**LIVE, "backoff_s": 1e300}},
+        {"provider": {**LIVE, "timeout_s": float("nan")}},
+        {"provider": {**LIVE, "backoff_s": float("inf")}},
+        {"provider": {**LIVE, "transport_retries": 11}},
     ],
     ids=[
         "k_rules-string",
@@ -116,6 +123,11 @@ def mock_config(tmp_path, script) -> str:
         "live-backoff-negative",
         "live-retries-zero",
         "live-base-url-file",
+        "live-timeout-huge",
+        "live-backoff-huge",
+        "live-timeout-nan",
+        "live-backoff-infinite",
+        "live-retries-eleven",
     ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
@@ -159,6 +171,16 @@ def test_empty_catalog_exits_3(catalog, tmp_path, capsys):
     )
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
     assert "domain catalog is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
+def test_repeated_catalog_domains_exit_3(verb, tmp_path, capsys):
+    # k_rules = 3 needs three distinct domains; this catalog names only two.
+    config = {"provider": {"type": "mock", "script": MOCK_SCRIPT}, "domains": ["History", "History", "Biology"]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
+    assert "k_rules exceeds the number of distinct catalog domains" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_http_stack():
@@ -211,6 +233,14 @@ def test_incomplete_mock_script_exits_3(fixture, verb, tmp_path, capsys):
 
 
 class TestRunCommand:
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(task, config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "execute_task", interrupted)
+        assert main(verb_argv("run", DEMO_CONFIG, tmp_path)) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+
     def test_run_prints_answer_and_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         code = main(

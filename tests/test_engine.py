@@ -6,7 +6,9 @@ import time
 import pytest
 
 from helpers import (
+    WorstCaseProvider,
     assessment_response,
+    assignments_response,
     candidate_response,
     classification_response,
     fusion_answer,
@@ -20,10 +22,11 @@ from scenarios import (
     EMAIL_TASK,
     FINAL_EMAIL,
     MOVIE_A,
+    MOVIE_B,
     adversarial_script,
     email_script,
 )
-from rulegraph.agents import MockProvider, ScriptMiss, TransportError
+from rulegraph.agents import REASK_LIMIT, MockProvider, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
     ConfigError,
@@ -296,6 +299,16 @@ class TestTermination:
         assert err.value.provider_calls == 213
         assert err.value.provider_calls <= call_budget(config, 1)
 
+    @pytest.mark.parametrize("mode, calls", [("lexical", 639), ("model", 873)])
+    def test_worst_case_run_makes_every_budgeted_call_but_final_fusion(self, mode, calls):
+        provider = WorstCaseProvider(k=3)
+        config = RunConfig(provider=provider, cluster_mode=mode)
+        with pytest.raises(AllPathsFailed) as err:
+            execute_task(ADVERSARIAL_TASK, config)
+        # A failed run never reaches the final fusion, whose tries are the budget's only slack.
+        assert err.value.provider_calls == provider.calls == calls
+        assert calls == call_budget(config, 1) - (1 + REASK_LIMIT)
+
 
 class TestEmailScenario:
     def run(self, **overrides):
@@ -356,6 +369,54 @@ class TestEmailScenario:
     def test_schedule_independent(self):
         baseline = trace_text(self.run())
         for cap in (1, 2, 4, 8):
+            assert trace_text(self.run(concurrency=cap)) == baseline
+
+
+def model_mode_script():
+    """Three subtasks under model clustering, c after a and b.
+
+    a's experts word one answer two ways and the fusion expert groups the
+    two wordings, so a's winning cluster gets a synthesis call (FEA attempt
+    2); b and c answer identically and make none.
+    """
+    script = {
+        ("PA", 1): plan_response(
+            "a goal", [("a", "first"), ("b", "second"), ("c", "third")], [("a", "c"), ("b", "c")]
+        ),
+        ("DAA", 1): ruleset_response([("History", "H"), ("Science", "M"), ("Law", "ML")]),
+        ("FEA", 1): assignments_response(["same"] * 3),
+        ("GEA", 1): assessment_response("H"),
+        ("run-0", "a", "FEA", 1): assignments_response(["dinner", "lion", "dinner"]),
+        ("run-0", "a", "FEA", 2): fusion_answer("the consolidated answer"),
+        ("run-0", "F", "FEA", 1): fusion_answer("combined"),
+    }
+    for attempt in (1, 2, 3):
+        script[("DEA", attempt)] = candidate_response("some answer")
+    answers = (MOVIE_A, MOVIE_B, "Guess Who's Coming to Dinner, released in 1967")
+    for attempt, answer in enumerate(answers, 1):
+        script[("run-0", "a", "DEA", attempt)] = candidate_response(answer)
+    return script
+
+
+class TestModelClustering:
+    def run(self, concurrency=1):
+        config = mk_config(model_mode_script(), cluster_mode="model", concurrency=concurrency)
+        return execute_task("task", config)
+
+    def test_synthesis_only_for_a_cluster_of_mixed_wordings(self):
+        trace = self.run().trace
+        fea = [
+            (e.payload["context"]["node"], e.payload["context"]["attempt"])
+            for e in events_of(trace, "provider_call")
+            if e.payload["context"]["role"] == "FEA"
+        ]
+        assert fea == [("a", 1), ("a", 2), ("b", 1), ("c", 1), ("F", 1)]
+        answers = {e.payload["node"]: e.payload["answer_text"] for e in events_of(trace, "fusion")}
+        assert answers == {"a": "the consolidated answer", "b": "some answer", "c": "some answer"}
+
+    def test_schedule_independent(self):
+        baseline = trace_text(self.run())
+        for cap in (4, 8):
             assert trace_text(self.run(concurrency=cap)) == baseline
 
 

@@ -150,7 +150,7 @@ class TestResolveConflict:
 
 
 class SynthesizingStub:
-    """Non-scripted provider stub so fuse_subtask exercises the synthesis call."""
+    """Non-scripted provider stub that answers every call with one synthesized answer."""
 
     scripted = False
 
@@ -197,13 +197,30 @@ class TestFuseSubtask:
         result = fuse_subtask(cands, T1, session=session)
         assert result.answer_text == "THE ANSWER"
 
-    def test_live_mode_synthesizes_from_winning_cluster(self):
-        stub = SynthesizingStub("a consolidated answer")
-        session = session_for(stub)
-        result = fuse_subtask(movie_candidates(), T1, session=session)
+    def test_model_mode_synthesizes_from_winning_cluster(self):
+        # The fusion expert groups two wordings of one answer, so the winner mixes them.
+        cands = movie_candidates()
+        cands[2] = cand(3, ML, "Guess Who's Coming to Dinner, released in 1967", "Biology")
+        provider = MockProvider(
+            {
+                ("FEA", 1): assignments_response(["dinner", "lion", "dinner"]),
+                ("FEA", 2): fusion_answer("a consolidated answer"),
+            }
+        )
+        session = session_for(provider)
+        result = fuse_subtask(cands, T1, mode="model", session=session)
         assert result.answer_text == "a consolidated answer"
-        assert stub.calls == 1
-        assert result.winning_cluster.key == lexical_key(MOVIE_A)
+        assert result.winning_cluster.key == "dinner"
+        assert [p["context"]["attempt"] for kind, p in session.events if kind == "provider_call"] == [1, 2]
+
+    def test_lexical_mode_never_synthesizes(self):
+        # Members of a lexical cluster differ at most in case and punctuation.
+        stub = SynthesizingStub("a consolidated answer")
+        cands = [cand(1, ML, "the answer"), cand(2, M, "other"), cand(3, H, "THE ANSWER!")]
+        result = fuse_subtask(cands, T1, session=session_for(stub))
+        assert result.answer_text == "THE ANSWER!"
+        assert result.winning_cluster.votes == 2
+        assert stub.calls == 0
 
 
 class TestFuseFinal:
