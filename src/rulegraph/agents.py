@@ -47,19 +47,7 @@ class ScriptMiss(Exception):
 
 
 class ParseError(Exception):
-    """Base class for structured-output extraction failures."""
-
-
-class NoDocumentFound(ParseError):
-    """Response text contains no well-formed JSON object."""
-
-
-class SchemaViolation(ParseError):
-    """Extracted document fails schema validation for a named field."""
-
-    def __init__(self, fieldname: str, message: str | None = None):
-        self.field = fieldname
-        super().__init__(message or f"schema violation on field {fieldname!r}")
+    """Response text holds no JSON object, or the first one fails its schema."""
 
 
 class ResponseViolation(Exception):
@@ -68,10 +56,6 @@ class ResponseViolation(Exception):
 
 class MalformedResponse(Exception):
     """A role response stayed invalid through all configured re-asks."""
-
-
-class TemplateError(Exception):
-    """A prompt template referenced a slot that was not supplied."""
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +215,8 @@ DEFAULT_TEMPERATURES: dict[RoleKind, float] = {
 
 
 def render_prompt(role: Role, slots: Mapping[str, object]) -> str:
-    """Fill a role template; every slot the template references must be given."""
-    try:
-        return string.Template(role.template).substitute({k: str(v) for k, v in slots.items()})
-    except KeyError as exc:
-        raise TemplateError(f"missing template slot {exc.args[0]!r}") from None
+    """Fill a role template; a slot the template references but slots lacks raises KeyError."""
+    return string.Template(role.template).substitute({k: str(v) for k, v in slots.items()})
 
 
 def render_result_set(preds: Sequence[object]) -> str:
@@ -282,17 +263,17 @@ def _first_json_object(text: str) -> dict:
         if isinstance(value, dict):
             return value
         idx = text.find("{", idx + 1)
-    raise NoDocumentFound("no JSON object found in response")
+    raise ParseError("no JSON object found in response")
 
 
 def _need(doc: Mapping, fieldname: str, kind: type, nonempty: bool = False):
     if fieldname not in doc:
-        raise SchemaViolation(fieldname, f"missing required field {fieldname!r}")
+        raise ParseError(f"missing required field {fieldname!r}")
     value = doc[fieldname]
     if not isinstance(value, kind):
-        raise SchemaViolation(fieldname, f"field {fieldname!r} must be {kind.__name__}")
+        raise ParseError(f"field {fieldname!r} must be {kind.__name__}")
     if nonempty and not value:
-        raise SchemaViolation(fieldname, f"field {fieldname!r} must be non-empty")
+        raise ParseError(f"field {fieldname!r} must be non-empty")
     return value
 
 
@@ -301,7 +282,7 @@ def _need_label(doc: Mapping, fieldname: str) -> MembershipLabel:
     try:
         return parse_label(raw)
     except UnrecognizedLabel as exc:
-        raise SchemaViolation(fieldname, str(exc)) from None
+        raise ParseError(str(exc)) from None
 
 
 def _validate_schema(doc: dict, schema_id: str) -> None:
@@ -310,18 +291,18 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
         subtasks = _need(doc, "subtasks", list, nonempty=True)
         for entry in subtasks:
             if not isinstance(entry, dict):
-                raise SchemaViolation("subtasks", "each subtask must be an object")
+                raise ParseError("each subtask must be an object")
             _need(entry, "id", str, nonempty=True)
             _need(entry, "statement", str, nonempty=True)
         edges = _need(doc, "edges", list)
         for edge in edges:
             if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, str) for e in edge)):
-                raise SchemaViolation("edges", "each edge must be a [from, to] pair of strings")
+                raise ParseError("each edge must be a [from, to] pair of strings")
     elif schema_id == "ruleset":
         rules = _need(doc, "rules", list, nonempty=True)
         for entry in rules:
             if not isinstance(entry, dict):
-                raise SchemaViolation("rules", "each rule must be an object")
+                raise ParseError("each rule must be an object")
             _need(entry, "domain", str, nonempty=True)
             _need(entry, "antecedent", str, nonempty=True)
             _need_label(entry, "membership")
@@ -337,17 +318,17 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
             and all(isinstance(a, str) and a.strip() for a in assignments)
         )
         if not has_answer and not has_assignments:
-            raise SchemaViolation("answer", "fusion response needs 'answer' or 'assignments'")
+            raise ParseError("fusion response needs 'answer' or 'assignments'")
     elif schema_id == "assessment":
         # The run's threshold decides when a deviation must be described
         # (rules.run_global_rule).
         _need_label(doc, "membership")
         if "diff_text" in doc and not isinstance(doc["diff_text"], str):
-            raise SchemaViolation("diff_text", "diff_text must be a string")
+            raise ParseError("diff_text must be a string")
     elif schema_id == "failure_classification":
         scenario = _need(doc, "scenario", str, nonempty=True)
         if scenario not in ("irrelevant", "too_complex"):
-            raise SchemaViolation("scenario", "scenario must be 'irrelevant' or 'too_complex'")
+            raise ParseError("scenario must be 'irrelevant' or 'too_complex'")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +339,6 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
 class ProviderRequest:
     role_kind: RoleKind
     rendered_prompt: str
-    response_schema: str
     temperature: float
     context_key: tuple[str, str, str, int]  # (run id, node id, role kind, attempt)
 
@@ -394,6 +374,8 @@ class MockProvider:
                 key = (entry["run"], entry["node"], entry["role"], int(entry["attempt"]))
             else:
                 key = (entry["role"], int(entry["attempt"]))
+            if not isinstance(entry["response"], str):
+                raise ValueError(f"response for {key} must be a string")
             script[key] = entry["response"]
         return cls(script)
 
@@ -616,7 +598,6 @@ class NodeSession:
         request = ProviderRequest(
             role_kind=role.kind,
             rendered_prompt=prompt,
-            response_schema=role.schema,
             temperature=self.temperatures.get(role.kind, 0.0),
             context_key=(self.run_id, self.node_id, kind, attempt),
         )

@@ -18,24 +18,7 @@ from .engine import EngineError, RunConfig, execute_task
 
 
 class DatasetError(Exception):
-    pass
-
-
-class MalformedRecord(DatasetError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class MissingField(DatasetError):
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        super().__init__(f"line {line}: missing field {name!r}")
-
-
-class EmptyDataset(DatasetError):
-    pass
+    """A dataset is empty or a record is malformed; record errors start with 'line N: '."""
 
 
 @dataclass(frozen=True)
@@ -72,21 +55,21 @@ def load_dataset(path: str) -> list[Sample]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(lineno, f"invalid JSON: {exc}") from None
+                raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
-                raise MalformedRecord(lineno, "record must be an object")
+                raise DatasetError(f"line {lineno}: record must be an object")
             for fieldname in ("id", "task", "questions", "targets"):
                 if fieldname not in record:
-                    raise MissingField(fieldname, lineno)
+                    raise DatasetError(f"line {lineno}: missing field {fieldname!r}")
             questions = record["questions"]
             targets = record["targets"]
             if not isinstance(questions, list) or not questions:
-                raise MalformedRecord(lineno, "questions must be a non-empty list")
+                raise DatasetError(f"line {lineno}: questions must be a non-empty list")
             if not isinstance(targets, list) or len(targets) != len(questions):
-                raise MalformedRecord(lineno, "targets must list one entry per question")
+                raise DatasetError(f"line {lineno}: targets must list one entry per question")
             for entry in targets:
                 if not isinstance(entry, list) or not entry or not all(isinstance(t, str) and t for t in entry):
-                    raise MalformedRecord(lineno, "every question needs at least one target string")
+                    raise DatasetError(f"line {lineno}: every question needs at least one target string")
             samples.append(
                 Sample(
                     id=str(record["id"]),
@@ -122,7 +105,7 @@ def run_benchmark(
     byte-stable output.
     """
     if not dataset:
-        raise EmptyDataset("dataset contains no samples")
+        raise DatasetError("dataset contains no samples")
     started = time.monotonic()
     provider_calls = 0
     tokens = {"prompt_tokens": 0, "completion_tokens": 0}

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 from .agents import DEFAULT_TEMPERATURES, LiveProvider, MockProvider, RoleKind, ScriptMiss
 from .bench import DatasetError, load_dataset, render_table, report_to_json, run_benchmark
@@ -24,7 +23,6 @@ from .engine import (
     FusionFailure,
     PlanningFailure,
     RunConfig,
-    SinkUnavailable,
     execute_task,
     write_trace,
     write_trace_events,
@@ -46,10 +44,23 @@ DEFAULT_API_KEY_ENV = "RULEGRAPH_API_KEY"
 
 # RunConfig fields a config file sets directly, with the defaults that give their types.
 _SCALAR_FIELDS = {f.name: f.default for f in fields(RunConfig) if type(f.default) in (bool, int, str)}
+_CONFIG_KEYS = {*_SCALAR_FIELDS, "provider", "threshold", "domains", "catalog_path", "temperatures"}
 _LIVE_OPTIONS = ("timeout_s", "transport_retries", "backoff_s")
+_PROVIDER_KEYS = {
+    "mock": {"type", "script"},
+    "live": {"type", "base_url", "model", "api_key_env", *_LIVE_OPTIONS},
+}
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
 _MAX_TRANSPORT_RETRIES = 10
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
+    """Reject the first key of spec outside allowed; a mistyped key would otherwise be ignored."""
+    for key in spec:
+        if key not in allowed:
+            known = ", ".join(sorted(allowed))
+            raise ConfigError(f"unknown {what} key {key!r}; keys must be among {known}")
 
 
 def _typed(spec: dict, key: str, default):
@@ -85,6 +96,7 @@ def load_config(path: str) -> RunConfig:
     provider_spec = raw.get("provider") if isinstance(raw, dict) else None
     if not isinstance(provider_spec, dict) or "type" not in provider_spec:
         raise ConfigError("config needs a provider object with a 'type'")
+    _known_keys(raw, _CONFIG_KEYS, "config")
     provider = _build_provider(provider_spec, base_dir)
 
     domains = raw.get("domains")
@@ -126,6 +138,9 @@ def load_config(path: str) -> RunConfig:
 
 def _build_provider(spec: dict, base_dir: str):
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _PROVIDER_KEYS:
+        raise ConfigError(f"unknown provider type {kind!r}")
+    _known_keys(spec, _PROVIDER_KEYS[kind], f"{kind} provider")
     if kind == "mock":
         script_path = _typed(spec, "script", "")
         if not script_path:
@@ -135,31 +150,29 @@ def _build_provider(spec: dict, base_dir: str):
             return MockProvider.from_file(resolved)
         except (OSError, KeyError, ValueError, TypeError) as exc:  # bad JSON is a ValueError
             raise ConfigError(f"cannot load mock script {resolved}: {exc}") from exc
-    if kind == "live":
-        base_url = os.environ.get("RULEGRAPH_BASE_URL") or _typed(spec, "base_url", "")
-        model = os.environ.get("RULEGRAPH_MODEL") or _typed(spec, "model", "")
-        if not base_url or not model:
-            raise ConfigError("live provider needs base_url and model (config or env)")
-        if not base_url.lower().startswith(("http://", "https://")):
-            raise ConfigError(f"live provider base_url must be an http or https URL, got {base_url!r}")
-        key_env = _typed(spec, "api_key_env", DEFAULT_API_KEY_ENV)
-        api_key = os.environ.get(key_env, "")
-        if not api_key:
-            raise ConfigError(f"live provider key env var {key_env} is not set")
-        defaults = inspect.signature(LiveProvider).parameters
-        options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
-        # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
-        if not (
-            0 < options["timeout_s"] <= _MAX_WAIT_S
-            and 0 <= options["backoff_s"] <= _MAX_WAIT_S
-            and 1 <= options["transport_retries"] <= _MAX_TRANSPORT_RETRIES
-        ):
-            raise ConfigError(
-                f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, 0 <= backoff_s <= {_MAX_WAIT_S} "
-                f"and 1 <= transport_retries <= {_MAX_TRANSPORT_RETRIES}, got {json.dumps(options)}"
-            )
-        return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
-    raise ConfigError(f"unknown provider type {kind!r}")
+    base_url = os.environ.get("RULEGRAPH_BASE_URL") or _typed(spec, "base_url", "")
+    model = os.environ.get("RULEGRAPH_MODEL") or _typed(spec, "model", "")
+    if not base_url or not model:
+        raise ConfigError("live provider needs base_url and model (config or env)")
+    if not base_url.lower().startswith(("http://", "https://")):
+        raise ConfigError(f"live provider base_url must be an http or https URL, got {base_url!r}")
+    key_env = _typed(spec, "api_key_env", DEFAULT_API_KEY_ENV)
+    api_key = os.environ.get(key_env, "")
+    if not api_key:
+        raise ConfigError(f"live provider key env var {key_env} is not set")
+    defaults = inspect.signature(LiveProvider).parameters
+    options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
+    # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
+    if not (
+        0 < options["timeout_s"] <= _MAX_WAIT_S
+        and 0 <= options["backoff_s"] <= _MAX_WAIT_S
+        and 1 <= options["transport_retries"] <= _MAX_TRANSPORT_RETRIES
+    ):
+        raise ConfigError(
+            f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, 0 <= backoff_s <= {_MAX_WAIT_S} "
+            f"and 1 <= transport_retries <= {_MAX_TRANSPORT_RETRIES}, got {json.dumps(options)}"
+        )
+    return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
 
 
 def _read_task(value: str) -> str:
@@ -177,7 +190,7 @@ def _save(sink, write, what: str) -> bool:
     try:
         write()
         sink.close()
-    except (OSError, SinkUnavailable) as exc:
+    except OSError as exc:
         print(f"cannot write {what}: {exc}", file=sys.stderr)
         return False
     return True
@@ -275,17 +288,13 @@ def _cmd_export_dot(args) -> int:
             print("trace contains no graph snapshot", file=sys.stderr)
             return EXIT_CONFIG
         graph = TaskGraph.from_payload(graph_payload, global_goal=goal or "-")
-        results = {
-            node: SimpleNamespace(membership_vs_goal=parse_label(token))
-            for node, token in memberships.items()
-            if node in graph.nodes
-        }
+        labels = {node: parse_label(token) for node, token in memberships.items() if node in graph.nodes}
     except (OSError, ValueError, LookupError, TypeError, GraphError) as exc:
         # a decode or JSON error is a ValueError; a record of the wrong shape, a
         # LookupError or TypeError; a graph that breaks an invariant, a GraphError
         print(f"cannot read trace {args.trace}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    dot = export_dot(graph, results)
+    dot = export_dot(graph, labels)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -26,7 +26,7 @@ import time
 import uuid
 from collections import defaultdict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import IO, Callable, Mapping
 
@@ -75,10 +75,6 @@ class AllPathsFailed(EngineError):
 
 class FusionFailure(EngineError):
     """The final fusion call failed at the provider or stayed malformed."""
-
-
-class SinkUnavailable(Exception):
-    """Trace sink rejected a write."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +195,9 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
     below D, one replan. A logical call costs at most 1 + REASK_LIMIT tries.
     """
     m, d, r, k = config.max_chain, config.max_depth, config.max_reprocess, config.k_rules
-    nodes_total = n_subtasks * sum(m**level for level in range(d + 1))
-    nodes_splicable = n_subtasks * sum(m**level for level in range(d))
+    below_cap = d if m == 1 else (m**d - 1) // (m - 1)  # sum of m**level over levels 0..d-1
+    nodes_total = n_subtasks * (1 + m * below_cap)
+    nodes_splicable = n_subtasks * below_cap
     logical = (
         1  # plan
         + nodes_total * r * (k + (4 if config.cluster_mode == "model" else 2))
@@ -289,19 +286,16 @@ def process_node(
             continue
 
         if not below(assessment.membership, config.threshold):
-            result = replace(
-                fused, attempts_used=attempt, membership_vs_goal=assessment.membership
-            )
             session.emit(
                 "node_done",
                 {
                     "node": node.id,
                     "attempts_used": attempt,
                     "membership": assessment.membership.token,
-                    "answer_text": result.answer_text,
+                    "answer_text": fused.answer_text,
                 },
             )
-            return result
+            return fused
 
         feedback = assessment.diff_text
         if attempt < config.max_reprocess:
@@ -673,15 +667,12 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
 
 def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
     """One canonical JSON record per line; timestamps omitted when absent."""
-    try:
-        for event in events:
-            record: dict = {"seq": event.seq, "kind": event.kind}
-            if event.timestamp is not None:
-                record["timestamp"] = event.timestamp
-            record["payload"] = event.payload
-            sink.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-    except OSError as exc:
-        raise SinkUnavailable(str(exc)) from exc
+    for event in events:
+        record: dict = {"seq": event.seq, "kind": event.kind}
+        if event.timestamp is not None:
+            record["timestamp"] = event.timestamp
+        record["payload"] = event.payload
+        sink.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def write_trace(outcome: RunOutcome, sink: IO[str]) -> None:

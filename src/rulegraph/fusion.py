@@ -11,7 +11,7 @@ the answer to the original task.
 from __future__ import annotations
 
 import string as _string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .agents import MalformedResponse, NodeSession, ProviderFailure, ResponseViolation
 from .graph import TaskNode
@@ -43,9 +43,6 @@ class SemanticCluster:
 class SubtaskResult:
     subtask_id: str
     answer_text: str
-    winning_cluster: SemanticCluster
-    attempts_used: int = 1
-    membership_vs_goal: MembershipLabel | None = None
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def cluster_candidates(
 
     grouped: dict[str, list[CandidateResult]] = {}
     for candidate, key in zip(candidates, keys):
-        grouped.setdefault(key, []).append(replace(candidate, semantic_key=key))
+        grouped.setdefault(key, []).append(candidate)
     return [
         SemanticCluster(key=key, members=tuple(sorted(members, key=lambda c: c.rule_index)))
         for key, members in sorted(grouped.items())
@@ -185,12 +182,7 @@ def fuse_subtask(
             "answer_text": answer,
         },
     )
-    return SubtaskResult(
-        subtask_id=subtask.id,
-        answer_text=answer,
-        winning_cluster=winner,
-        attempts_used=attempt,
-    )
+    return SubtaskResult(subtask_id=subtask.id, answer_text=answer)
 
 
 def fuse_final(preds: list[object], original_task: str, *, session: NodeSession) -> FinalResult:

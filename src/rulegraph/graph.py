@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import PlannerPlan
+    from .membership import MembershipLabel
 
 ROOT_ID = "T"
 FUSION_ID = "F"
@@ -27,39 +28,7 @@ _NONE: frozenset[str] = frozenset()
 
 
 class GraphError(Exception):
-    """Base class for graph construction and edit errors."""
-
-
-class EmptyPlan(GraphError):
-    """Plan contains no subtasks."""
-
-
-class CyclicPlan(GraphError):
-    """Plan edges contain a cycle."""
-
-
-class DanglingEdge(GraphError):
-    """Plan edge references an unknown subtask id."""
-
-
-class NotASubtask(GraphError):
-    """Edit targeted the original or fusion node."""
-
-
-class EmptyChain(GraphError):
-    """Splice chain is empty."""
-
-
-class DuplicateNodeId(GraphError):
-    """Node id collides with an existing or reserved id."""
-
-
-class MissingPredecessor(GraphError):
-    """A predecessor of the requested node has no recorded result."""
-
-
-class InvariantViolation(GraphError):
-    """A structural invariant failed; indicates a bug in graph construction."""
+    """A plan cannot form a run graph, an edit is invalid, or a structural invariant failed."""
 
 
 class NodeKind(Enum):
@@ -163,35 +132,35 @@ def topological_order(ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> l
 
 
 def validate(graph: TaskGraph) -> None:
-    """Check every structural invariant; raise InvariantViolation otherwise."""
+    """Check every structural invariant; raise GraphError otherwise."""
     originals = [n for n in graph.nodes.values() if n.kind is NodeKind.ORIGINAL]
     fusions = [n for n in graph.nodes.values() if n.kind is NodeKind.FUSION]
     if len(originals) != 1 or len(fusions) != 1:
-        raise InvariantViolation("graph must have exactly one original and one fusion node")
+        raise GraphError("graph must have exactly one original and one fusion node")
     root, fusion = originals[0], fusions[0]
     for node in graph.nodes.values():
         if node.kind in (NodeKind.ORIGINAL, NodeKind.SUBTASK) and not node.statement:
-            raise InvariantViolation(f"node {node.id} has an empty statement")
+            raise GraphError(f"node {node.id} has an empty statement")
     for a, b in graph.edges:
         if a == b:
-            raise InvariantViolation(f"self edge on {a}")
+            raise GraphError(f"self edge on {a}")
         if a not in graph.nodes or b not in graph.nodes:
-            raise InvariantViolation(f"edge ({a}, {b}) references an unknown node")
+            raise GraphError(f"edge ({a}, {b}) references an unknown node")
     if graph.predecessors(root.id):
-        raise InvariantViolation("original node must have in-degree 0")
+        raise GraphError("original node must have in-degree 0")
     if graph.successors(fusion.id):
-        raise InvariantViolation("fusion node must have out-degree 0")
+        raise GraphError("fusion node must have out-degree 0")
     if topological_order(graph.nodes.keys(), graph.edges) is None:
-        raise InvariantViolation("graph contains a cycle")
+        raise GraphError("graph contains a cycle")
 
     reachable_from_root = _reach(graph, root.id, forward=True)
     reaches_fusion = _reach(graph, fusion.id, forward=False)
     for node in graph.nodes.values():
         if node.kind is NodeKind.SUBTASK:
             if node.id not in reachable_from_root:
-                raise InvariantViolation(f"subtask {node.id} unreachable from the original node")
+                raise GraphError(f"subtask {node.id} unreachable from the original node")
             if node.id not in reaches_fusion:
-                raise InvariantViolation(f"subtask {node.id} cannot reach the fusion node")
+                raise GraphError(f"subtask {node.id} cannot reach the fusion node")
 
 
 def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
@@ -212,18 +181,18 @@ def plan_error(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> GraphError
     Checked in order: no subtasks, duplicate ids, reserved ids, dangling edges, a cycle.
     """
     if not ids:
-        return EmptyPlan("plan contains no subtasks")
+        return GraphError("plan contains no subtasks")
     if len(set(ids)) != len(ids):
-        return DuplicateNodeId("subtask ids must be unique")
+        return GraphError("subtask ids must be unique")
     for sid in ids:
         if sid in RESERVED_IDS:
-            return DuplicateNodeId(f"subtask id {sid!r} is reserved")
+            return GraphError(f"subtask id {sid!r} is reserved")
     known = set(ids)
     for a, b in edges:
         if a not in known or b not in known:
-            return DanglingEdge(f"edge ({a}, {b}) references an unknown subtask")
+            return GraphError(f"edge ({a}, {b}) references an unknown subtask")
     if topological_order(ids, edges) is None:
-        return CyclicPlan("dependency edges contain a cycle")
+        return GraphError("dependency edges contain a cycle")
     return None
 
 
@@ -290,7 +259,7 @@ def predecessor_results(
         elif pred in results:
             ordered.append(results[pred])
         else:
-            raise MissingPredecessor(f"no result recorded for predecessor {pred} of {node_id}")
+            raise GraphError(f"no result recorded for predecessor {pred} of {node_id}")
     return ordered
 
 
@@ -325,13 +294,13 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
     """
     _require_subtask(graph, failed_id)
     if not chain:
-        raise EmptyChain("splice chain is empty")
+        raise GraphError("splice chain is empty")
     chain_ids = [n.id for n in chain]
     if len(set(chain_ids)) != len(chain_ids):
-        raise DuplicateNodeId("chain node ids are not unique")
+        raise GraphError("chain node ids are not unique")
     for cid in chain_ids:
         if cid in graph.nodes or cid in RESERVED_IDS:
-            raise DuplicateNodeId(f"chain node id {cid!r} is not fresh")
+            raise GraphError(f"chain node id {cid!r} is not fresh")
 
     failed = graph.node(failed_id)
     preds = graph.predecessors(failed_id)
@@ -352,17 +321,16 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
     return out
 
 
-def export_dot(graph: TaskGraph, results: Mapping[str, object] | None = None) -> str:
+def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = None) -> str:
     """Render the graph as a DOT digraph with deterministic ordering.
 
-    Node labels carry id and kind, plus the result membership token when a
-    results map is supplied and has an entry for the node.
+    Node labels carry id and kind, plus the node's membership token when
+    labels has an entry for it.
     """
     lines = ["digraph taskgraph {"]
     for node in sorted(graph.nodes.values(), key=lambda n: n.id):
         label = f"{node.id}\\n{node.kind.value}"
-        result = (results or {}).get(node.id)
-        membership = getattr(result, "membership_vs_goal", None)
+        membership = (labels or {}).get(node.id)
         if membership is not None:
             label += f"\\n{membership.token}"
         lines.append(f'  "{node.id}" [label="{label}"];')
@@ -376,4 +344,4 @@ def _require_subtask(graph: TaskGraph, node_id: str) -> None:
     if node_id not in graph.nodes:
         raise GraphError(f"unknown node {node_id}")
     if graph.node(node_id).kind is not NodeKind.SUBTASK:
-        raise NotASubtask(f"{node_id} is not a subtask node")
+        raise GraphError(f"{node_id} is not a subtask node")

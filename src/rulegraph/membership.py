@@ -35,10 +35,6 @@ class MembershipLabel(enum.Enum):
         """Canonical short token, the serialized form in traces and datasets."""
         return _TOKENS[self]
 
-    @property
-    def long_form(self) -> str:
-        return _LONG_FORMS[self]
-
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, MembershipLabel):
             return NotImplemented
@@ -96,6 +92,3 @@ def parse_label(text: str) -> MembershipLabel:
 def below(label: MembershipLabel, threshold: MembershipLabel) -> bool:
     """True iff label is strictly lower than threshold (equal is not below)."""
     return label < threshold
-
-
-ALL_LABELS = tuple(sorted(MembershipLabel, key=lambda l: l.value, reverse=True))

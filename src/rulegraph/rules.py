@@ -74,7 +74,6 @@ class CandidateResult:
     domain_name: str
     membership: MembershipLabel
     answer_text: str
-    semantic_key: str = ""
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from scenarios import bench_script
 from rulegraph.agents import REASK_LIMIT, MockProvider
 from rulegraph.bench import (
-    EmptyDataset,
-    MalformedRecord,
-    MissingField,
+    DatasetError,
     Sample,
     load_dataset,
     render_table,
@@ -55,17 +53,16 @@ class TestLoadDataset:
             '{"id": "b", "task": "t", "questions": ["q"]}\n',
             encoding="utf-8",
         )
-        with pytest.raises(MissingField) as err:
+        with pytest.raises(DatasetError, match="^line 2: missing field 'targets'$"):
             load_dataset(str(path))
-        assert err.value.name == "targets" and err.value.line == 2
 
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "task": "t", "questions": [], "targets": []}\n', encoding="utf-8")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatasetError, match="^line 1: questions must be a non-empty list$"):
             load_dataset(str(path))
         path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatasetError, match="^line 1: invalid JSON: "):
             load_dataset(str(path))
 
     def test_targets_must_align_with_questions(self, tmp_path):
@@ -74,7 +71,7 @@ class TestLoadDataset:
             '{"id": "a", "task": "t", "questions": ["q1", "q2"], "targets": [["x"]]}\n',
             encoding="utf-8",
         )
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatasetError, match="^line 1: targets must list one entry per question$"):
             load_dataset(str(path))
 
 
@@ -133,7 +130,7 @@ class TestRunBenchmark:
         assert report.run_stats["provider_calls"] > 0
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DatasetError, match="dataset contains no samples"):
             run_benchmark([], bench_config())
 
     def test_failing_sample_scores_zero_with_error_kind(self):

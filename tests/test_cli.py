@@ -112,6 +112,9 @@ def mock_config(tmp_path, script) -> str:
         {"provider": {**LIVE, "timeout_s": float("nan")}},
         {"provider": {**LIVE, "backoff_s": float("inf")}},
         {"provider": {**LIVE, "transport_retries": 11}},
+        {"max_reprocces": 5},
+        {"provider": {"type": "mock", "script": MOCK_SCRIPT, "scirpt": "other.json"}},
+        {"provider": {**LIVE, "timeout": 5}},
     ],
     ids=[
         "k_rules-string",
@@ -128,6 +131,9 @@ def mock_config(tmp_path, script) -> str:
         "live-timeout-nan",
         "live-backoff-infinite",
         "live-retries-eleven",
+        "unknown-key",
+        "mock-unknown-key",
+        "live-unknown-key",
     ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
@@ -213,8 +219,9 @@ def verb_argv(verb, config, tmp_path):
         {"entries": "abc"},
         {"entries": 5},
         ["not", "an", "object"],
+        {"entries": [{"role": "PA", "attempt": 1, "response": 5}]},
     ],
-    ids=["attempt-string", "entries-ints", "entries-string", "entries-number", "script-list"],
+    ids=["attempt-string", "entries-ints", "entries-string", "entries-number", "script-list", "response-number"],
 )
 def test_bad_mock_script_exits_3(script, verb, tmp_path, capsys):
     assert main(verb_argv(verb, mock_config(tmp_path, script), tmp_path)) == EXIT_CONFIG
@@ -472,7 +479,7 @@ class TestExportDot:
             (b"[1, 2]\n", "TypeError"),
             (b'{"a": 1}\n', "KeyError"),
             (b'{"kind": "plan", "seq": 1, "payload": {"goal": "g", "graph": {"nodes": [], "edges": []}}}\n',
-             "InvariantViolation"),
+             "GraphError"),
             (b'{"kind": "plan", "seq": 1}\n', "KeyError"),
         ],
         ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload"],

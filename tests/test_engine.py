@@ -309,6 +309,20 @@ class TestTermination:
         assert err.value.provider_calls == provider.calls == calls
         assert calls == call_budget(config, 1) - (1 + REASK_LIMIT)
 
+    @pytest.mark.parametrize("mode", ["lexical", "model"])
+    def test_budget_closed_form_matches_level_sum(self, mode):
+        for m in range(1, 5):
+            for d in range(6):
+                config = RunConfig(provider=None, max_chain=m, max_depth=d, cluster_mode=mode)
+                nodes_total = 3 * sum(m**level for level in range(d + 1))
+                nodes_splicable = 3 * sum(m**level for level in range(d))
+                per_attempt = config.k_rules + (4 if mode == "model" else 2)
+                logical = 1 + nodes_total * config.max_reprocess * per_attempt + nodes_total + nodes_splicable + 1
+                assert call_budget(config, 3) == logical * (1 + REASK_LIMIT), (m, d)
+        started = time.monotonic()
+        call_budget(RunConfig(provider=None, max_depth=10**5, cluster_mode=mode), 3)
+        assert time.monotonic() - started < 1.0
+
 
 class TestEmailScenario:
     def run(self, **overrides):
@@ -575,15 +589,13 @@ class TestScheduler:
 
 
 class TestTraceWriting:
-    def test_broken_sink_raises_sink_unavailable(self):
-        from rulegraph.engine import SinkUnavailable
-
+    def test_broken_sink_raises_os_error(self):
         class BrokenSink:
             def write(self, data):
                 raise OSError("disk full")
 
         outcome = execute_task("task", mk_config(SINGLE))
-        with pytest.raises(SinkUnavailable):
+        with pytest.raises(OSError, match="disk full"):
             write_trace(outcome, BrokenSink())
 
     def test_one_line_per_event(self):

@@ -45,6 +45,13 @@ def session_for(provider, node_id="T1"):
     return NodeSession(run_id="run-0", node_id=node_id, provider=provider, ledger=AttemptLedger())
 
 
+def winning_cluster(session):
+    """The winner's entry in the one fusion event fuse_subtask emitted."""
+    [event] = [p for kind, p in session.events if kind == "fusion"]
+    [winner] = [c for c in event["clusters"] if c["key"] == event["winner_key"]]
+    return winner
+
+
 class TestLexicalKey:
     def test_normalization(self):
         assert lexical_key("  ABC. ") == lexical_key("abc") == "abc"
@@ -60,7 +67,7 @@ class TestClusterCandidates:
         by_votes = {c.votes: c for c in clusters}
         assert {m.rule_index for m in by_votes[2].members} == {1, 3}
         assert by_votes[2].max_membership is H
-        assert all(m.semantic_key == c.key for c in clusters for m in c.members)
+        assert all(lexical_key(m.answer_text) == c.key for c in clusters for m in c.members)
 
     def test_single_candidate(self):
         clusters = cluster_candidates([cand(1, M, "only")], "lexical")
@@ -171,7 +178,7 @@ class TestFuseSubtask:
         session = session_for(MockProvider({}))
         result = fuse_subtask(movie_candidates(), T1, session=session)
         assert result.answer_text == MOVIE_A
-        assert result.winning_cluster.votes == 2
+        assert winning_cluster(session)["votes"] == 2
         fusion_events = [p for kind, p in session.events if kind == "fusion"]
         assert len(fusion_events) == 1
         assert fusion_events[0]["winner_key"] == lexical_key(MOVIE_A)
@@ -187,7 +194,7 @@ class TestFuseSubtask:
         session = session_for(MockProvider({}))
         cands = [cand(i, M, "same thing") for i in (1, 2, 3)]
         result = fuse_subtask(cands, T1, session=session)
-        assert result.winning_cluster.votes == 3
+        assert winning_cluster(session)["votes"] == 3
         assert result.answer_text == "same thing"
 
     def test_mock_answer_is_strongest_member(self):
@@ -210,23 +217,23 @@ class TestFuseSubtask:
         session = session_for(provider)
         result = fuse_subtask(cands, T1, mode="model", session=session)
         assert result.answer_text == "a consolidated answer"
-        assert result.winning_cluster.key == "dinner"
+        assert winning_cluster(session)["key"] == "dinner"
         assert [p["context"]["attempt"] for kind, p in session.events if kind == "provider_call"] == [1, 2]
 
     def test_lexical_mode_never_synthesizes(self):
         # Members of a lexical cluster differ at most in case and punctuation.
         stub = SynthesizingStub("a consolidated answer")
         cands = [cand(1, ML, "the answer"), cand(2, M, "other"), cand(3, H, "THE ANSWER!")]
-        result = fuse_subtask(cands, T1, session=session_for(stub))
+        session = session_for(stub)
+        result = fuse_subtask(cands, T1, session=session)
         assert result.answer_text == "THE ANSWER!"
-        assert result.winning_cluster.votes == 2
+        assert winning_cluster(session)["votes"] == 2
         assert stub.calls == 0
 
 
 class TestFuseFinal:
     def sub_result(self, node_id, text):
-        member = cand(1, H, text)
-        return SubtaskResult(node_id, text, SemanticCluster(lexical_key(text), (member,)))
+        return SubtaskResult(node_id, text)
 
     def test_combines_all_predecessors(self):
         provider = MockProvider({("run-0", "F", "FEA", 1): fusion_answer("the reply email")})

@@ -6,14 +6,8 @@ from helpers import make_plan, random_graph, random_plan
 from rulegraph.graph import (
     FUSION_ID,
     ROOT_ID,
-    CyclicPlan,
-    DanglingEdge,
-    DuplicateNodeId,
-    EmptyChain,
-    EmptyPlan,
-    MissingPredecessor,
+    GraphError,
     NodeKind,
-    NotASubtask,
     TaskNode,
     build_graph,
     export_dot,
@@ -51,19 +45,19 @@ class TestBuildGraph:
         )
 
     def test_empty_plan_rejected(self):
-        with pytest.raises(EmptyPlan):
+        with pytest.raises(GraphError, match="plan contains no subtasks"):
             build_graph(make_plan([]))
 
     def test_dangling_edge_rejected(self):
-        with pytest.raises(DanglingEdge):
+        with pytest.raises(GraphError, match=r"edge \(T1, T9\) references an unknown subtask"):
             build_graph(make_plan(["T1"], edges=[("T1", "T9")]))
 
     def test_cyclic_plan_rejected(self):
-        with pytest.raises(CyclicPlan):
+        with pytest.raises(GraphError, match="dependency edges contain a cycle"):
             build_graph(make_plan(["T1", "T2"], edges=[("T1", "T2"), ("T2", "T1")]))
 
     def test_reserved_ids_rejected(self):
-        with pytest.raises(DuplicateNodeId):
+        with pytest.raises(GraphError, match="subtask id 'T' is reserved"):
             build_graph(make_plan(["T", "T1"]))
 
     def test_random_plans_satisfy_invariants(self):
@@ -133,7 +127,7 @@ class TestPredecessorResults:
 
     def test_missing_predecessor(self):
         graph = star_graph()
-        with pytest.raises(MissingPredecessor):
+        with pytest.raises(GraphError, match="no result recorded for predecessor T2 of F"):
             predecessor_results(graph, FUSION_ID, {"T1": "r1"})
 
 
@@ -159,9 +153,9 @@ class TestRemoveNode:
         )
 
     def test_only_subtasks_removable(self):
-        with pytest.raises(NotASubtask):
+        with pytest.raises(GraphError, match="T is not a subtask node"):
             remove_node(star_graph(), ROOT_ID)
-        with pytest.raises(NotASubtask):
+        with pytest.raises(GraphError, match="F is not a subtask node"):
             remove_node(star_graph(), FUSION_ID)
 
     def test_random_removals_preserve_invariants(self):
@@ -210,13 +204,13 @@ class TestSpliceChain:
             assert all(out.node(i).depth == depth for i in ids)
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(EmptyChain):
+        with pytest.raises(GraphError, match="splice chain is empty"):
             splice_chain(star_graph(), "T1", [])
 
     def test_stale_ids_rejected(self):
-        with pytest.raises(DuplicateNodeId):
+        with pytest.raises(GraphError, match="chain node id 'T2' is not fresh"):
             splice_chain(star_graph(), "T1", self.chain_nodes(["T2"]))
-        with pytest.raises(NotASubtask):
+        with pytest.raises(GraphError, match="F is not a subtask node"):
             splice_chain(star_graph(), FUSION_ID, self.chain_nodes(["x"]))
 
 
@@ -232,11 +226,8 @@ class TestExportDot:
         assert export_dot(graph) == export_dot(graph)
 
     def test_membership_included_when_results_present(self):
-        from types import SimpleNamespace
-
         from rulegraph.membership import MembershipLabel
 
         graph = build_graph(make_plan(["T1"]))
-        result = SimpleNamespace(membership_vs_goal=MembershipLabel.SH)
-        dot = export_dot(graph, {"T1": result})
+        dot = export_dot(graph, {"T1": MembershipLabel.SH})
         assert "T1\\nsubtask\\nSH" in dot

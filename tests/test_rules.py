@@ -234,11 +234,9 @@ class TestRunRules:
 
 class TestGlobalRule:
     def fused(self, text="a plain first-pass answer"):
-        from rulegraph.fusion import SemanticCluster, SubtaskResult
-        from rulegraph.rules import CandidateResult
+        from rulegraph.fusion import SubtaskResult
 
-        member = CandidateResult(1, "History", MembershipLabel.H, text, "key")
-        return SubtaskResult("T1", text, SemanticCluster("key", (member,)))
+        return SubtaskResult("T1", text)
 
     def test_low_assessment_carries_diff(self):
         provider = MockProvider({("GEA", 1): assessment_response("L", "misses the career focus")})
