@@ -26,7 +26,6 @@ from .engine import (
 from .fusion import (
     FinalResult,
     SemanticCluster,
-    SubtaskResult,
     cluster_candidates,
     fuse_final,
     fuse_subtask,

@@ -219,15 +219,11 @@ def render_prompt(role: Role, slots: Mapping[str, object]) -> str:
     return string.Template(role.template).substitute({k: str(v) for k, v in slots.items()})
 
 
-def render_result_set(preds: Sequence[object]) -> str:
-    """Render predecessor results (subtask results or the task statement) as prompt text."""
+def render_result_set(preds: Sequence[str]) -> str:
+    """Render predecessor results (answer texts or the task statement) as prompt text."""
     if not preds:
         return "(none)"
-    lines = []
-    for i, item in enumerate(preds, 1):
-        text = getattr(item, "answer_text", None)
-        lines.append(f"{i}. {text if text is not None else item}")
-    return "\n".join(lines)
+    return "\n".join(f"{i}. {text}" for i, text in enumerate(preds, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,9 @@ def load_config(path: str) -> RunConfig:
     provider = _build_provider(provider_spec, base_dir)
 
     domains = raw.get("domains")
-    if domains is None and "catalog_path" in raw:
+    if domains is not None and "catalog_path" in raw:
+        raise ConfigError("give one of domains and catalog_path, not both")
+    if "catalog_path" in raw:
         catalog_file = os.path.join(base_dir, _typed(raw, "catalog_path", ""))
         try:
             with open(catalog_file, encoding="utf-8") as handle:

@@ -6,11 +6,10 @@ its predecessors has a result, with up to a configured cap of nodes in
 flight. Each node buffers its events locally, and a failed node's worker
 decides its repair (classification and replan calls) straight away. The
 single-owner run loop commits buffers, results and repair edits in the
-order a barrier engine running the graph in waves would have used: by
-logical wave (1 + the larger of the predecessors' waves and the wave of the
-repair that last rewired the node), node buffers in node-id order, then
-repairs in node-id order. So the trace is a total order that does not
-depend on scheduling.
+order a barrier engine running the graph in waves would have used. A wave
+is the set of nodes ready on the graph as the last commit left it; it
+commits its node buffers in node-id order, then its repairs in node-id
+order. So the trace is a total order that does not depend on scheduling.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -19,12 +18,10 @@ after which a still-failing node is force-removed.
 
 from __future__ import annotations
 
-import heapq
 import json
 import queue
 import time
 import uuid
-from collections import defaultdict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,7 +39,7 @@ from .agents import (
     DEFAULT_TEMPERATURES,
     plan as plan_task,
 )
-from .fusion import FinalResult, SubtaskResult, fuse_final, fuse_subtask
+from .fusion import FinalResult, fuse_final, fuse_subtask
 from .membership import MembershipLabel, below
 from .rules import DEFAULT_DOMAINS, AllRulesFailed, GlobalRule, construct_rules, run_global_rule, run_rules
 
@@ -211,10 +208,10 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
 def process_node(
     node: g.TaskNode,
     graph: g.TaskGraph,
-    results: Mapping[str, SubtaskResult],
+    results: Mapping[str, str],
     config: RunConfig,
     session: NodeSession,
-) -> SubtaskResult | None:
+) -> str | None:
     """Run the reprocessing loop for one subtask node.
 
     Up to R attempts of construct rules (with deviation feedback after the
@@ -292,7 +289,7 @@ def process_node(
                     "node": node.id,
                     "attempts_used": attempt,
                     "membership": assessment.membership.token,
-                    "answer_text": fused.answer_text,
+                    "answer_text": fused,
                 },
             )
             return fused
@@ -427,7 +424,7 @@ class _Finished:
     """A node worker's output, held until the node's commit slot."""
 
     events: list[tuple[str, dict]]
-    result: SubtaskResult | None = None
+    result: str | None = None
     repair: Repair | None = None
     repair_session: NodeSession | None = None
     error: Exception | None = None  # raised while processing the node or deciding its repair
@@ -436,7 +433,7 @@ class _Finished:
 def _run_node(
     node: g.TaskNode,
     graph: g.TaskGraph,
-    results: Mapping[str, SubtaskResult],
+    results: Mapping[str, str],
     config: RunConfig,
     new_session: Callable[[str], NodeSession],
 ) -> _Finished:
@@ -460,12 +457,15 @@ def _run_node(
 class _Scheduler:
     """Runs the subtask nodes of one graph: dispatch on ready, commit in wave order.
 
-    waiting[n] counts n's predecessors that have no result yet; a node is
-    ready when it reaches zero. Ready nodes start in (wave, id) order while
-    fewer than `concurrency` are in flight. A wave commits once all of its
-    nodes have finished; every node of wave w is known by the time waves
-    before w have committed, because its predecessors and the repairs that
-    rewired it belong to earlier waves.
+    Readiness is read off the graph with g.ready_nodes each time it is
+    needed. Nodes whose predecessors all have results start in id order
+    while fewer than `concurrency` are in flight. The wave is the set of
+    nodes ready on the committed graph: the graph after the last commit's
+    repairs, counting only results of nodes already committed. A wave
+    commits once all of its nodes have finished, and the next wave is read
+    off the graph right after. A node that starts before its wave commits
+    keeps its inputs: only a failed predecessor's repair rewires a node, and
+    each of its predecessors has a result.
     """
 
     def __init__(
@@ -482,37 +482,39 @@ class _Scheduler:
         self.new_session = new_session
         self.pool = pool
         self.used_ids = set(graph.nodes)
-        self.results: dict[str, SubtaskResult] = {}
-        self.waiting: dict[str, int] = {}
-        self.wave: dict[str, int] = {g.ROOT_ID: 0}
-        self.rewired: dict[str, int] = {}  # node -> wave of the last repair that rewired it
-        self.ready: list[tuple[int, str]] = []  # heap of (wave, node id)
-        self.members: dict[int, list[str]] = defaultdict(list)
-        self.unfinished: dict[int, int] = defaultdict(int)
-        self.finished: dict[str, _Finished] = {}
+        self.results: dict[str, str] = {}
+        self.started: set[str] = set()
+        self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
         self.done: queue.SimpleQueue = queue.SimpleQueue()
-        self.commit_wave = 1
 
-    def run(self) -> tuple[g.TaskGraph, dict[str, SubtaskResult]]:
-        for nid in self.graph.subtask_ids():
-            self._recount(nid)
+    def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
+        wave = self._next_wave()
         in_flight = 0
         while True:
-            while self.ready and in_flight < self.config.concurrency:
-                self._start(heapq.heappop(self.ready)[1])
-                in_flight += 1
+            if in_flight < self.config.concurrency:
+                ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID}
+                for nid in sorted(ready)[: self.config.concurrency - in_flight]:
+                    self._start(nid)
+                    in_flight += 1
             if not in_flight:
                 return self.graph, self.results
             nid, done = self.done.get()
             in_flight -= 1
             if isinstance(done, Future):
                 done = done.result()  # _run_node keeps its errors; this re-raises any other
-            self._finish(nid, done)
-            while self.members.get(self.commit_wave) and not self.unfinished[self.commit_wave]:
-                self._commit(self.commit_wave)
-                self.commit_wave += 1
+            self.finished[nid] = done
+            if done.result is not None:
+                self.results[nid] = done.result
+            while wave and wave <= self.finished.keys():
+                self._commit(wave)
+                wave = self._next_wave()
+
+    def _next_wave(self) -> set[str]:
+        committed = self.results.keys() - self.finished.keys()
+        return g.ready_nodes(self.graph, committed) - {g.FUSION_ID}
 
     def _start(self, nid: str) -> None:
+        self.started.add(nid)
         args = (self.graph.node(nid), self.graph, self.results, self.config, self.new_session)
         if self.pool is None:
             self.done.put((nid, _run_node(*args)))
@@ -520,54 +522,18 @@ class _Scheduler:
             future = self.pool.submit(_run_node, *args)
             future.add_done_callback(lambda future: self.done.put((nid, future)))
 
-    def _recount(self, nid: str) -> None:
-        """Count nid's predecessors without a result; at zero, give nid its wave and queue it."""
-        waiting, wave = 0, self.rewired.get(nid, 0)
-        for p in self.graph.predecessors(nid):
-            if p == g.ROOT_ID or p in self.results:
-                wave = max(wave, self.wave[p])
-            else:
-                waiting += 1
-        self.waiting[nid] = waiting
-        if waiting:
-            return
-        wave += 1
-        self.wave[nid] = wave
-        self.members[wave].append(nid)
-        self.unfinished[wave] += 1
-        heapq.heappush(self.ready, (wave, nid))
-
-    def _finish(self, nid: str, done: _Finished) -> None:
-        self.finished[nid] = done
-        self.unfinished[self.wave[nid]] -= 1
-        if done.result is None:
-            return
-        self.results[nid] = done.result
-        for succ in self.graph.successors(nid):
-            if succ != g.FUSION_ID:
-                self.waiting[succ] -= 1
-                if not self.waiting[succ]:
-                    self._recount(succ)
-
-    def _commit(self, wave: int) -> None:
+    def _commit(self, wave: set[str]) -> None:
         """Flush a finished wave's buffers in node-id order, then apply its repairs."""
-        ids = sorted(self.members.pop(wave))
-        done = [self.finished.pop(nid) for nid in ids]
+        done = [self.finished.pop(nid) for nid in sorted(wave)]
         for item in done:
             if item.error is not None:
                 raise item.error
         for item in done:
             self.tracer.flush(item.events)
-        for nid, item in zip(ids, done):
-            if item.result is not None:
-                continue
-            before = self.graph
-            self.graph = apply_repair(item.repair, before, item.repair_session, self.used_ids)
-            self.tracer.flush(item.repair_session.events)
-            new_nodes = self.graph.nodes.keys() - before.nodes.keys()
-            for succ in sorted((before.successors(nid) | new_nodes) - {g.FUSION_ID}):
-                self.rewired[succ] = wave
-                self._recount(succ)
+        for item in done:
+            if item.result is None:
+                self.graph = apply_repair(item.repair, self.graph, item.repair_session, self.used_ids)
+                self.tracer.flush(item.repair_session.events)
         if not self.graph.predecessors(g.FUSION_ID):
             raise AllPathsFailed("every root-to-fusion path failed and was removed")
 
@@ -630,10 +596,10 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
                     graph, config, tracer, partial(new_session, pool=experts), nodes
                 ).run()
 
-        preds = g.predecessor_results(graph, g.FUSION_ID, results)
+        answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
         fusion_session = new_session(g.FUSION_ID)
         try:
-            final = fuse_final(preds, task, session=fusion_session)
+            final = fuse_final(answers, task, session=fusion_session)
         except (ProviderFailure, MalformedResponse) as exc:
             fusion_session.emit("warning", {"reason": "final_fusion_failed", "detail": str(exc)})
             tracer.flush(fusion_session.events)

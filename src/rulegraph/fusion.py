@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import string as _string
 from dataclasses import dataclass
+from typing import Mapping
 
 from .agents import MalformedResponse, NodeSession, ProviderFailure, ResponseViolation
 from .graph import TaskNode
@@ -37,12 +38,6 @@ class SemanticCluster:
     @property
     def min_rule_index(self) -> int:
         return min(m.rule_index for m in self.members)
-
-
-@dataclass(frozen=True)
-class SubtaskResult:
-    subtask_id: str
-    answer_text: str
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ def fuse_subtask(
     mode: str = "lexical",
     session: NodeSession,
     attempt: int = 1,
-) -> SubtaskResult:
+) -> str:
     """Cluster candidates, resolve the conflict and synthesize the subtask answer.
 
     The synthesis call is made only when the winning cluster holds answers
@@ -182,25 +177,26 @@ def fuse_subtask(
             "answer_text": answer,
         },
     )
-    return SubtaskResult(subtask_id=subtask.id, answer_text=answer)
+    return answer
 
 
-def fuse_final(preds: list[object], original_task: str, *, session: NodeSession) -> FinalResult:
-    """One final-variant fusion call combining all predecessor results."""
-    if not preds:
+def fuse_final(
+    answers: Mapping[str, str], original_task: str, *, session: NodeSession
+) -> FinalResult:
+    """One final-variant fusion call combining the answers of the fusion node's predecessors.
+
+    answers maps node id to answer text, in node-id order; its keys are the
+    contributing nodes.
+    """
+    if not answers:
         raise ValueError("final fusion needs at least one predecessor result")
-    listing = "\n".join(
-        f"- {getattr(item, 'answer_text', item)}" for item in preds
-    )
+    listing = "\n".join(f"- {text}" for text in answers.values())
     doc = session.call(
         "fuse_final",
         {"task": original_task, "results": listing},
         extra_check=_check_answer,
     )
-    contributing = tuple(
-        item.subtask_id for item in preds if isinstance(item, SubtaskResult)
-    )
-    return FinalResult(answer_text=doc["answer"], contributing_nodes=contributing)
+    return FinalResult(answer_text=doc["answer"], contributing_nodes=tuple(answers))
 
 
 def _check_answer(doc: dict) -> None:

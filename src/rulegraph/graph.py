@@ -83,9 +83,6 @@ class TaskGraph:
     def successors(self, node_id: str) -> frozenset[str]:
         return self._succs.get(node_id, _NONE)
 
-    def subtask_ids(self) -> list[str]:
-        return sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.SUBTASK)
-
     def to_payload(self) -> dict:
         """Serialized node/edge lists with canonical field names, stable order."""
         return {
@@ -108,27 +105,22 @@ class TaskGraph:
         return graph
 
 
-def topological_order(ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Kahn's algorithm; returns None when the edge set contains a cycle."""
-    ids = list(ids)
-    indegree = {i: 0 for i in ids}
-    succs: dict[str, list[str]] = {i: [] for i in ids}
+def _acyclic(ids: Iterable[str], edges: Iterable[Sequence[str]]) -> bool:
+    """Kahn's algorithm without ordering: true when every node can be peeled off."""
+    indegree = dict.fromkeys(ids, 0)
+    succs: dict[str, list[str]] = {}
     for a, b in edges:
-        succs[a].append(b)
+        succs.setdefault(a, []).append(b)
         indegree[b] += 1
-    frontier = sorted(i for i, d in indegree.items() if d == 0)
-    order: list[str] = []
+    frontier = [i for i, d in indegree.items() if not d]
+    peeled = 0
     while frontier:
-        current = frontier.pop(0)
-        order.append(current)
-        for nxt in sorted(succs[current]):
+        peeled += 1
+        for nxt in succs.get(frontier.pop(), ()):
             indegree[nxt] -= 1
-            if indegree[nxt] == 0:
+            if not indegree[nxt]:
                 frontier.append(nxt)
-        frontier.sort()
-    if len(order) != len(ids):
-        return None
-    return order
+    return peeled == len(indegree)
 
 
 def validate(graph: TaskGraph) -> None:
@@ -150,7 +142,7 @@ def validate(graph: TaskGraph) -> None:
         raise GraphError("original node must have in-degree 0")
     if graph.successors(fusion.id):
         raise GraphError("fusion node must have out-degree 0")
-    if topological_order(graph.nodes.keys(), graph.edges) is None:
+    if not _acyclic(graph.nodes, graph.edges):
         raise GraphError("graph contains a cycle")
 
     reachable_from_root = _reach(graph, root.id, forward=True)
@@ -191,7 +183,7 @@ def plan_error(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> GraphError
     for a, b in edges:
         if a not in known or b not in known:
             return GraphError(f"edge ({a}, {b}) references an unknown subtask")
-    if topological_order(ids, edges) is None:
+    if not _acyclic(ids, edges):
         return GraphError("dependency edges contain a cycle")
     return None
 
@@ -229,24 +221,23 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
     return graph
 
 
-def ready_nodes(graph: TaskGraph, completed: set[str]) -> set[str]:
+def ready_nodes(graph: TaskGraph, completed: Iterable[str]) -> set[str]:
     """Not-yet-completed subtask/fusion nodes whose predecessors are all done.
 
     The original node counts as completed from run start.
     """
-    done = set(completed) | {ROOT_ID}
-    ready = set()
-    for node_id, node in graph.nodes.items():
-        if node.kind is NodeKind.ORIGINAL or node_id in done:
-            continue
-        if graph.predecessors(node_id) <= done:
-            ready.add(node_id)
-    return ready
+    done = {ROOT_ID, *completed}
+    preds = graph.predecessors
+    return {
+        node_id
+        for node_id, node in graph.nodes.items()
+        if node_id not in done and node.kind is not NodeKind.ORIGINAL and preds(node_id) <= done
+    }
 
 
 def predecessor_results(
-    graph: TaskGraph, node_id: str, results: Mapping[str, object]
-) -> list[object]:
+    graph: TaskGraph, node_id: str, results: Mapping[str, str]
+) -> list[str]:
     """Results of a node's predecessors, ordered by node id.
 
     The original node contributes its task statement; every other

@@ -143,7 +143,7 @@ def construct_rules(
 def run_rules(
     ruleset: RuleSet,
     input_text: str,
-    preds: list[object],
+    preds: list[str],
     *,
     session: NodeSession,
 ) -> list[CandidateResult]:
@@ -194,7 +194,7 @@ def run_rules(
 
 def run_global_rule(
     global_rule: GlobalRule,
-    fused: object,
+    fused: str,
     *,
     session: NodeSession,
 ) -> GlobalAssessment:
@@ -203,8 +203,7 @@ def run_global_rule(
     Returns the goal membership of the result and, whenever that membership
     is below the rule's threshold, a non-empty description of the deviation.
     """
-    result_text = getattr(fused, "answer_text", fused)
-    if not result_text:
+    if not fused:
         raise ValueError("fused result must be non-empty")
 
     def check(doc: dict) -> None:
@@ -219,7 +218,7 @@ def run_global_rule(
         "assess",
         {
             "goal": global_rule.goal,
-            "result": result_text,
+            "result": fused,
             "threshold": global_rule.threshold.token,
         },
         extra_check=check,

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 from collections import Counter
 
 from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
-from rulegraph.graph import ROOT_ID, TaskGraph, build_graph, validate
+from rulegraph.graph import ROOT_ID, NodeKind, TaskGraph, build_graph, validate
 from rulegraph.rules import DEFAULT_DOMAINS
 
 
@@ -94,6 +95,10 @@ def random_plan(rng: random.Random, max_subtasks: int = 10) -> PlannerPlan:
     return make_plan([(sid, f"do {sid}") for sid in ids], edges)
 
 
+def subtask_ids(graph: TaskGraph) -> list[str]:
+    return sorted(n for n, node in graph.nodes.items() if node.kind is NodeKind.SUBTASK)
+
+
 def random_graph(rng: random.Random, max_subtasks: int = 10) -> TaskGraph:
     graph = build_graph(random_plan(rng, max_subtasks))
     validate(graph)
@@ -145,3 +150,62 @@ class WorstCaseProvider:
         if "Group the candidate" in prompt:
             return assignments_response(["one cluster"] * self.k)
         return fusion_answer("a consolidated answer")
+
+
+class FateProvider:
+    """Answers every role from the request alone, by each node's seeded fate.
+
+    A node's fate comes from random.Random(f"{seed}/{node}"): pass at
+    attempt 1, 2 or 3; fail every attempt and be removed as irrelevant; or
+    fail every attempt and be spliced into a chain of 1-3 nodes, some of
+    whose planner ids collide with the plan's. A fifth of the nodes answer
+    their second expert call with prose, which costs one re-ask. With
+    jitter, each call sleeps 0-0.3 ms keyed by its context key, so
+    completions reorder under concurrency.
+    """
+
+    scripted = True
+
+    def __init__(self, seed: int, jitter: bool = False):
+        self.seed = seed
+        self.jitter = jitter
+        self.plan = random_plan(random.Random(seed), 8)
+
+    def fate(self, node: str) -> tuple[str, int, bool]:
+        """(fate, pass attempt or chain length, second expert call malformed)."""
+        rng = random.Random(f"{self.seed}/{node}")
+        roll, count, malformed = rng.random(), rng.randint(1, 3), rng.random() < 0.2
+        fate = "pass" if roll < 0.6 else "remove" if roll < 0.8 else "splice"
+        return fate, count, malformed
+
+    def complete(self, request):
+        if self.jitter:
+            time.sleep(random.Random(f"{self.seed}/{request.context_key}").random() * 0.0003)
+        _, node, _, attempt = request.context_key
+        text = self._answer(request.role_kind, node, attempt, request.rendered_prompt)
+        return ProviderResponse(raw_text=text, token_usage={"prompt_tokens": 0, "completion_tokens": 0})
+
+    def _answer(self, role: RoleKind, node: str, attempt: int, prompt: str) -> str:
+        if node == ROOT_ID:
+            return plan_response("a goal", list(self.plan.subtasks), list(self.plan.edges))
+        if role is RoleKind.FEA:
+            return fusion_answer("the combined answer")
+        fate, count, malformed = self.fate(node)
+        if role is RoleKind.DAA:
+            return ruleset_response([("History", "H"), ("Science", "M"), ("Law", "ML")])
+        if role is RoleKind.DEA:
+            if malformed and attempt == 2:
+                return "no document here"
+            return candidate_response(f"{node} is done")
+        if role is RoleKind.GEA:
+            if fate == "pass" and attempt >= count:
+                return assessment_response("H")
+            return assessment_response("L", f"{node} is off goal")
+        if "Decide why" in prompt:
+            return classification_response("irrelevant" if fate == "remove" else "too_complex")
+        ids = [f"c{i}" for i in range(1, count + 1)]
+        if random.Random(f"{self.seed}/{node}/chain").random() < 0.3:
+            ids[0] = "n01"  # taken by the plan, so the engine renames the chain
+        return plan_response(
+            "a sub-goal", [(sid, f"{node} step {sid}") for sid in ids], list(zip(ids, ids[1:]))
+        )

@@ -6,13 +6,23 @@ and callers must keep looking it up there.
 """
 
 import importlib.util
+import io
 import os
 
 import pytest
 
+import rulegraph.bench as bench
 import rulegraph.engine as engine
-from helpers import assessment_response, candidate_response, fusion_answer, plan_response, ruleset_response
+from helpers import (
+    FateProvider,
+    assessment_response,
+    candidate_response,
+    fusion_answer,
+    plan_response,
+    ruleset_response,
+)
 from rulegraph.agents import MockProvider
+from rulegraph.cli import load_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -50,3 +60,22 @@ def test_each_provider_call_is_one_parse_span():
     assert outcome.provider_calls == 8
     assert names.count("agents.parse_structured") == 8
     assert names.count("graph.build_graph") == 1 and names.count("engine.execute_task") == 1
+
+
+def test_every_wrapped_name_is_reached():
+    # A wrapped name the package never calls would make its per-layer metric read 0.
+    recorder = tracing.Recorder(concurrency=1)
+    recorder.install()
+    try:
+        # seed 11's fates remove one node and splice another
+        outcome = engine.execute_task("t", engine.RunConfig(provider=FateProvider(11), deterministic=True))
+        engine.write_trace(outcome, io.StringIO())
+        config = load_config(os.path.join(REPO, "fixtures", "config.bench.json"))
+        dataset = bench.load_dataset(os.path.join(REPO, "fixtures", "trivia5.jsonl"))
+        bench.run_benchmark(dataset, config)
+    finally:
+        recorder.uninstall()
+    kinds = {event.kind for event in outcome.trace}
+    assert {"node_removed", "node_spliced"} <= kinds
+    reached = {span[2] for span in recorder.spans}
+    assert {name for _, _, name in tracing.WRAPPED} - reached == set()

@@ -180,6 +180,20 @@ def test_empty_catalog_exits_3(catalog, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["validate-config", "run"])
+def test_domains_and_catalog_path_together_exit_3(verb, tmp_path, capsys):
+    config = {
+        "provider": {"type": "mock", "script": MOCK_SCRIPT},
+        "domains": ["History", "Biology", "Law"],
+        "catalog_path": "no-such-file.txt",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "domains and catalog_path" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
 def test_repeated_catalog_domains_exit_3(verb, tmp_path, capsys):
     # k_rules = 3 needs three distinct domains; this catalog names only two.
     config = {"provider": {"type": "mock", "script": MOCK_SCRIPT}, "domains": ["History", "History", "Biology"]}

@@ -7,7 +7,6 @@ from rulegraph.agents import AttemptLedger, MockProvider, NodeSession, ProviderR
 from rulegraph.fusion import (
     FinalResult,
     SemanticCluster,
-    SubtaskResult,
     cluster_candidates,
     fuse_final,
     fuse_subtask,
@@ -177,7 +176,7 @@ class TestFuseSubtask:
     def test_conflict_resolved_to_majority_answer(self):
         session = session_for(MockProvider({}))
         result = fuse_subtask(movie_candidates(), T1, session=session)
-        assert result.answer_text == MOVIE_A
+        assert result == MOVIE_A
         assert winning_cluster(session)["votes"] == 2
         fusion_events = [p for kind, p in session.events if kind == "fusion"]
         assert len(fusion_events) == 1
@@ -188,21 +187,21 @@ class TestFuseSubtask:
     def test_single_candidate_verbatim(self):
         session = session_for(MockProvider({}))
         result = fuse_subtask([cand(1, L, "only answer")], T1, session=session)
-        assert result.answer_text == "only answer"
+        assert result == "only answer"
 
     def test_unanimity(self):
         session = session_for(MockProvider({}))
         cands = [cand(i, M, "same thing") for i in (1, 2, 3)]
         result = fuse_subtask(cands, T1, session=session)
         assert winning_cluster(session)["votes"] == 3
-        assert result.answer_text == "same thing"
+        assert result == "same thing"
 
     def test_mock_answer_is_strongest_member(self):
         # members rule1 (ML) and rule3 (H) agree; the H member's wording wins
         cands = [cand(1, ML, "the answer"), cand(2, M, "other"), cand(3, H, "THE ANSWER")]
         session = session_for(MockProvider({}))
         result = fuse_subtask(cands, T1, session=session)
-        assert result.answer_text == "THE ANSWER"
+        assert result == "THE ANSWER"
 
     def test_model_mode_synthesizes_from_winning_cluster(self):
         # The fusion expert groups two wordings of one answer, so the winner mixes them.
@@ -216,7 +215,7 @@ class TestFuseSubtask:
         )
         session = session_for(provider)
         result = fuse_subtask(cands, T1, mode="model", session=session)
-        assert result.answer_text == "a consolidated answer"
+        assert result == "a consolidated answer"
         assert winning_cluster(session)["key"] == "dinner"
         assert [p["context"]["attempt"] for kind, p in session.events if kind == "provider_call"] == [1, 2]
 
@@ -226,29 +225,24 @@ class TestFuseSubtask:
         cands = [cand(1, ML, "the answer"), cand(2, M, "other"), cand(3, H, "THE ANSWER!")]
         session = session_for(stub)
         result = fuse_subtask(cands, T1, session=session)
-        assert result.answer_text == "THE ANSWER!"
+        assert result == "THE ANSWER!"
         assert winning_cluster(session)["votes"] == 2
         assert stub.calls == 0
 
 
 class TestFuseFinal:
-    def sub_result(self, node_id, text):
-        return SubtaskResult(node_id, text)
-
     def test_combines_all_predecessors(self):
         provider = MockProvider({("run-0", "F", "FEA", 1): fusion_answer("the reply email")})
         session = session_for(provider, node_id="F")
-        preds = [self.sub_result(f"T{i}", f"section {i}") for i in range(1, 5)]
-        final = fuse_final(preds, "reply to the editor", session=session)
+        answers = {f"T{i}": f"section {i}" for i in range(1, 5)}
+        final = fuse_final(answers, "reply to the editor", session=session)
         assert isinstance(final, FinalResult)
         assert final.answer_text == "the reply email"
         assert final.contributing_nodes == ("T1", "T2", "T3", "T4")
 
     def test_single_predecessor(self):
         provider = MockProvider({("FEA", 1): fusion_answer("restated")})
-        final = fuse_final(
-            [self.sub_result("T1", "only part")], "task", session=session_for(provider, "F")
-        )
+        final = fuse_final({"T1": "only part"}, "task", session=session_for(provider, "F"))
         assert final.answer_text == "restated"
 
     def test_deterministic_across_runs(self):
@@ -256,11 +250,10 @@ class TestFuseFinal:
 
         def once():
             session = session_for(MockProvider(script), node_id="F")
-            preds = [self.sub_result("T1", "a"), self.sub_result("T2", "b")]
-            return fuse_final(preds, "task", session=session)
+            return fuse_final({"T1": "a", "T2": "b"}, "task", session=session)
 
         assert once() == once()
 
     def test_empty_preds_rejected(self):
         with pytest.raises(ValueError):
-            fuse_final([], "task", session=session_for(MockProvider({}), "F"))
+            fuse_final({}, "task", session=session_for(MockProvider({}), "F"))

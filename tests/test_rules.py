@@ -234,9 +234,7 @@ class TestRunRules:
 
 class TestGlobalRule:
     def fused(self, text="a plain first-pass answer"):
-        from rulegraph.fusion import SubtaskResult
-
-        return SubtaskResult("T1", text)
+        return text
 
     def test_low_assessment_carries_diff(self):
         provider = MockProvider({("GEA", 1): assessment_response("L", "misses the career focus")})

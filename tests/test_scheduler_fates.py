@@ -1,0 +1,76 @@
+"""Seeded scheduler property: random plans with seeded node fates give one trace at any concurrency.
+
+Each scenario is a random plan of up to 8 subtasks run under FateProvider,
+so nodes pass late, get removed or get spliced (some chains renamed), and
+some expert calls need a re-ask. GOLDEN pins the SHA-256 over all scenario
+traces, so the commit order is fixed for inputs well beyond the benchmark
+workloads.
+"""
+
+import functools
+import hashlib
+import io
+
+import pytest
+
+from helpers import FateProvider
+from rulegraph.engine import AllPathsFailed, RunConfig, call_budget, execute_task, write_trace_events
+from rulegraph.graph import TaskGraph, validate
+
+SEEDS = range(30)
+GOLDEN = "a5cde5a2f1228997a0dc7c5ceb561fc88d8ebf4011666a7a097534ac3a38f8e2"
+
+
+@functools.lru_cache(maxsize=None)
+def run(seed, concurrency, jitter=False):
+    """(outcome name, trace bytes, trace events) of one scenario; each is run once."""
+    config = RunConfig(
+        provider=FateProvider(seed, jitter), deterministic=True, concurrency=concurrency
+    )
+    try:
+        outcome = execute_task("the original task", config)
+    except AllPathsFailed as exc:
+        name, events = "AllPathsFailed", exc.trace
+    else:
+        name, events = "RunOutcome", outcome.trace
+    sink = io.StringIO()
+    write_trace_events(events, sink)
+    return name, sink.getvalue(), events
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trace_is_schedule_independent_and_bounded(seed):
+    name, text, events = run(seed, 1)
+    assert run(seed, 2)[1] == text
+    assert run(seed, 8, jitter=True)[1] == text
+
+    calls = [e.payload["context"] for e in events if e.kind == "provider_call"]
+    keys = [tuple(c.values()) for c in calls]
+    assert len(keys) == len(set(keys))
+    n_subtasks = len(FateProvider(seed).plan.subtasks)
+    assert len(calls) <= call_budget(RunConfig(provider=None), n_subtasks)
+    for event in events:
+        if event.kind in ("plan", "final"):
+            validate(TaskGraph.from_payload(event.payload["graph"]))
+    assert name == "RunOutcome" or not any(e.kind == "final" for e in events)
+
+
+def test_fates_cover_removal_splice_rename_and_failed_runs():
+    traces = [run(seed, 1) for seed in SEEDS]
+    kinds = {e.kind for _, _, events in traces for e in events}
+    assert {"node_removed", "node_spliced", "reprocess"} <= kinds
+    chains = [
+        sid for _, _, events in traces for e in events if e.kind == "node_spliced"
+        for sid in e.payload["chain"]
+    ]
+    assert any("." in sid for sid in chains)  # a renamed chain id
+    names = {name for name, _, _ in traces}
+    assert names == {"RunOutcome", "AllPathsFailed"}
+
+
+def test_golden_hash_over_all_scenario_traces():
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        name, text, _ = run(seed, 1)
+        digest.update(f"{seed} {name}\n{text}".encode())
+    assert digest.hexdigest() == GOLDEN
