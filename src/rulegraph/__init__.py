@@ -44,7 +44,7 @@ from .graph import (
     remove_node,
     splice_chain,
 )
-from .membership import MembershipLabel, UnrecognizedLabel, below, parse_label
+from .membership import MembershipLabel, UnrecognizedLabel, parse_label
 from .rules import (
     CandidateResult,
     DomainRule,

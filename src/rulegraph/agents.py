@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import string
-import threading
 import time
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
@@ -468,40 +467,27 @@ class LiveProvider:
 # call context and the node session
 
 
-class AttemptLedger:
-    """Monotonic attempt numbers per (node id, role kind) within one run."""
-
-    def __init__(self) -> None:
-        self._counts: dict[tuple[str, str], int] = {}
-        self._lock = threading.Lock()
-
-    def next(self, node_id: str, role: RoleKind, count: int = 1) -> int:
-        """Take the next `count` numbers at once; returns the first of them."""
-        with self._lock:
-            key = (node_id, role.value)
-            first = self._counts.get(key, 0) + 1
-            self._counts[key] = first + count - 1
-            return first
-
-
 @dataclass
 class NodeSession:
     """Provider access bound to one node of one run.
 
     Buffers trace events locally; the engine flushes buffers in a
     deterministic order so concurrent node processing cannot reorder the
-    trace. Each response is validated against its role's schema; a
-    malformed one is re-asked up to REASK_LIMIT times with the violation
-    appended to the prompt, each re-ask under a fresh attempt number.
+    trace. The session numbers its calls' attempts per role (_attempts
+    holds the last number taken), and the engine opens one session per node
+    id and run, so every context key is unique. Each response is validated
+    against its role's schema; a malformed one is re-asked up to
+    REASK_LIMIT times with the violation appended to the prompt, each
+    re-ask under a fresh attempt number.
     """
 
     run_id: str
     node_id: str
     provider: object
-    ledger: AttemptLedger
     temperatures: Mapping[RoleKind, float] = field(default_factory=lambda: DEFAULT_TEMPERATURES)
     events: list[tuple[str, dict]] = field(default_factory=list)
     pool: Executor | None = None
+    _attempts: dict[RoleKind, int] = field(default_factory=dict, init=False, repr=False)
 
     def emit(self, kind: str, payload: dict) -> None:
         self.events.append((kind, payload))
@@ -540,7 +526,8 @@ class NodeSession:
         """
         role = ROLES[template_key]
         calls = [(render_prompt(role, slots), []) for slots in slot_list]  # (prompt, events)
-        first = self.ledger.next(self.node_id, role.kind, len(calls))
+        first = self._attempts.get(role.kind, 0) + 1
+        self._attempts[role.kind] = first + len(calls) - 1
 
         def first_try(i: int) -> tuple[dict | ProviderFailure | None, str | None]:
             prompt, events = calls[i]
@@ -558,7 +545,7 @@ class NodeSession:
             for _ in range(REASK_LIMIT):
                 if outcome is not None:
                     break
-                attempt = self.ledger.next(self.node_id, role.kind)
+                attempt = self._attempts[role.kind] = self._attempts[role.kind] + 1
                 outcome, violation = self._ask(
                     role, prompt, attempt, violation, extra_check, events
                 )
@@ -582,8 +569,7 @@ class NodeSession:
 
         Returns (document, None) for a valid response, (the ProviderFailure,
         its text) when the provider failed, else (None, the violation to
-        re-ask with). A previous violation is appended to the prompt. A
-        script miss is logged, then raised.
+        re-ask with). A previous violation is appended to the prompt.
         """
         if violation:
             prompt += (
@@ -594,7 +580,7 @@ class NodeSession:
         request = ProviderRequest(
             role_kind=role.kind,
             rendered_prompt=prompt,
-            temperature=self.temperatures.get(role.kind, 0.0),
+            temperature=self.temperatures[role.kind],
             context_key=(self.run_id, self.node_id, kind, attempt),
         )
         response = outcome = error = None
@@ -604,8 +590,6 @@ class NodeSession:
             if extra_check is not None:
                 extra_check(outcome)
             status = "ok"
-        except ScriptMiss as exc:
-            status, outcome = "script_miss", exc
         except ProviderFailure as exc:
             status, outcome, error = "transport_error", exc, str(exc)
         except (ParseError, ResponseViolation) as exc:
@@ -621,8 +605,6 @@ class NodeSession:
         if error:
             payload["error"] = error
         events.append(("provider_call", payload))
-        if isinstance(outcome, ScriptMiss):
-            raise outcome
         return outcome, error
 
 

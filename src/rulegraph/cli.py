@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .agents import DEFAULT_TEMPERATURES, LiveProvider, MockProvider, RoleKind, ScriptMiss
+from .agents import LiveProvider, MockProvider, RoleKind, ScriptMiss
 from .bench import DatasetError, load_dataset, render_table, report_to_json, run_benchmark
 from .engine import (
     AllPathsFailed,
@@ -114,7 +114,7 @@ def load_config(path: str) -> RunConfig:
     ):
         raise ConfigError("domains must be a list of non-empty strings")
 
-    temperatures = dict(DEFAULT_TEMPERATURES)
+    temperatures = {}
     given = _typed(raw, "temperatures", {})
     for name in given:
         try:
@@ -127,15 +127,13 @@ def load_config(path: str) -> RunConfig:
     except UnrecognizedLabel as exc:
         raise ConfigError(f"bad threshold: {exc}") from exc
 
-    config = RunConfig(
+    return RunConfig(
         provider=provider,
         threshold=threshold,
         domains=DEFAULT_DOMAINS if domains is None else tuple(domains),
         temperatures=temperatures,
         **{name: _typed(raw, name, default) for name, default in _SCALAR_FIELDS.items()},
     )
-    config.validate()
-    return config
 
 
 def _build_provider(spec: dict, base_dir: str):
@@ -215,7 +213,6 @@ def _cmd_run(args) -> int:
         config = load_config(args.config)
         if args.deterministic:
             config = replace(config, deterministic=True)
-            config.validate()
         task = _read_task(args.task)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -248,7 +245,6 @@ def _cmd_bench(args) -> int:
         config = load_config(args.config)
         if args.deterministic:
             config = replace(config, deterministic=True)
-            config.validate()
         dataset = load_dataset(args.dataset)
     except (ConfigError, DatasetError, OSError, UnicodeDecodeError) as exc:
         print(f"bench setup error: {exc}", file=sys.stderr)
@@ -277,19 +273,16 @@ def _cmd_export_dot(args) -> int:
         with open(args.trace, encoding="utf-8") as handle:
             events = [json.loads(line) for line in handle if line.strip()]
         graph_payload = None
-        goal = ""
         memberships: dict[str, str] = {}
         for event in events:
             if event["kind"] in ("plan", "final"):
                 graph_payload = event["payload"]["graph"]
-            if event["kind"] == "plan":
-                goal = event["payload"]["goal"]
             if event["kind"] == "node_done":
                 memberships[event["payload"]["node"]] = event["payload"]["membership"]
         if graph_payload is None:
             print("trace contains no graph snapshot", file=sys.stderr)
             return EXIT_CONFIG
-        graph = TaskGraph.from_payload(graph_payload, global_goal=goal or "-")
+        graph = TaskGraph.from_payload(graph_payload)
         labels = {node: parse_label(token) for node, token in memberships.items() if node in graph.nodes}
     except (OSError, ValueError, LookupError, TypeError, GraphError) as exc:
         # a decode or JSON error is a ValueError; a record of the wrong shape, a

@@ -18,6 +18,7 @@ after which a still-failing node is force-removed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import queue
 import time
@@ -30,7 +31,6 @@ from typing import IO, Callable, Mapping
 from . import graph as g
 from .agents import (
     REASK_LIMIT,
-    AttemptLedger,
     MalformedResponse,
     NodeSession,
     PlannerPlan,
@@ -40,7 +40,7 @@ from .agents import (
     plan as plan_task,
 )
 from .fusion import FinalResult, fuse_final, fuse_subtask
-from .membership import MembershipLabel, below
+from .membership import MembershipLabel
 from .rules import DEFAULT_DOMAINS, AllRulesFailed, GlobalRule, construct_rules, run_global_rule, run_rules
 
 DETERMINISTIC_RUN_ID = "run-0"
@@ -80,7 +80,9 @@ class RunConfig:
 
     provider must expose complete(request) and a scripted flag, true when it
     replays a fixed script; deterministic mode requires that flag, fixes the
-    run id and drops timestamps so traces are byte-stable.
+    run id and drops timestamps so traces are byte-stable. A config is
+    validated when built, dataclasses.replace included, and temperatures
+    given for some roles keep the defaults of the others.
     """
 
     provider: object
@@ -93,7 +95,11 @@ class RunConfig:
     concurrency: int = 1
     deterministic: bool = False
     domains: tuple[str, ...] = DEFAULT_DOMAINS
-    temperatures: Mapping[RoleKind, float] = field(default_factory=lambda: dict(DEFAULT_TEMPERATURES))
+    temperatures: Mapping[RoleKind, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "temperatures", {**DEFAULT_TEMPERATURES, **self.temperatures})
+        self.validate()
 
     def validate(self) -> None:
         if self.k_rules < 1:
@@ -282,7 +288,7 @@ def process_node(
             )
             continue
 
-        if not below(assessment.membership, config.threshold):
+        if assessment.passed:
             session.emit(
                 "node_done",
                 {
@@ -393,7 +399,8 @@ def apply_repair(
     """Edit the graph for a decided repair and emit node_removed or node_spliced.
 
     Chain ids are the planner's when fresh in this run, else prefixed with
-    the failed node's id, else numbered under it; used_ids records them.
+    the failed node's id, else the first fresh ids numbered under it;
+    used_ids records them. So no two nodes of a run share an id.
     """
     node = repair.node
     if not repair.chain:
@@ -405,7 +412,8 @@ def apply_repair(
     if any(sid in used_ids for sid in ids):
         ids = [f"{node.id}.{sid}" for sid in ids]
     if any(sid in used_ids for sid in ids):
-        ids = [f"{node.id}.{i}" for i in range(1, len(ids) + 1)]
+        numbered = (f"{node.id}.{i}" for i in itertools.count(1))
+        ids = list(itertools.islice((sid for sid in numbered if sid not in used_ids), len(ids)))
 
     chain = [
         g.TaskNode(new_id, g.NodeKind.SUBTASK, statement)
@@ -421,12 +429,15 @@ def apply_repair(
 
 @dataclass
 class _Finished:
-    """A node worker's output, held until the node's commit slot."""
+    """A node worker's output, held until the node's commit slot.
 
+    A failed node's session buffers its repair events apart from `events`.
+    """
+
+    session: NodeSession
     events: list[tuple[str, dict]]
     result: str | None = None
     repair: Repair | None = None
-    repair_session: NodeSession | None = None
     error: Exception | None = None  # raised while processing the node or deciding its repair
 
 
@@ -443,12 +454,12 @@ def _run_node(
     at the node's commit slot.
     """
     session = new_session(node.id)
-    done = _Finished(session.events)
+    done = _Finished(session, session.events)
     try:
         done.result = process_node(node, graph, results, config, session)
         if done.result is None:
-            done.repair_session = new_session(node.id)
-            done.repair = handle_failure(node, graph, config, done.repair_session)
+            session.events = []
+            done.repair = handle_failure(node, graph, config, session)
     except Exception as exc:
         done.error = exc
     return done
@@ -532,8 +543,8 @@ class _Scheduler:
             self.tracer.flush(item.events)
         for item in done:
             if item.result is None:
-                self.graph = apply_repair(item.repair, self.graph, item.repair_session, self.used_ids)
-                self.tracer.flush(item.repair_session.events)
+                self.graph = apply_repair(item.repair, self.graph, item.session, self.used_ids)
+                self.tracer.flush(item.session.events)
         if not self.graph.predecessors(g.FUSION_ID):
             raise AllPathsFailed("every root-to-fusion path failed and was removed")
 
@@ -546,19 +557,16 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     """
     tracer = _Tracer(deterministic=config.deterministic)
     try:
-        config.validate()
         if not task or not task.strip():
             raise ConfigError("task must be non-empty")
         if run_id is None:
             run_id = DETERMINISTIC_RUN_ID if config.deterministic else uuid.uuid4().hex[:12]
-        ledger = AttemptLedger()
 
         def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
             return NodeSession(
                 run_id=run_id,
                 node_id=node_id,
                 provider=config.provider,
-                ledger=ledger,
                 temperatures=config.temperatures,
                 pool=pool,
             )

@@ -109,23 +109,20 @@ def _rank_key(cluster: SemanticCluster) -> tuple:
     return (-cluster.votes, -cluster.max_membership.value, cluster.min_rule_index, cluster.key)
 
 
-def resolve_conflict(clusters: list[SemanticCluster]) -> SemanticCluster:
-    """Pick the winning cluster: most votes, then highest membership, then lowest rule index."""
+def resolve_conflict(clusters: list[SemanticCluster]) -> tuple[SemanticCluster, str]:
+    """Rank the clusters once: the winner, and the layer that beat the runner-up.
+
+    Layers: most votes, then highest membership, then lowest rule index; a
+    lone cluster wins by votes.
+    """
     if not clusters:
         raise ValueError("clusters must be non-empty")
-    return min(clusters, key=_rank_key)
-
-
-def resolution_layer(clusters: list[SemanticCluster]) -> str:
-    """Which layer separated the winner from the runner-up: votes, membership or index."""
-    if len(clusters) < 2:
-        return "votes"
-    first, second = sorted(clusters, key=_rank_key)[:2]
-    if first.votes != second.votes:
-        return "votes"
-    if first.max_membership != second.max_membership:
-        return "membership"
-    return "index"
+    first, *rest = sorted(clusters, key=_rank_key)
+    if not rest or first.votes != rest[0].votes:
+        return first, "votes"
+    if first.max_membership != rest[0].max_membership:
+        return first, "membership"
+    return first, "index"
 
 
 def fuse_subtask(
@@ -143,9 +140,8 @@ def fuse_subtask(
     otherwise the cluster's strongest member is the answer, verbatim.
     """
     clusters = cluster_candidates(candidates, mode, session)
-    winner = resolve_conflict(clusters)
-    layer = resolution_layer(clusters)
-    best = sorted(winner.members, key=lambda c: (-c.membership.value, c.rule_index))[0]
+    winner, layer = resolve_conflict(clusters)
+    best = min(winner.members, key=lambda c: (-c.membership.value, c.rule_index))
 
     if len({lexical_key(m.answer_text) for m in winner.members}) == 1:
         answer = best.answer_text

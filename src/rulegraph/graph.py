@@ -94,13 +94,13 @@ class TaskGraph:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping, global_goal: str = "") -> "TaskGraph":
+    def from_payload(cls, payload: Mapping) -> "TaskGraph":
         nodes = {
             n["id"]: TaskNode(n["id"], NodeKind(n["kind"]), n["statement"], n.get("depth", 0))
             for n in payload["nodes"]
         }
         edges = frozenset((a, b) for a, b in payload["edges"])
-        graph = cls(nodes=nodes, edges=edges, global_goal=global_goal)
+        graph = cls(nodes=nodes, edges=edges, global_goal="")
         validate(graph)
         return graph
 

@@ -87,8 +87,3 @@ def parse_label(text: str) -> MembershipLabel:
         return _ALIASES[key]
     except KeyError:
         raise UnrecognizedLabel(f"unknown membership token: {text!r}") from None
-
-
-def below(label: MembershipLabel, threshold: MembershipLabel) -> bool:
-    """True iff label is strictly lower than threshold (equal is not below)."""
-    return label < threshold

@@ -80,6 +80,7 @@ class CandidateResult:
 class GlobalAssessment:
     membership: MembershipLabel
     diff_text: str
+    passed: bool  # membership meets the threshold; equal passes
 
 
 def construct_rules(
@@ -200,8 +201,9 @@ def run_global_rule(
 ) -> GlobalAssessment:
     """Gate a fused result against the global goal.
 
-    Returns the goal membership of the result and, whenever that membership
-    is below the rule's threshold, a non-empty description of the deviation.
+    Returns the goal membership of the result and the verdict: the result
+    passes when its membership is at least the rule's threshold, and a
+    failing one comes with a non-empty description of the deviation.
     """
     if not fused:
         raise ValueError("fused result must be non-empty")
@@ -223,7 +225,9 @@ def run_global_rule(
         },
         extra_check=check,
     )
+    membership = parse_label(doc["membership"])
     return GlobalAssessment(
-        membership=parse_label(doc["membership"]),
+        membership=membership,
         diff_text=doc.get("diff_text", "") or "",
+        passed=membership >= global_rule.threshold,
     )

@@ -152,7 +152,7 @@ def test_criterion_4_two_layer_conflict_resolution():
         indices = sorted(m.rule_index for c in clusters for m in c.members)
         assert indices == list(range(1, n + 1))
 
-        winner = resolve_conflict(clusters)
+        winner, _ = resolve_conflict(clusters)
         top_votes = max(c.votes for c in clusters)
         assert winner.votes == top_votes
         tied = [c for c in clusters if c.votes == top_votes]
@@ -168,7 +168,7 @@ def test_criterion_4_two_layer_conflict_resolution():
             permuted = [
                 CandidateResult(i + 1, "Domain", labels[i], texts[i]) for i in range(n)
             ]
-            assert resolve_conflict(cluster_candidates(permuted, "lexical")).key == winner.key
+            assert resolve_conflict(cluster_candidates(permuted, "lexical"))[0].key == winner.key
     watch.check("4 conflict-resolution")
 
 

@@ -17,7 +17,6 @@ from helpers import (
     ruleset_response,
 )
 from rulegraph.agents import (
-    AttemptLedger,
     LiveProvider,
     MalformedResponse,
     MockProvider,
@@ -53,7 +52,6 @@ def make_session(script, node_id="T", run_id="run-0"):
         run_id=run_id,
         node_id=node_id,
         provider=MockProvider(script),
-        ledger=AttemptLedger(),
     )
 
 
@@ -362,9 +360,7 @@ class TestNodeSession:
                 prompts.append(request.rendered_prompt)
                 return super().complete(request)
 
-        session = NodeSession(
-            run_id="run-0", node_id="T1", provider=Recorder(script), ledger=AttemptLedger()
-        )
+        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
         doc = session.call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
@@ -427,7 +423,6 @@ class TestNodeSession:
             run_id="run-0",
             node_id="T1",
             provider=FailsOnReask({("DEA", 1): "not json"}),
-            ledger=AttemptLedger(),
         )
         with pytest.raises(TransportError, match="outage on re-ask"):
             session.call("execute", SLOTS["execute"])
@@ -447,7 +442,7 @@ class TestNodeSession:
         provider = LiveProvider(
             base_url="http://example.test/v1", model="m", api_key="k", transport=lambda *args: body
         )
-        session = NodeSession(run_id="run-0", node_id="T1", provider=provider, ledger=AttemptLedger())
+        session = NodeSession(run_id="run-0", node_id="T1", provider=provider)
         with pytest.raises(ProviderFailure, match="malformed completion body"):
             session.call("execute", SLOTS["execute"])
         [(kind, payload)] = session.events
@@ -465,16 +460,28 @@ class TestNodeSession:
         assert outcome == {"answer": "a"}
 
     def test_attempt_numbers_monotonic_per_node_and_role(self):
-        ledger = AttemptLedger()
-        assert ledger.next("T1", RoleKind.DEA) == 1
-        assert ledger.next("T1", RoleKind.DEA) == 2
-        assert ledger.next("T1", RoleKind.GEA) == 1
-        assert ledger.next("T2", RoleKind.DEA) == 1
+        keys = []
 
-    def test_reserved_attempt_numbers(self):
-        ledger = AttemptLedger()
-        assert ledger.next("T1", RoleKind.DEA, 3) == 1
-        assert ledger.next("T1", RoleKind.DEA) == 4
+        class Recorder(MockProvider):
+            def complete(self, request):
+                keys.append(request.context_key[1:])
+                return super().complete(request)
+
+        script = {("DEA", n): candidate_response("a") for n in range(1, 6)}
+        script[("DEA", 2)] = "no document here"
+        script[("GEA", 1)] = assessment_response("H")
+        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
+        session.call_many("execute", [SLOTS["execute"]] * 3)  # first tries 1-3, the re-ask 4
+        session.call("execute", SLOTS["execute"])
+        session.call("assess", SLOTS["assess"])
+        NodeSession(run_id="run-0", node_id="T2", provider=Recorder(script)).call(
+            "execute", SLOTS["execute"]
+        )
+        assert keys == [
+            *(("T1", "DEA", n) for n in range(1, 6)),
+            ("T1", "GEA", 1),
+            ("T2", "DEA", 1),
+        ]
 
 
 class TestPlan:

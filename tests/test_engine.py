@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import threading
 import time
@@ -12,6 +13,7 @@ from helpers import (
     candidate_response,
     classification_response,
     fusion_answer,
+    make_plan,
     plan_response,
     ruleset_response,
 )
@@ -26,18 +28,21 @@ from scenarios import (
     adversarial_script,
     email_script,
 )
-from rulegraph.agents import REASK_LIMIT, MockProvider, ScriptMiss, TransportError
+from rulegraph.agents import REASK_LIMIT, MockProvider, NodeSession, RoleKind, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
     ConfigError,
     EngineError,
     PlanningFailure,
+    Repair,
     RunConfig,
+    apply_repair,
     call_budget,
     execute_task,
     write_trace,
     write_trace_events,
 )
+from rulegraph.graph import build_graph
 
 
 def mk_config(script, **overrides):
@@ -201,6 +206,17 @@ class TestFailureHandling:
         outcome = execute_task("task", mk_config(script))
         spliced = events_of(outcome.trace, "node_spliced")[0]
         assert spliced.payload["chain"] == ["s1.s2", "s1.z"]
+
+    def test_numbered_chain_ids_skip_used_ids(self):
+        # the planner's ids and the prefixed ids collide, and so does s1.1
+        graph = build_graph(make_plan(["s1", "s2", "s1.s2", "s1.1"]))
+        used_ids = set(graph.nodes)
+        session = NodeSession(run_id="run-0", node_id="s1", provider=None)
+        repair = Repair(graph.node("s1"), chain=(("s2", "simpler first"), ("c", "simpler second")))
+        graph = apply_repair(repair, graph, session, used_ids)
+        [(kind, payload)] = session.events
+        assert (kind, payload["chain"]) == ("node_spliced", ["s1.2", "s1.3"])
+        assert {"s1.2", "s1.3"} <= graph.nodes.keys() and {"s1.2", "s1.3"} <= used_ids
 
     def test_chain_clamped_to_max_chain(self):
         script = self.two_subtask_script()
@@ -561,9 +577,9 @@ class TestScheduler:
         assert in_flight[1] <= cap * 3
 
     def test_stress_many_workers_short_switch_interval(self):
-        # 12 nodes in flight on 2 cores, each with 3 expert threads, sharing
-        # one attempt ledger and one results map; a lost update shows as a
-        # changed trace or a repeated context key
+        # 12 nodes in flight on 2 cores, each with 3 expert threads, reading
+        # one results map; a lost update shows as a changed trace or a
+        # repeated context key
         script = dict(SINGLE)
         script[("PA", 1)] = plan_response("a goal", [(f"w{i:02}", f"step {i}") for i in range(12)])
         script[("run-0", "w03", "DEA", 2)] = "garbage"
@@ -606,12 +622,22 @@ class TestTraceWriting:
         assert len(lines) == len(outcome.trace)
         assert all(line.startswith('{"kind":') or line.startswith('{"') for line in lines)
 
-    def test_timestamps_present_outside_deterministic_mode(self):
+    def test_timestamps_absent_in_deterministic_mode(self):
         events = execute_task("task", mk_config(SINGLE)).trace
         assert all(e.timestamp is None for e in events)
         sink = io.StringIO()
         write_trace_events(events, sink)
         assert '"timestamp"' not in sink.getvalue()
+
+    def test_timestamps_present_outside_deterministic_mode(self):
+        config = RunConfig(provider=MockProvider(SINGLE), deterministic=False)
+        events = execute_task("task", config).trace
+        assert all(type(e.timestamp) is float for e in events)
+        sink = io.StringIO()
+        write_trace_events(events, sink)
+        lines = sink.getvalue().splitlines()
+        assert len(lines) == len(events)
+        assert all("timestamp" in json.loads(line) for line in lines)
 
 
 class TestConfigValidation:
@@ -635,6 +661,24 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigError):
             RunConfig(provider=NotScripted(), deterministic=True).validate()
+
+    def test_partial_temperatures_keep_the_other_defaults(self):
+        sent = {}
+
+        class Recorder(MockProvider):
+            def complete(self, request):
+                sent.setdefault(request.role_kind, request.temperature)
+                return super().complete(request)
+
+        temperatures = {RoleKind.PA: 0.2}
+        execute_task("task", RunConfig(provider=Recorder(SINGLE), temperatures=temperatures))
+        assert sent == {
+            RoleKind.PA: 0.2,
+            RoleKind.DAA: 0.0,
+            RoleKind.DEA: 0.7,
+            RoleKind.GEA: 0.0,
+            RoleKind.FEA: 0.0,
+        }
 
     def test_empty_task_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import assignments_response, fusion_answer
-from rulegraph.agents import AttemptLedger, MockProvider, NodeSession, ProviderResponse
+from rulegraph.agents import MockProvider, NodeSession, ProviderResponse
 from rulegraph.fusion import (
     FinalResult,
     SemanticCluster,
@@ -11,7 +11,6 @@ from rulegraph.fusion import (
     fuse_final,
     fuse_subtask,
     lexical_key,
-    resolution_layer,
     resolve_conflict,
 )
 from rulegraph.graph import NodeKind, TaskNode
@@ -41,7 +40,7 @@ def movie_candidates():
 
 
 def session_for(provider, node_id="T1"):
-    return NodeSession(run_id="run-0", node_id=node_id, provider=provider, ledger=AttemptLedger())
+    return NodeSession(run_id="run-0", node_id=node_id, provider=provider)
 
 
 def winning_cluster(session):
@@ -106,22 +105,20 @@ class TestResolveConflict:
 
     def test_vote_majority_wins(self):
         clusters = cluster_candidates(movie_candidates(), "lexical")
-        winner = resolve_conflict(clusters)
+        winner, layer = resolve_conflict(clusters)
         assert winner.key == lexical_key(MOVIE_A)
-        assert resolution_layer(clusters) == "votes"
+        assert layer == "votes"
 
     def test_tie_resolved_by_membership(self):
         a = self.make_cluster("a", cand(1, H, "a"))
         b = self.make_cluster("b", cand(2, M, "b"))
-        assert resolve_conflict([a, b]) is a
-        assert resolve_conflict([b, a]) is a
-        assert resolution_layer([a, b]) == "membership"
+        assert resolve_conflict([a, b]) == (a, "membership")
+        assert resolve_conflict([b, a]) == (a, "membership")
 
     def test_double_tie_resolved_by_lowest_rule_index(self):
         a = self.make_cluster("a", cand(2, M, "a"))
         b = self.make_cluster("b", cand(1, M, "b"))
-        assert resolve_conflict([a, b]) is b
-        assert resolution_layer([a, b]) == "index"
+        assert resolve_conflict([a, b]) == (b, "index")
 
     def test_vote_dominance_invariant_under_membership_permutation(self):
         rng = random.Random(13)
@@ -134,10 +131,10 @@ class TestResolveConflict:
             votes = sorted((c.votes for c in clusters), reverse=True)
             if len(votes) < 2 or votes[0] == votes[1]:
                 continue
-            winner = resolve_conflict(clusters).key
+            winner = resolve_conflict(clusters)[0].key
             rng.shuffle(labels)
             permuted = [cand(i + 1, labels[i], answers[i]) for i in range(n)]
-            assert resolve_conflict(cluster_candidates(permuted, "lexical")).key == winner
+            assert resolve_conflict(cluster_candidates(permuted, "lexical"))[0].key == winner
 
     def test_deterministic_for_any_input_order(self):
         rng = random.Random(17)
@@ -148,11 +145,11 @@ class TestResolveConflict:
                 for i in range(n)
             ]
             clusters = cluster_candidates(cands, "lexical")
-            baseline = resolve_conflict(clusters).key
+            baseline = resolve_conflict(clusters)[0].key
             for _ in range(5):
                 shuffled = clusters[:]
                 rng.shuffle(shuffled)
-                assert resolve_conflict(shuffled).key == baseline
+                assert resolve_conflict(shuffled)[0].key == baseline
 
 
 class SynthesizingStub:

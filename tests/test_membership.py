@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from rulegraph.membership import (
     MembershipLabel,
     UnrecognizedLabel,
-    below,
     parse_label,
 )
 
@@ -65,23 +64,9 @@ def test_parse_rejects_unknown_tokens(bad):
         parse_label(bad)
 
 
-@pytest.mark.parametrize(
-    "label, threshold, expected",
-    [
-        (MembershipLabel.LR, MembershipLabel.ML, True),
-        (MembershipLabel.ML, MembershipLabel.ML, False),
-        (MembershipLabel.H, MembershipLabel.ML, False),
-        (MembershipLabel.L, MembershipLabel.H, True),
-    ],
-)
-def test_below_is_strict(label, threshold, expected):
-    assert below(label, threshold) is expected
-
-
 @given(st.sampled_from(list(MembershipLabel)), st.sampled_from(list(MembershipLabel)))
 def test_trichotomy(a, b):
     assert sum([a < b, a == b, a > b]) == 1
-    assert below(a, b) == (not a >= b)
 
 
 @given(

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import assessment_response, candidate_response, ruleset_response
 from rulegraph.agents import (
-    AttemptLedger,
     MalformedResponse,
     MockProvider,
     NodeSession,
@@ -38,7 +37,7 @@ class RecordingMock(MockProvider):
 
 
 def session_for(provider, node_id="T1"):
-    return NodeSession(run_id="run-0", node_id=node_id, provider=provider, ledger=AttemptLedger())
+    return NodeSession(run_id="run-0", node_id=node_id, provider=provider)
 
 
 T1_RULES = ruleset_response(
@@ -304,3 +303,18 @@ class TestGlobalRule:
         )
         assessment = run_global_rule(rule, self.fused(), session=session_for(provider))
         assert assessment.diff_text == "close but shallow"
+
+    @pytest.mark.parametrize(
+        "label, threshold, passed",
+        [
+            (MembershipLabel.LR, MembershipLabel.ML, False),
+            (MembershipLabel.ML, MembershipLabel.ML, True),
+            (MembershipLabel.H, MembershipLabel.ML, True),
+            (MembershipLabel.L, MembershipLabel.H, False),
+        ],
+    )
+    def test_verdict_fails_only_strictly_below_threshold(self, label, threshold, passed):
+        rule = GlobalRule(goal=GLOBAL.goal, threshold=threshold)
+        provider = MockProvider({("GEA", 1): assessment_response(label.token, "off goal")})
+        assessment = run_global_rule(rule, self.fused(), session=session_for(provider))
+        assert assessment.passed is passed
