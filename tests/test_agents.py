@@ -483,6 +483,18 @@ class TestNodeSession:
             ("T2", "DEA", 1),
         ]
 
+    def test_reserved_attempt_numbers(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        script = {("DEA", n): candidate_response(f"a{n}") for n in range(1, 5)}
+        session = make_session(script, node_id="T1")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            session.pool = pool
+            outcomes = session.call_many("execute", [SLOTS["execute"]] * 3)
+        assert [outcome for outcome, _ in outcomes] == [{"answer": f"a{n}"} for n in (1, 2, 3)]
+        session.pool = None
+        assert session.call("execute", SLOTS["execute"]) == {"answer": "a4"}
+
 
 class TestPlan:
     def test_valid_plan(self):
