@@ -27,6 +27,8 @@ from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
 
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
+_MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
+_MAX_TRANSPORT_RETRIES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,8 @@ class LiveProvider:
 
     A TransportError (timeout, connection or protocol error, HTTP 429 or
     5xx) is retried up to transport_retries total attempts; the API key is
-    read once and never logged or traced.
+    read once and never logged or traced. Out-of-range options raise
+    ValueError.
     """
 
     scripted = False
@@ -404,6 +407,18 @@ class LiveProvider:
         backoff_s: float = 1.0,
         transport: Callable | None = None,
     ):
+        # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
+        if not (
+            0 < timeout_s <= _MAX_WAIT_S
+            and 0 <= backoff_s <= _MAX_WAIT_S
+            and 1 <= transport_retries <= _MAX_TRANSPORT_RETRIES
+        ):
+            raise ValueError(
+                f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, "
+                f"0 <= backoff_s <= {_MAX_WAIT_S} and 1 <= transport_retries <= "
+                f"{_MAX_TRANSPORT_RETRIES}, got timeout_s={timeout_s!r}, "
+                f"backoff_s={backoff_s!r}, transport_retries={transport_retries!r}"
+            )
         self.base_url = base_url.rstrip("/")
         self.model = model
         self._api_key = api_key

@@ -120,6 +120,9 @@ class RunConfig:
             raise ConfigError("k_rules exceeds the number of distinct catalog domains")
         if self.deterministic and not getattr(self.provider, "scripted", False):
             raise ConfigError("deterministic mode requires a scripted provider")
+        for role in self.temperatures:
+            if not isinstance(role, RoleKind):
+                raise ConfigError(f"temperature key {role!r} is not a RoleKind")
 
 
 @dataclass(frozen=True)

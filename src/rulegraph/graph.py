@@ -6,9 +6,22 @@ unweighted and encode dependency only. Two repair edits exist for failing
 subtasks: removal (with predecessor-to-successor bridging) and splicing a
 planner-generated chain of simpler subtasks in place of the failed node.
 
-Graphs are immutable values; every edit returns a new graph and re-checks
-all structural invariants. Each value indexes its predecessors and
-successors once, when it is built.
+Graphs are immutable values; every edit returns a new graph. Each value
+indexes its predecessors and successors once, when it is built.
+
+build_graph and from_payload validate what they build. The edits keep the
+invariants by construction and check only their own request:
+
+- Removal bridges every predecessor of the node to every successor, so
+  every path through the node survives with the node cut out.
+- A bridge p->s cannot close a cycle, because p->node->s was already a
+  path in an acyclic graph.
+- The one bridge skipped is original-to-fusion. It matters only when the
+  node was the last path between them, and the engine reports that case
+  as AllPathsFailed.
+- A splice swaps the node for a non-empty linear chain of fresh ids with
+  non-empty statements, wired from the node's predecessors to its
+  successors, so the same argument holds for each path through it.
 """
 
 from __future__ import annotations
@@ -272,9 +285,7 @@ def remove_node(graph: TaskGraph, node_id: str) -> TaskGraph:
                 continue
             edges.add((p, s))
     nodes = {nid: n for nid, n in graph.nodes.items() if nid != node_id}
-    out = replace(graph, nodes=nodes, edges=frozenset(edges))
-    validate(out)
-    return out
+    return replace(graph, nodes=nodes, edges=frozenset(edges))
 
 
 def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) -> TaskGraph:
@@ -289,9 +300,11 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
     chain_ids = [n.id for n in chain]
     if len(set(chain_ids)) != len(chain_ids):
         raise GraphError("chain node ids are not unique")
-    for cid in chain_ids:
-        if cid in graph.nodes or cid in RESERVED_IDS:
-            raise GraphError(f"chain node id {cid!r} is not fresh")
+    for member in chain:
+        if member.id in graph.nodes or member.id in RESERVED_IDS:
+            raise GraphError(f"chain node id {member.id!r} is not fresh")
+        if not member.statement:
+            raise GraphError(f"chain node {member.id} has an empty statement")
 
     failed = graph.node(failed_id)
     preds = graph.predecessors(failed_id)
@@ -307,9 +320,7 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
     edges.update((p, chain_ids[0]) for p in preds)
     edges.update((chain_ids[-1], s) for s in succs)
 
-    out = replace(graph, nodes=nodes, edges=frozenset(edges))
-    validate(out)
-    return out
+    return replace(graph, nodes=nodes, edges=frozenset(edges))
 
 
 def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = None) -> str:

@@ -1,7 +1,10 @@
-"""Shared test helpers: plan/graph generators and mock-script response builders."""
+"""Shared test helpers: plan/graph generators, mock-script response builders and seeded scenarios."""
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import json
 import random
 import threading
@@ -9,7 +12,8 @@ import time
 from collections import Counter
 
 from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
-from rulegraph.graph import ROOT_ID, NodeKind, TaskGraph, build_graph, validate
+from rulegraph.engine import EngineError, RunConfig, execute_task, write_trace_events
+from rulegraph.graph import ROOT_ID, NodeKind, TaskGraph, build_graph
 from rulegraph.rules import DEFAULT_DOMAINS
 
 
@@ -100,9 +104,7 @@ def subtask_ids(graph: TaskGraph) -> list[str]:
 
 
 def random_graph(rng: random.Random, max_subtasks: int = 10) -> TaskGraph:
-    graph = build_graph(random_plan(rng, max_subtasks))
-    validate(graph)
-    return graph
+    return build_graph(random_plan(rng, max_subtasks))
 
 
 class WorstCaseProvider:
@@ -209,3 +211,33 @@ class FateProvider:
         return plan_response(
             "a sub-goal", [(sid, f"{node} step {sid}") for sid in ids], list(zip(ids, ids[1:]))
         )
+
+
+@functools.lru_cache(maxsize=None)
+def run_scenario(provider_cls, seed: int, concurrency: int, jitter: bool = False):
+    """(outcome name, trace bytes, trace events) of one seeded scenario; each is run once.
+
+    provider_cls(seed, jitter) answers the run; an engine error ends it
+    under the error's class name.
+    """
+    config = RunConfig(
+        provider=provider_cls(seed, jitter), deterministic=True, concurrency=concurrency
+    )
+    try:
+        outcome = execute_task("the original task", config)
+    except EngineError as exc:
+        name, events = type(exc).__name__, exc.trace
+    else:
+        name, events = "RunOutcome", outcome.trace
+    sink = io.StringIO()
+    write_trace_events(events, sink)
+    return name, sink.getvalue(), events
+
+
+def scenario_digest(provider_cls, seeds) -> str:
+    """SHA-256 over each seed's outcome name and trace bytes at concurrency 1."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        name, text, _ = run_scenario(provider_cls, seed, 1)
+        digest.update(f"{seed} {name}\n{text}".encode())
+    return digest.hexdigest()

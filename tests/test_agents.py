@@ -282,6 +282,12 @@ class TestLiveProvider:
             self.make(transport).complete(self.request())
         assert transport.calls == 3
 
+    def test_zero_transport_retries_rejected_when_built(self):
+        transport = FlakyTransport(0, chat_body("x"))
+        with pytest.raises(ValueError, match="1 <= transport_retries"):
+            self.make(transport, retries=0)
+        assert transport.calls == 0
+
     @pytest.mark.parametrize(
         "fault, message",
         [

@@ -651,6 +651,7 @@ class TestConfigValidation:
             {"cluster_mode": "psychic"},
             {"domains": ()},
             {"k_rules": 50},
+            {"temperatures": {"DEA": 0.1}},
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()

@@ -10,17 +10,15 @@ SHA-256 over all scenario traces.
 """
 
 import functools
-import hashlib
-import io
 import json
 import random
 
 import pytest
 
-from helpers import FateProvider
+from helpers import FateProvider, run_scenario, scenario_digest
 import rulegraph.cli as cli
 from rulegraph.agents import ProviderFailure, ProviderResponse, TransportError
-from rulegraph.engine import EngineError, RunConfig, call_budget, execute_task, write_trace_events
+from rulegraph.engine import RunConfig, call_budget
 
 SEEDS = range(20)
 FAULT_RATE = 0.04  # per fault kind
@@ -50,21 +48,7 @@ class FaultProvider(FateProvider):
         return super().complete(request)
 
 
-@functools.lru_cache(maxsize=None)
-def run(seed, concurrency, jitter=False):
-    """(outcome name, trace bytes, trace events) of one scenario; each is run once."""
-    config = RunConfig(
-        provider=FaultProvider(seed, jitter), deterministic=True, concurrency=concurrency
-    )
-    try:
-        outcome = execute_task("the original task", config)
-    except EngineError as exc:
-        name, events = type(exc).__name__, exc.trace
-    else:
-        name, events = "RunOutcome", outcome.trace
-    sink = io.StringIO()
-    write_trace_events(events, sink)
-    return name, sink.getvalue(), events
+run = functools.partial(run_scenario, FaultProvider)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -96,8 +80,4 @@ def test_seeds_reach_every_documented_outcome():
 
 
 def test_golden_hash_over_all_scenario_traces():
-    digest = hashlib.sha256()
-    for seed in SEEDS:
-        name, text, _ = run(seed, 1)
-        digest.update(f"{seed} {name}\n{text}".encode())
-    assert digest.hexdigest() == GOLDEN
+    assert scenario_digest(FaultProvider, SEEDS) == GOLDEN

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from helpers import make_plan, random_graph, random_plan, subtask_ids
 from rulegraph.graph import (
@@ -158,13 +161,6 @@ class TestRemoveNode:
         with pytest.raises(GraphError, match="F is not a subtask node"):
             remove_node(star_graph(), FUSION_ID)
 
-    def test_random_removals_preserve_invariants(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            graph = random_graph(rng)
-            target = rng.choice(subtask_ids(graph))
-            validate(remove_node(graph, target))
-
 
 class TestSpliceChain:
     def chain_nodes(self, ids):
@@ -212,6 +208,66 @@ class TestSpliceChain:
             splice_chain(star_graph(), "T1", self.chain_nodes(["T2"]))
         with pytest.raises(GraphError, match="F is not a subtask node"):
             splice_chain(star_graph(), FUSION_ID, self.chain_nodes(["x"]))
+
+    @pytest.mark.parametrize(
+        "ids, statement, message",
+        [
+            (["x", "x"], "do x", "chain node ids are not unique"),
+            (["x", "T2"], "do x", "chain node id 'T2' is not fresh"),
+            (["x", "F"], "do x", "chain node id 'F' is not fresh"),
+            (["x"], "", "empty statement"),
+        ],
+        ids=["duplicate", "stale", "reserved", "empty-statement"],
+    )
+    def test_invalid_chain_rejected(self, ids, statement, message):
+        chain = [TaskNode(i, NodeKind.SUBTASK, statement) for i in ids]
+        with pytest.raises(GraphError, match=message):
+            splice_chain(star_graph(), "T1", chain)
+
+
+class GraphEdits(RuleBasedStateMachine):
+    """Any sequence of removals and splices leaves a graph that validate accepts.
+
+    The edits do not re-check the graph themselves, so this is what shows
+    they keep every invariant. Removing the last subtask leaves the
+    original and fusion nodes unconnected, the engine's AllPathsFailed
+    case; restart then seeds a new graph.
+    """
+
+    @initialize(seed=st.integers(0, 2**16))
+    def start(self, seed):
+        self.graph = random_graph(random.Random(seed))
+        self.fresh = 0
+
+    def pick_subtask(self, data):
+        return data.draw(st.sampled_from(subtask_ids(self.graph)))
+
+    @precondition(lambda self: subtask_ids(self.graph))
+    @rule(data=st.data())
+    def remove(self, data):
+        self.graph = remove_node(self.graph, self.pick_subtask(data))
+
+    @precondition(lambda self: subtask_ids(self.graph))
+    @rule(data=st.data(), length=st.integers(1, 3))
+    def splice(self, data, length):
+        ids = [f"x{self.fresh + i}" for i in range(length)]
+        self.fresh += length
+        chain = [TaskNode(i, NodeKind.SUBTASK, f"do {i}") for i in ids]
+        self.graph = splice_chain(self.graph, self.pick_subtask(data), chain)
+
+    @precondition(lambda self: not subtask_ids(self.graph))
+    @rule(seed=st.integers(0, 2**16))
+    def restart(self, seed):
+        assert not self.graph.successors(ROOT_ID) and not self.graph.predecessors(FUSION_ID)
+        self.start(seed)
+
+    @invariant()
+    def valid(self):
+        validate(self.graph)
+
+
+TestGraphEdits = GraphEdits.TestCase
+TestGraphEdits.settings = settings(max_examples=25, stateful_step_count=12)
 
 
 class TestExportDot:

@@ -8,34 +8,16 @@ workloads.
 """
 
 import functools
-import hashlib
-import io
 
 import pytest
 
-from helpers import FateProvider
-from rulegraph.engine import AllPathsFailed, RunConfig, call_budget, execute_task, write_trace_events
-from rulegraph.graph import TaskGraph, validate
+from helpers import FateProvider, run_scenario, scenario_digest
+from rulegraph.engine import RunConfig, call_budget
+from rulegraph.graph import TaskGraph
 
 SEEDS = range(30)
 GOLDEN = "a5cde5a2f1228997a0dc7c5ceb561fc88d8ebf4011666a7a097534ac3a38f8e2"
-
-
-@functools.lru_cache(maxsize=None)
-def run(seed, concurrency, jitter=False):
-    """(outcome name, trace bytes, trace events) of one scenario; each is run once."""
-    config = RunConfig(
-        provider=FateProvider(seed, jitter), deterministic=True, concurrency=concurrency
-    )
-    try:
-        outcome = execute_task("the original task", config)
-    except AllPathsFailed as exc:
-        name, events = "AllPathsFailed", exc.trace
-    else:
-        name, events = "RunOutcome", outcome.trace
-    sink = io.StringIO()
-    write_trace_events(events, sink)
-    return name, sink.getvalue(), events
+run = functools.partial(run_scenario, FateProvider)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -51,7 +33,7 @@ def test_trace_is_schedule_independent_and_bounded(seed):
     assert len(calls) <= call_budget(RunConfig(provider=None), n_subtasks)
     for event in events:
         if event.kind in ("plan", "final"):
-            validate(TaskGraph.from_payload(event.payload["graph"]))
+            TaskGraph.from_payload(event.payload["graph"])  # raises unless the graph is valid
     assert name == "RunOutcome" or not any(e.kind == "final" for e in events)
 
 
@@ -69,8 +51,4 @@ def test_fates_cover_removal_splice_rename_and_failed_runs():
 
 
 def test_golden_hash_over_all_scenario_traces():
-    digest = hashlib.sha256()
-    for seed in SEEDS:
-        name, text, _ = run(seed, 1)
-        digest.update(f"{seed} {name}\n{text}".encode())
-    assert digest.hexdigest() == GOLDEN
+    assert scenario_digest(FateProvider, SEEDS) == GOLDEN
