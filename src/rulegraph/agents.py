@@ -18,13 +18,15 @@ from __future__ import annotations
 import json
 import string
 import time
-from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Executor
 
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
@@ -353,26 +355,32 @@ class MockProvider:
 
     Lookup order for a request with context key (run, node, role, attempt):
     exact 4-part key first, then the (role, attempt) fallback. A miss is a
-    test authoring error and is never retried.
+    test authoring error and is never retried. The script is used as
+    given, not copied.
     """
 
     scripted = True
 
     def __init__(self, script: Mapping[tuple, str]):
-        self._script = dict(script)
+        self._script = script
 
     @classmethod
     def from_file(cls, path: str) -> "MockProvider":
+        """Load a script file; a malformed entry or a repeated key raises ValueError."""
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
         script: dict[tuple, str] = {}
         for entry in payload["entries"]:
+            if type(entry["attempt"]) is not int:
+                raise ValueError(f"attempt {entry['attempt']!r} must be an integer")
             if "run" in entry:
-                key = (entry["run"], entry["node"], entry["role"], int(entry["attempt"]))
+                key = (entry["run"], entry["node"], entry["role"], entry["attempt"])
             else:
-                key = (entry["role"], int(entry["attempt"]))
+                key = (entry["role"], entry["attempt"])
             if not isinstance(entry["response"], str):
                 raise ValueError(f"response for {key} must be a string")
+            if key in script:
+                raise ValueError(f"duplicate script entry for {key}")
             script[key] = entry["response"]
         return cls(script)
 
@@ -411,11 +419,12 @@ class LiveProvider:
         if not (
             0 < timeout_s <= _MAX_WAIT_S
             and 0 <= backoff_s <= _MAX_WAIT_S
+            and type(transport_retries) is int
             and 1 <= transport_retries <= _MAX_TRANSPORT_RETRIES
         ):
             raise ValueError(
                 f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, "
-                f"0 <= backoff_s <= {_MAX_WAIT_S} and 1 <= transport_retries <= "
+                f"0 <= backoff_s <= {_MAX_WAIT_S} and an integer 1 <= transport_retries <= "
                 f"{_MAX_TRANSPORT_RETRIES}, got timeout_s={timeout_s!r}, "
                 f"backoff_s={backoff_s!r}, transport_retries={transport_retries!r}"
             )
@@ -551,9 +560,7 @@ class NodeSession:
         if self.pool is None or len(calls) == 1:
             tries = [first_try(i) for i in range(len(calls))]
         else:
-            futures = [self.pool.submit(first_try, i) for i in range(len(calls))]
-            wait(futures)
-            tries = [future.result() for future in futures]
+            tries = list(self.pool.map(first_try, range(len(calls))))
 
         outcomes = []
         for (outcome, violation), (prompt, events) in zip(tries, calls):

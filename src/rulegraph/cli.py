@@ -7,15 +7,14 @@ to distinct exit codes, documented in the README.
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import json
 import os
 import sys
 from dataclasses import fields, replace
+from typing import TYPE_CHECKING
 
 from .agents import LiveProvider, MockProvider, RoleKind, ScriptMiss
-from .bench import DatasetError, load_dataset, render_table, report_to_json, run_benchmark
 from .engine import (
     AllPathsFailed,
     ConfigError,
@@ -30,6 +29,9 @@ from .engine import (
 from .graph import GraphError, TaskGraph, export_dot
 from .membership import UnrecognizedLabel, parse_label
 from .rules import DEFAULT_DOMAINS
+
+if TYPE_CHECKING:  # pragma: no cover
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -232,6 +234,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here: only this verb runs a dataset
+    from .bench import DatasetError, load_dataset, render_table, report_to_json, run_benchmark
+
     try:
         config = load_config(args.config)
         if args.deterministic:
@@ -312,6 +317,8 @@ def _cmd_validate_config(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here: load_config and the verbs never parse argv
+
     parser = argparse.ArgumentParser(
         prog="rulegraph",
         description="Rule-driven task-graph orchestration over LLM agent roles.",

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import queue
 import time
-import uuid
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Callable, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Mapping
 
 from . import graph as g
 from .agents import (
@@ -42,6 +41,9 @@ from .agents import (
 from .fusion import FinalResult, fuse_final, fuse_subtask
 from .membership import MembershipLabel
 from .rules import DEFAULT_DOMAINS, AllRulesFailed, GlobalRule, construct_rules, run_global_rule, run_rules
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Executor
 
 DETERMINISTIC_RUN_ID = "run-0"
 
@@ -514,7 +516,7 @@ class _Scheduler:
                 return self.graph, self.results
             nid, done = self.done.get()
             in_flight -= 1
-            if isinstance(done, Future):
+            if not isinstance(done, _Finished):
                 done = done.result()  # _run_node keeps its errors; this re-raises any other
             self.finished[nid] = done
             if done.result is not None:
@@ -563,7 +565,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         if not task or not task.strip():
             raise ConfigError("task must be non-empty")
         if run_id is None:
-            run_id = DETERMINISTIC_RUN_ID if config.deterministic else uuid.uuid4().hex[:12]
+            run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
 
         def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
             return NodeSession(
@@ -598,6 +600,8 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         if config.concurrency == 1:
             graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
         else:
+            from concurrent.futures import ThreadPoolExecutor  # only a pooled run needs threads
+
             # At most `concurrency` nodes are in flight and each waits on at most K
             # expert calls, so at most concurrency x K provider calls are in flight.
             with ThreadPoolExecutor(config.concurrency) as nodes, ThreadPoolExecutor(

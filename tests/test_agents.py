@@ -284,8 +284,9 @@ class TestLiveProvider:
 
     def test_zero_transport_retries_rejected_when_built(self):
         transport = FlakyTransport(0, chat_body("x"))
-        with pytest.raises(ValueError, match="1 <= transport_retries"):
-            self.make(transport, retries=0)
+        for retries in (0, 2.5, True):  # a float or a bool would reach range() in complete
+            with pytest.raises(ValueError, match="1 <= transport_retries"):
+                self.make(transport, retries=retries)
         assert transport.calls == 0
 
     @pytest.mark.parametrize(

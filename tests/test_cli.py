@@ -203,16 +203,27 @@ def test_repeated_catalog_domains_exit_3(verb, tmp_path, capsys):
     assert "k_rules exceeds the number of distinct catalog domains" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_http_stack():
-    # Only a live call needs HTTP, so importing the CLI must load no HTTP client.
-    code = (
-        "import sys, rulegraph.cli; "
-        "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
-    )
+def loaded_in_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Run code in a new interpreter; returns those of modules it left in sys.modules."""
+    code += f"; import json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout.strip()) == (0, "[]"), result.stderr
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_cli_import_loads_no_http_stack():
+    # Only a live call needs HTTP, so importing the CLI must load no HTTP client.
+    modules = ("requests", "urllib.request", "http.client")
+    assert loaded_in_fresh_interpreter("import rulegraph.cli", modules) == []
+
+
+def test_config_load_imports_no_pool_parser_or_bench():
+    # A config load runs no thread pool, parses no argv and runs no dataset, so it imports none.
+    code = f"from rulegraph.cli import load_config; load_config({DEMO_CONFIG!r})"
+    modules = ("concurrent.futures", "uuid", "argparse", "rulegraph.bench")
+    assert loaded_in_fresh_interpreter(code, modules) == []
 
 
 def verb_argv(verb, config, tmp_path):
@@ -234,8 +245,19 @@ def verb_argv(verb, config, tmp_path):
         {"entries": 5},
         ["not", "an", "object"],
         {"entries": [{"role": "PA", "attempt": 1, "response": 5}]},
+        {"entries": [{"role": "PA", "attempt": a, "response": "{}"} for a in (1, 1.9)]},
+        {"entries": [{"role": "PA", "attempt": 1, "response": r} for r in ("first", "second")]},
     ],
-    ids=["attempt-string", "entries-ints", "entries-string", "entries-number", "script-list", "response-number"],
+    ids=[
+        "attempt-string",
+        "entries-ints",
+        "entries-string",
+        "entries-number",
+        "script-list",
+        "response-number",
+        "attempt-float",
+        "duplicate-key",
+    ],
 )
 def test_bad_mock_script_exits_3(script, verb, tmp_path, capsys):
     assert main(verb_argv(verb, mock_config(tmp_path, script), tmp_path)) == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import threading
 import time
@@ -638,6 +639,13 @@ class TestTraceWriting:
         lines = sink.getvalue().splitlines()
         assert len(lines) == len(events)
         assert all("timestamp" in json.loads(line) for line in lines)
+
+    def test_run_id_outside_deterministic_mode_is_fresh_hex(self):
+        config = RunConfig(provider=MockProvider(SINGLE), deterministic=False)
+        traces = [execute_task("task", config).trace for _ in range(2)]
+        run_ids = [{e.payload["context"]["run"] for e in events_of(trace, "provider_call")} for trace in traces]
+        assert all(len(ids) == 1 and re.fullmatch("[0-9a-f]{12}", *ids) for ids in run_ids)
+        assert run_ids[0] != run_ids[1]
 
 
 class TestConfigValidation:
