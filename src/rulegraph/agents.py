@@ -399,8 +399,8 @@ class LiveProvider:
 
     A TransportError (timeout, connection or protocol error, HTTP 429 or
     5xx) is retried up to transport_retries total attempts; the API key is
-    read once and never logged or traced. Out-of-range options raise
-    ValueError.
+    read once and never logged or traced. Options out of range, or not
+    numbers (a bool is not one), raise ValueError.
     """
 
     scripted = False
@@ -417,13 +417,14 @@ class LiveProvider:
     ):
         # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
         if not (
-            0 < timeout_s <= _MAX_WAIT_S
+            all(type(wait) in (int, float) for wait in (timeout_s, backoff_s))
+            and 0 < timeout_s <= _MAX_WAIT_S
             and 0 <= backoff_s <= _MAX_WAIT_S
             and type(transport_retries) is int
             and 1 <= transport_retries <= _MAX_TRANSPORT_RETRIES
         ):
             raise ValueError(
-                f"live options must be 0 < timeout_s <= {_MAX_WAIT_S}, "
+                f"live options must be numbers 0 < timeout_s <= {_MAX_WAIT_S}, "
                 f"0 <= backoff_s <= {_MAX_WAIT_S} and an integer 1 <= transport_retries <= "
                 f"{_MAX_TRANSPORT_RETRIES}, got timeout_s={timeout_s!r}, "
                 f"backoff_s={backoff_s!r}, transport_retries={transport_retries!r}"
@@ -656,8 +657,6 @@ def _check_plan_semantics(doc: dict) -> None:
 
 def plan(task: str, session: NodeSession) -> PlannerPlan:
     """One planner invocation; used for the original task and for failed-subtask decomposition."""
-    if not task or not task.strip():
-        raise ValueError("task must be non-empty")
     doc = session.call("plan", {"task": task}, extra_check=_check_plan_semantics)
     return PlannerPlan(
         task=task,

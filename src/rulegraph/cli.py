@@ -7,7 +7,6 @@ to distinct exit codes, documented in the README.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import sys
@@ -16,6 +15,7 @@ from typing import TYPE_CHECKING
 
 from .agents import LiveProvider, MockProvider, RoleKind, ScriptMiss
 from .engine import (
+    _JSON_TYPES,
     AllPathsFailed,
     ConfigError,
     EngineError,
@@ -44,15 +44,14 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report it
 
 DEFAULT_API_KEY_ENV = "RULEGRAPH_API_KEY"
 
-# RunConfig fields a config file sets directly, with the defaults that give their types.
-_SCALAR_FIELDS = {f.name: f.default for f in fields(RunConfig) if type(f.default) in (bool, int, str)}
+# RunConfig fields a config file sets directly; RunConfig checks their types.
+_SCALAR_FIELDS = {f.name for f in fields(RunConfig) if type(f.default) in (bool, int, str)}
 _CONFIG_KEYS = {*_SCALAR_FIELDS, "provider", "threshold", "domains", "catalog_path", "temperatures"}
 _LIVE_OPTIONS = ("timeout_s", "transport_retries", "backoff_s")
 _PROVIDER_KEYS = {
     "mock": {"type", "script"},
     "live": {"type", "base_url", "model", "api_key_env", *_LIVE_OPTIONS},
 }
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
 def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
@@ -67,6 +66,7 @@ def _typed(spec: dict, key: str, default):
     """spec[key] if it has the JSON type of default, default if absent, else a ConfigError.
 
     Strict: a boolean is not an integer and a string is not a number; an integer is a number.
+    Only for keys that are not fields of RunConfig or LiveProvider, which check their own.
     """
     if key not in spec:
         return default
@@ -132,7 +132,7 @@ def load_config(path: str) -> RunConfig:
         threshold=threshold,
         domains=DEFAULT_DOMAINS if domains is None else tuple(domains),
         temperatures=temperatures,
-        **{name: _typed(raw, name, default) for name, default in _SCALAR_FIELDS.items()},
+        **{name: raw[name] for name in _SCALAR_FIELDS if name in raw},
     )
 
 
@@ -160,8 +160,7 @@ def _build_provider(spec: dict, base_dir: str):
     api_key = os.environ.get(key_env, "")
     if not api_key:
         raise ConfigError(f"live provider key env var {key_env} is not set")
-    defaults = inspect.signature(LiveProvider).parameters
-    options = {name: _typed(spec, name, defaults[name].default) for name in _LIVE_OPTIONS}
+    options = {name: spec[name] for name in _LIVE_OPTIONS if name in spec}
     try:
         return LiveProvider(base_url=base_url, model=model, api_key=api_key, **options)
     except ValueError as exc:

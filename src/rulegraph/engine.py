@@ -23,7 +23,7 @@ import json
 import os
 import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import IO, TYPE_CHECKING, Callable, Mapping
 
@@ -40,12 +40,13 @@ from .agents import (
 )
 from .fusion import FinalResult, fuse_final, fuse_subtask
 from .membership import MembershipLabel
-from .rules import DEFAULT_DOMAINS, AllRulesFailed, GlobalRule, construct_rules, run_global_rule, run_rules
+from .rules import DEFAULT_DOMAINS, AllRulesFailed, construct_rules, run_global_rule, run_rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Executor
 
 DETERMINISTIC_RUN_ID = "run-0"
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
 class EngineError(Exception):
@@ -83,8 +84,9 @@ class RunConfig:
     provider must expose complete(request) and a scripted flag, true when it
     replays a fixed script; deterministic mode requires that flag, fixes the
     run id and drops timestamps so traces are byte-stable. A config is
-    validated when built, dataclasses.replace included, and temperatures
-    given for some roles keep the defaults of the others.
+    validated when built, dataclasses.replace included: a bool, int or str
+    field must have exactly its default's type (a bool is not an int).
+    Temperatures given for some roles keep the defaults of the others.
     """
 
     provider: object
@@ -104,6 +106,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind in (bool, int, str) and type(value) is not kind:
+                raise ConfigError(f"{f.name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
         if self.k_rules < 1:
             raise ConfigError("k_rules must be at least 1")
         if self.max_reprocess < 1:
@@ -236,14 +242,11 @@ def process_node(
         {"node": node.id, "statement": node.statement, "depth": node.depth},
     )
     preds = g.predecessor_results(graph, node.id, results)
-    global_rule = GlobalRule(goal=graph.global_goal, threshold=config.threshold)
     feedback: str | None = None
 
     for attempt in range(1, config.max_reprocess + 1):
         try:
-            ruleset = construct_rules(
-                node, config.domains, config.k_rules, feedback, session=session
-            )
+            rules = construct_rules(node, config.domains, config.k_rules, feedback, session=session)
             session.emit(
                 "rules_built",
                 {
@@ -256,11 +259,11 @@ def process_node(
                             "membership": rule.membership.token,
                             "antecedent": rule.antecedent,
                         }
-                        for rule in ruleset.rules
+                        for rule in rules
                     ],
                 },
             )
-            candidates = run_rules(ruleset, node.statement, preds, session=session)
+            candidates = run_rules(rules, node.statement, preds, session=session)
             for candidate in candidates:
                 session.emit(
                     "rule_result",
@@ -276,7 +279,7 @@ def process_node(
             fused = fuse_subtask(
                 candidates, node, mode=config.cluster_mode, session=session, attempt=attempt
             )
-            assessment = run_global_rule(global_rule, fused, session=session)
+            assessment = run_global_rule(graph.global_goal, config.threshold, fused, session=session)
             session.emit(
                 "assessment",
                 {

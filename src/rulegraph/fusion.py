@@ -58,20 +58,13 @@ def cluster_candidates(
 ) -> list[SemanticCluster]:
     """Partition candidates into semantic clusters.
 
-    model mode asks the fusion expert for one cluster key per candidate and
-    falls back to lexical keys (with a trace warning) if that call fails;
-    lexical mode is provider-free. Every candidate lands in exactly one
-    cluster.
+    model mode asks the fusion expert, through session, for one cluster key
+    per candidate and falls back to lexical keys (with a trace warning) if
+    that call fails; lexical mode is provider-free. Every candidate lands in
+    exactly one cluster.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    if mode not in ("model", "lexical"):
-        raise ValueError(f"unknown cluster mode {mode!r}")
-
     keys: list[str] | None = None
     if mode == "model":
-        if session is None:
-            raise ValueError("model mode needs a session")
         try:
             keys = _model_keys(candidates, session)
         except (ProviderFailure, MalformedResponse) as exc:
@@ -98,6 +91,8 @@ def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list
         assignments = doc.get("assignments")
         if not isinstance(assignments, list) or len(assignments) != len(candidates):
             raise ResponseViolation(f"need exactly {len(candidates)} cluster assignments")
+        if not all(isinstance(key, str) and key.strip() for key in assignments):
+            raise ResponseViolation("each cluster assignment must be a non-blank string")
 
     doc = session.call("cluster", {"candidates": listing}, extra_check=check)
     return [key.strip() for key in doc["assignments"]]
@@ -115,8 +110,6 @@ def resolve_conflict(clusters: list[SemanticCluster]) -> tuple[SemanticCluster, 
     Layers: most votes, then highest membership, then lowest rule index; a
     lone cluster wins by votes.
     """
-    if not clusters:
-        raise ValueError("clusters must be non-empty")
     first, *rest = sorted(clusters, key=_rank_key)
     if not rest or first.votes != rest[0].votes:
         return first, "votes"
@@ -184,8 +177,6 @@ def fuse_final(
     answers maps node id to answer text, in node-id order; its keys are the
     contributing nodes.
     """
-    if not answers:
-        raise ValueError("final fusion needs at least one predecessor result")
     listing = "\n".join(f"- {text}" for text in answers.values())
     doc = session.call(
         "fuse_final",

@@ -57,18 +57,6 @@ class DomainRule:
 
 
 @dataclass(frozen=True)
-class GlobalRule:
-    goal: str
-    threshold: MembershipLabel = MembershipLabel.ML
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    subtask_id: str
-    rules: tuple[DomainRule, ...]
-
-
-@dataclass(frozen=True)
 class CandidateResult:
     rule_index: int
     domain_name: str
@@ -90,17 +78,12 @@ def construct_rules(
     feedback: str | None = None,
     *,
     session: NodeSession,
-) -> RuleSet:
-    """One domain-analyst call producing K rules with distinct catalog domains.
+) -> tuple[DomainRule, ...]:
+    """One domain-analyst call producing K rules with distinct catalog domains, numbered from 1.
 
     When reviewer feedback from a failed goal check is present, the analyst
     request carries the subtask statement concatenated with the feedback.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not catalog:
-        raise ValueError("domain catalog is empty")
-
     feedback_block = ""
     if feedback:
         feedback_block = f"\nReviewer feedback from the previous attempt:\n{feedback}\n"
@@ -128,7 +111,7 @@ def construct_rules(
         },
         extra_check=check,
     )
-    rules = tuple(
+    return tuple(
         DomainRule(
             index=i,
             domain_name=entry["domain"],
@@ -138,11 +121,10 @@ def construct_rules(
         )
         for i, entry in enumerate(doc["rules"], start=1)
     )
-    return RuleSet(subtask_id=subtask.id, rules=rules)
 
 
 def run_rules(
-    ruleset: RuleSet,
+    rules: tuple[DomainRule, ...],
     input_text: str,
     preds: list[str],
     *,
@@ -158,7 +140,6 @@ def run_rules(
     produced a candidate.
     """
     context = render_result_set(preds)
-    rules = sorted(ruleset.rules, key=lambda r: r.index)
     outcomes = session.call_many(
         "execute",
         [
@@ -173,7 +154,7 @@ def run_rules(
             session.emit(
                 "warning",
                 {
-                    "node": ruleset.subtask_id,
+                    "node": session.node_id,
                     "reason": "rule_failed",
                     "detail": f"rule {rule.index} failed: {outcome}",
                     "rule_index": rule.index,
@@ -189,12 +170,13 @@ def run_rules(
             )
         )
     if not candidates:
-        raise AllRulesFailed(f"all {len(ruleset.rules)} rules failed for {ruleset.subtask_id}")
+        raise AllRulesFailed(f"all {len(rules)} rules failed for {session.node_id}")
     return candidates
 
 
 def run_global_rule(
-    global_rule: GlobalRule,
+    goal: str,
+    threshold: MembershipLabel,
     fused: str,
     *,
     session: NodeSession,
@@ -202,26 +184,24 @@ def run_global_rule(
     """Gate a fused result against the global goal.
 
     Returns the goal membership of the result and the verdict: the result
-    passes when its membership is at least the rule's threshold, and a
-    failing one comes with a non-empty description of the deviation.
+    passes when its membership is at least the threshold, and a failing one
+    comes with a non-empty description of the deviation.
     """
-    if not fused:
-        raise ValueError("fused result must be non-empty")
 
     def check(doc: dict) -> None:
         membership = parse_label(doc["membership"])
-        if membership < global_rule.threshold and not doc.get("diff_text"):
+        if membership < threshold and not doc.get("diff_text"):
             raise ResponseViolation(
-                f"membership {membership.token} is below {global_rule.threshold.token} "
+                f"membership {membership.token} is below {threshold.token} "
                 "so diff_text must be non-empty"
             )
 
     doc = session.call(
         "assess",
         {
-            "goal": global_rule.goal,
+            "goal": goal,
             "result": fused,
-            "threshold": global_rule.threshold.token,
+            "threshold": threshold.token,
         },
         extra_check=check,
     )
@@ -229,5 +209,5 @@ def run_global_rule(
     return GlobalAssessment(
         membership=membership,
         diff_text=doc.get("diff_text", "") or "",
-        passed=membership >= global_rule.threshold,
+        passed=membership >= threshold,
     )

@@ -282,6 +282,13 @@ class TestLiveProvider:
             self.make(transport).complete(self.request())
         assert transport.calls == 3
 
+    @pytest.mark.parametrize(
+        "options", [{"timeout_s": "60"}, {"backoff_s": True}], ids=["timeout-string", "backoff-bool"]
+    )
+    def test_non_number_waits_rejected_when_built(self, options):
+        with pytest.raises(ValueError, match="must be numbers"):
+            LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", **options)
+
     def test_zero_transport_retries_rejected_when_built(self):
         transport = FlakyTransport(0, chat_body("x"))
         for retries in (0, 2.5, True):  # a float or a bool would reach range() in complete

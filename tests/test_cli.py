@@ -439,6 +439,44 @@ class TestRunCommand:
         assert records[-1]["payload"]["reason"] == "final_fusion_failed"
         assert [r["kind"] for r in records].count("provider_call") == 9
 
+    def test_blank_subtask_statement_is_replanned(self, tmp_path, capsys):
+        from helpers import (
+            assessment_response,
+            candidate_response,
+            classification_response,
+            fusion_answer,
+            plan_response,
+            ruleset_response,
+        )
+
+        rules = ruleset_response([("History", "H"), ("Science", "M"), ("Law", "ML")])
+        entries = [
+            {"role": "PA", "attempt": 1, "response": plan_response("g", [("s1", "   ")])},
+            {"role": "GEA", "attempt": 1, "response": assessment_response("H")},
+            {"role": "FEA", "attempt": 1, "response": fusion_answer("done")},
+            {"run": "run-0", "node": "s1", "role": "PA", "attempt": 1,
+             "response": classification_response("too_complex")},
+            {"run": "run-0", "node": "s1", "role": "PA", "attempt": 2,
+             "response": plan_response("g", [("c1", "a step with words")])},
+        ]
+        entries += [{"role": "DAA", "attempt": n, "response": rules} for n in (1, 2, 3)]
+        entries += [{"role": "DEA", "attempt": n, "response": candidate_response("a")} for n in range(1, 10)]
+        entries += [
+            {"run": "run-0", "node": "s1", "role": "GEA", "attempt": n,
+             "response": assessment_response("L", "says nothing")}
+            for n in (1, 2, 3)
+        ]
+        trace = tmp_path / "t.jsonl"
+        argv = ["run", "--task", "t", "--config", mock_config(tmp_path, {"entries": entries}),
+                "--trace", str(trace), "--deterministic"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.out == "done\n"
+        assert "Traceback" not in captured.err
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        spliced = [r["payload"] for r in records if r["kind"] == "node_spliced"]
+        assert spliced == [{"node": "s1", "chain": ["c1"], "depth": 1}]
+
 
 class TestBenchCommand:
     def test_bench_table_and_report(self, tmp_path, capsys):

@@ -47,7 +47,7 @@ from rulegraph.graph import build_graph
 
 
 def mk_config(script, **overrides):
-    return RunConfig(provider=MockProvider(script), deterministic=True, **overrides)
+    return RunConfig(provider=MockProvider(script), **{"deterministic": True, **overrides})
 
 
 def events_of(trace, kind):
@@ -660,6 +660,11 @@ class TestConfigValidation:
             {"domains": ()},
             {"k_rules": 50},
             {"temperatures": {"DEA": 0.1}},
+            {"max_reprocess": 2.5},
+            {"concurrency": 1.5},
+            {"max_depth": "2"},
+            {"k_rules": True},
+            {"deterministic": 1},
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()

@@ -1,8 +1,9 @@
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assignments_response, fusion_answer
+from helpers import assignments_response, fusion_answer, json_doc
 from rulegraph.agents import MockProvider, NodeSession, ProviderResponse
 from rulegraph.fusion import (
     FinalResult,
@@ -37,6 +38,19 @@ def cand(index, membership, answer, domain="History"):
 
 def movie_candidates():
     return [cand(1, H, MOVIE_A, "Entertainment and Media"), cand(2, M, MOVIE_B), cand(3, ML, MOVIE_A, "Biology")]
+
+
+# Three cluster keys, some of them blank; a list of three JSON values; or any JSON value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ASSIGNMENTS = (
+    st.lists(st.sampled_from(["k1", " k2 ", "k3", " "]), min_size=3, max_size=3)
+    | st.lists(JSON_VALUES, min_size=3, max_size=3)
+    | JSON_VALUES
+)
 
 
 def session_for(provider, node_id="T1"):
@@ -97,6 +111,26 @@ class TestClusterCandidates:
         assert sorted(c.votes for c in clusters) == [1, 2]
         reasons = [p["reason"] for kind, p in session.events if kind == "warning"]
         assert "cluster_fallback_lexical" in reasons
+
+    def test_non_string_assignments_are_reasked_then_fall_back(self):
+        # the answer satisfies the fusion schema, so only the assignment check can reject this
+        bad = json_doc({"answer": "x", "assignments": [1, 2, 3]})
+        session = session_for(MockProvider({("FEA", n): bad for n in (1, 2, 3)}))
+        clusters = cluster_candidates(movie_candidates(), "model", session)
+        assert sorted(c.votes for c in clusters) == [1, 2]
+        assert [p["status"] for kind, p in session.events if kind == "provider_call"] == ["rejected"] * 3
+        assert [p["reason"] for kind, p in session.events if kind == "warning"] == ["cluster_fallback_lexical"]
+
+    @settings(max_examples=50)  # a small property: tier-1 has a time budget
+    @given(st.fixed_dictionaries({"assignments": ASSIGNMENTS}, optional={"answer": st.just("x")}))
+    def test_model_mode_partitions_or_falls_back_on_any_assignments(self, doc):
+        session = session_for(MockProvider({("FEA", n): json_doc(doc) for n in (1, 2, 3)}))
+        clusters = cluster_candidates(movie_candidates(), "model", session)
+        assert sorted(m.rule_index for c in clusters for m in c.members) == [1, 2, 3]
+        reasons = [p["reason"] for kind, p in session.events if kind == "warning"]
+        if reasons != ["cluster_fallback_lexical"]:
+            assert not reasons
+            assert {c.key for c in clusters} == {key.strip() for key in doc["assignments"]}
 
 
 class TestResolveConflict:
@@ -250,7 +284,3 @@ class TestFuseFinal:
             return fuse_final({"T1": "a", "T2": "b"}, "task", session=session)
 
         assert once() == once()
-
-    def test_empty_preds_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_final({}, "task", session=session_for(MockProvider({}), "F"))

@@ -15,15 +15,13 @@ from rulegraph.membership import MembershipLabel
 from rulegraph.rules import (
     DEFAULT_DOMAINS,
     AllRulesFailed,
-    GlobalRule,
-    RuleSet,
     construct_rules,
     run_global_rule,
     run_rules,
 )
 
 T1 = TaskNode("T1", NodeKind.SUBTASK, "For which movie did the actress win her second award?")
-GLOBAL = GlobalRule(goal="discuss the actress's experience and craft")
+GOAL = "discuss the actress's experience and craft"
 
 
 class RecordingMock(MockProvider):
@@ -48,15 +46,15 @@ T1_RULES = ruleset_response(
 class TestConstructRules:
     def test_three_rules_with_expected_memberships(self):
         provider = MockProvider({("DAA", 1): T1_RULES})
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
-        assert isinstance(ruleset, RuleSet)
-        assert [r.index for r in ruleset.rules] == [1, 2, 3]
-        assert [r.domain_name for r in ruleset.rules] == [
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
+        assert isinstance(rules, tuple)
+        assert [r.index for r in rules] == [1, 2, 3]
+        assert [r.domain_name for r in rules] == [
             "Entertainment and Media",
             "History",
             "Biology",
         ]
-        assert [r.membership for r in ruleset.rules] == [
+        assert [r.membership for r in rules] == [
             MembershipLabel.H,
             MembershipLabel.M,
             MembershipLabel.ML,
@@ -64,8 +62,8 @@ class TestConstructRules:
 
     def test_k_one(self):
         provider = MockProvider({("DAA", 1): ruleset_response([("History", "SH")])})
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
-        assert len(ruleset.rules) == 1
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
+        assert len(rules) == 1
 
     def test_feedback_travels_verbatim_with_statement(self):
         provider = RecordingMock({("DAA", 1): T1_RULES})
@@ -84,18 +82,18 @@ class TestConstructRules:
         dupes = ruleset_response([("History", "H"), ("History", "M")])
         good = ruleset_response([("History", "H"), ("Biology", "M")])
         provider = MockProvider({("DAA", 1): dupes, ("DAA", 2): good})
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 2, session=session_for(provider))
-        assert len({r.domain_name for r in ruleset.rules}) == 2
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 2, session=session_for(provider))
+        assert len({r.domain_name for r in rules}) == 2
 
     def test_wrong_rule_count_rejected(self):
         provider = MockProvider(
             {("DAA", 1): ruleset_response([("History", "H")]), ("DAA", 2): T1_RULES}
         )
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
-        assert len(ruleset.rules) == 3
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
+        assert len(rules) == 3
 
 
-def built_ruleset(provider):
+def built_rules(provider):
     return construct_rules(T1, DEFAULT_DOMAINS, 3, session=session_for(provider))
 
 
@@ -114,11 +112,11 @@ class TestRunRules:
             }
         )
         session = session_for(provider)
-        ruleset = built_ruleset(provider)
-        candidates = run_rules(ruleset, T1.statement, ["the original task"], session=session)
+        rules = built_rules(provider)
+        candidates = run_rules(rules, T1.statement, ["the original task"], session=session)
         assert [c.rule_index for c in candidates] == [1, 2, 3]
         assert [c.answer_text for c in candidates] == [MOVIE_A, MOVIE_B, MOVIE_A]
-        assert [c.membership for c in candidates] == [r.membership for r in ruleset.rules]
+        assert [c.membership for c in candidates] == [r.membership for r in rules]
 
     def test_single_rule(self):
         provider = MockProvider(
@@ -128,8 +126,8 @@ class TestRunRules:
             }
         )
         session = session_for(provider)
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
-        candidates = run_rules(ruleset, T1.statement, [], session=session)
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
+        candidates = run_rules(rules, T1.statement, [], session=session)
         assert len(candidates) == 1 and candidates[0].rule_index == 1
 
     def test_one_failed_rule_degrades_gracefully(self):
@@ -146,8 +144,8 @@ class TestRunRules:
             }
         )
         session = session_for(provider)
-        ruleset = built_ruleset(provider)
-        candidates = run_rules(ruleset, T1.statement, [], session=session)
+        rules = built_rules(provider)
+        candidates = run_rules(rules, T1.statement, [], session=session)
         assert [c.rule_index for c in candidates] == [1, 3]
         warnings = [p for kind, p in session.events if kind == "warning"]
         assert len(warnings) == 1 and warnings[0]["rule_index"] == 2
@@ -163,10 +161,10 @@ class TestRunRules:
         }
 
     def run_with(self, provider, pool=None):
-        ruleset = built_ruleset(provider)
+        rules = built_rules(provider)
         session = session_for(provider)
         session.pool = pool
-        return run_rules(ruleset, T1.statement, [], session=session), session.events
+        return run_rules(rules, T1.statement, [], session=session), session.events
 
     def test_rule_events_stay_together_in_rule_order(self):
         candidates, events = self.run_with(MockProvider(self.fan_out_script()))
@@ -210,9 +208,9 @@ class TestRunRules:
             {("DAA", 1): ruleset_response([("History", "H")]), **{("DEA", n): "junk" for n in (1, 2, 3)}}
         )
         session = session_for(provider)
-        ruleset = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
+        rules = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
         with pytest.raises(AllRulesFailed):
-            run_rules(ruleset, T1.statement, [], session=session)
+            run_rules(rules, T1.statement, [], session=session)
 
     def test_referential_transparency_with_mock(self):
         script = {
@@ -225,8 +223,8 @@ class TestRunRules:
         def one_run():
             provider = MockProvider(script)
             session = session_for(provider)
-            ruleset = built_ruleset(provider)
-            return run_rules(ruleset, T1.statement, [], session=session)
+            rules = built_rules(provider)
+            return run_rules(rules, T1.statement, [], session=session)
 
         assert one_run() == one_run()
 
@@ -237,13 +235,13 @@ class TestGlobalRule:
 
     def test_low_assessment_carries_diff(self):
         provider = MockProvider({("GEA", 1): assessment_response("L", "misses the career focus")})
-        assessment = run_global_rule(GLOBAL, self.fused(), session=session_for(provider))
+        assessment = run_global_rule(GOAL, MembershipLabel.ML, self.fused(), session=session_for(provider))
         assert assessment.membership is MembershipLabel.L
         assert assessment.diff_text == "misses the career focus"
 
     def test_pass_needs_no_diff(self):
         provider = MockProvider({("GEA", 1): assessment_response("H")})
-        assessment = run_global_rule(GLOBAL, self.fused(), session=session_for(provider))
+        assessment = run_global_rule(GOAL, MembershipLabel.ML, self.fused(), session=session_for(provider))
         assert assessment.membership is MembershipLabel.H
         assert assessment.diff_text == ""
 
@@ -257,16 +255,15 @@ class TestGlobalRule:
         )
         session = session_for(provider)
         tokens = [
-            run_global_rule(GLOBAL, self.fused(), session=session).membership.token
+            run_global_rule(GOAL, MembershipLabel.ML, self.fused(), session=session).membership.token
             for _ in range(3)
         ]
         assert tokens == ["L", "Lr", "H"]
 
     def test_threshold_below_ml_accepts_pass_without_diff(self):
-        rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.LR)
         provider = MockProvider({("GEA", 1): assessment_response("Lr")})
         session = session_for(provider)
-        assessment = run_global_rule(rule, self.fused(), session=session)
+        assessment = run_global_rule(GOAL, MembershipLabel.LR, self.fused(), session=session)
         assert assessment.membership is MembershipLabel.LR
         assert assessment.diff_text == ""
         assert [p["status"] for _, p in session.events] == ["ok"]
@@ -279,21 +276,19 @@ class TestGlobalRule:
             }
         )
         session = session_for(provider)
-        assessment = run_global_rule(GLOBAL, self.fused(), session=session)
+        assessment = run_global_rule(GOAL, MembershipLabel.ML, self.fused(), session=session)
         assert assessment.diff_text == "off the goal"
         assert [p["status"] for _, p in session.events] == ["rejected", "ok"]
 
     def test_threshold_l_accepts_low_without_diff(self):
-        rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.L)
         provider = MockProvider({("GEA", 1): assessment_response("L")})
         session = session_for(provider)
-        assessment = run_global_rule(rule, self.fused(), session=session)
+        assessment = run_global_rule(GOAL, MembershipLabel.L, self.fused(), session=session)
         assert assessment.membership is MembershipLabel.L
         assert assessment.diff_text == ""
         assert [p["status"] for _, p in session.events] == ["ok"]
 
     def test_custom_threshold_requires_diff_below_it(self):
-        rule = GlobalRule(goal=GLOBAL.goal, threshold=MembershipLabel.M)
         provider = MockProvider(
             {
                 # ML is below an M threshold, so a missing diff must be re-asked
@@ -301,7 +296,7 @@ class TestGlobalRule:
                 ("GEA", 2): assessment_response("ML", "close but shallow"),
             }
         )
-        assessment = run_global_rule(rule, self.fused(), session=session_for(provider))
+        assessment = run_global_rule(GOAL, MembershipLabel.M, self.fused(), session=session_for(provider))
         assert assessment.diff_text == "close but shallow"
 
     @pytest.mark.parametrize(
@@ -314,7 +309,6 @@ class TestGlobalRule:
         ],
     )
     def test_verdict_fails_only_strictly_below_threshold(self, label, threshold, passed):
-        rule = GlobalRule(goal=GLOBAL.goal, threshold=threshold)
         provider = MockProvider({("GEA", 1): assessment_response(label.token, "off goal")})
-        assessment = run_global_rule(rule, self.fused(), session=session_for(provider))
+        assessment = run_global_rule(GOAL, threshold, self.fused(), session=session_for(provider))
         assert assessment.passed is passed
