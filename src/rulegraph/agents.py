@@ -54,11 +54,7 @@ class ParseError(Exception):
 
 
 class ResponseViolation(Exception):
-    """Semantic check on a parsed response failed; triggers a re-ask."""
-
-
-class MalformedResponse(Exception):
-    """A role response stayed invalid through all configured re-asks."""
+    """A call's reader refused a parsed response; triggers a re-ask."""
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +497,9 @@ class NodeSession:
     trace. The session numbers its calls' attempts per role (_attempts
     holds the last number taken), and the engine opens one session per node
     id and run, so every context key is unique. Each response is validated
-    against its role's schema; a malformed one is re-asked up to
-    REASK_LIMIT times with the violation appended to the prompt, each
-    re-ask under a fresh attempt number.
+    against its role's schema, then read by the call's reader; one that
+    fails either is re-asked up to REASK_LIMIT times with the violation
+    appended to the prompt, each re-ask under a fresh attempt number.
     """
 
     run_id: str
@@ -521,14 +517,14 @@ class NodeSession:
         self,
         template_key: str,
         slots: Mapping[str, object],
-        extra_check: Callable[[dict], None] | None = None,
-    ) -> dict:
+        read: Callable[[dict], object] | None = None,
+    ):
         """call_many with one slot mapping, logged to this session's events.
 
-        Returns the document, or raises the ProviderFailure or
-        MalformedResponse that ended the call.
+        Returns what read made of the document (the document itself without
+        a reader), or raises the ProviderFailure that ended the call.
         """
-        [(outcome, events)] = self.call_many(template_key, [slots], extra_check)
+        [(outcome, events)] = self.call_many(template_key, [slots], read)
         self.events.extend(events)
         if isinstance(outcome, Exception):
             raise outcome
@@ -538,25 +534,26 @@ class NodeSession:
         self,
         template_key: str,
         slot_list: Sequence[Mapping[str, object]],
-        extra_check: Callable[[dict], None] | None = None,
-    ) -> list[tuple[dict | Exception, list[tuple[str, dict]]]]:
+        read: Callable[[dict], object] | None = None,
+    ) -> list[tuple[object, list[tuple[str, dict]]]]:
         """One call per slot mapping: every first try at once, then the re-asks.
 
         The first tries take the next len(slot_list) attempt numbers in
         order; with more than one call they run on the session's pool when
         it has one. Re-asks follow in order, numbered after them. Each call
-        gets its own event buffer. Returns (document, or the ProviderFailure
-        or MalformedResponse that ended the call, buffer) per call; the
-        caller appends the buffers in order.
+        gets its own event buffer. Returns (what read made of the document,
+        or the ProviderFailure that ended the call, buffer) per call; the
+        caller appends the buffers in order. A response still invalid after
+        the re-asks ends its call with a ProviderFailure.
         """
         role = ROLES[template_key]
         calls = [(render_prompt(role, slots), []) for slots in slot_list]  # (prompt, events)
         first = self._attempts.get(role.kind, 0) + 1
         self._attempts[role.kind] = first + len(calls) - 1
 
-        def first_try(i: int) -> tuple[dict | ProviderFailure | None, str | None]:
+        def first_try(i: int) -> tuple[object, str | None]:
             prompt, events = calls[i]
-            return self._ask(role, prompt, first + i, None, extra_check, events)
+            return self._ask(role, prompt, first + i, None, read, events)
 
         if self.pool is None or len(calls) == 1:
             tries = [first_try(i) for i in range(len(calls))]
@@ -569,11 +566,9 @@ class NodeSession:
                 if outcome is not None:
                     break
                 attempt = self._attempts[role.kind] = self._attempts[role.kind] + 1
-                outcome, violation = self._ask(
-                    role, prompt, attempt, violation, extra_check, events
-                )
+                outcome, violation = self._ask(role, prompt, attempt, violation, read, events)
             if outcome is None:
-                outcome = MalformedResponse(
+                outcome = ProviderFailure(
                     f"response still invalid after {REASK_LIMIT} re-asks: {violation}"
                 )
             outcomes.append((outcome, events))
@@ -585,14 +580,16 @@ class NodeSession:
         prompt: str,
         attempt: int,
         violation: str | None,
-        extra_check: Callable[[dict], None] | None,
+        read: Callable[[dict], object] | None,
         events: list[tuple[str, dict]],
-    ) -> tuple[dict | ProviderFailure | None, str | None]:
+    ) -> tuple[object, str | None]:
         """One provider request, logged to `events` as one provider_call record.
 
-        Returns (document, None) for a valid response, (the ProviderFailure,
-        its text) when the provider failed, else (None, the violation to
-        re-ask with). A previous violation is appended to the prompt.
+        Returns (what read made of the document, None) for a valid response,
+        (the ProviderFailure, its text) when the provider failed, else (None,
+        the violation to re-ask with). A schema failure is a parse_error, a
+        reader's ResponseViolation is rejected. A previous violation is
+        appended to the prompt.
         """
         if violation:
             prompt += (
@@ -610,8 +607,8 @@ class NodeSession:
         try:
             response = self.provider.complete(request)
             outcome = parse_structured(response.raw_text, role.schema)
-            if extra_check is not None:
-                extra_check(outcome)
+            if read is not None:
+                outcome = read(outcome)
             status = "ok"
         except ProviderFailure as exc:
             status, outcome, error = "transport_error", exc, str(exc)
@@ -637,10 +634,11 @@ class NodeSession:
 
 @dataclass(frozen=True)
 class PlannerPlan:
-    """Validated planner output: subtasks, dependency edges and the global goal.
+    """A plan that forms a run graph: subtasks, dependency edges and the global goal.
 
     task carries the planner's input text so graph construction can fill the
-    original node's statement.
+    original node's statement. A plan that cannot form a run graph raises
+    GraphError when built.
     """
 
     task: str
@@ -648,19 +646,22 @@ class PlannerPlan:
     subtasks: tuple[tuple[str, str], ...]
     edges: tuple[tuple[str, str], ...]
 
-
-def _check_plan_semantics(doc: dict) -> None:
-    error = graph_mod.plan_error([entry["id"] for entry in doc["subtasks"]], doc["edges"])
-    if error is not None:
-        raise ResponseViolation(str(error))
+    def __post_init__(self) -> None:
+        graph_mod.check_plan([sid for sid, _ in self.subtasks], self.edges)
 
 
 def plan(task: str, session: NodeSession) -> PlannerPlan:
     """One planner invocation; used for the original task and for failed-subtask decomposition."""
-    doc = session.call("plan", {"task": task}, extra_check=_check_plan_semantics)
-    return PlannerPlan(
-        task=task,
-        global_goal=doc["goal"],
-        subtasks=tuple((entry["id"], entry["statement"]) for entry in doc["subtasks"]),
-        edges=tuple((a, b) for a, b in doc["edges"]),
-    )
+
+    def read(doc: dict) -> PlannerPlan:
+        try:
+            return PlannerPlan(
+                task=task,
+                global_goal=doc["goal"],
+                subtasks=tuple((entry["id"], entry["statement"]) for entry in doc["subtasks"]),
+                edges=tuple((a, b) for a, b in doc["edges"]),
+            )
+        except graph_mod.GraphError as exc:
+            raise ResponseViolation(str(exc)) from None
+
+    return session.call("plan", {"task": task}, read)

@@ -65,14 +65,13 @@ def _known_keys(spec: dict, allowed: set[str], what: str) -> None:
 def _typed(spec: dict, key: str, default):
     """spec[key] if it has the JSON type of default, default if absent, else a ConfigError.
 
-    Strict: a boolean is not an integer and a string is not a number; an integer is a number.
-    Only for keys that are not fields of RunConfig or LiveProvider, which check their own.
+    Only for keys whose file form RunConfig or LiveProvider does not take as is.
     """
     if key not in spec:
         return default
     value, kind = spec[key], type(default)
-    if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
+    if type(value) is kind:
+        return value
     raise ConfigError(f"{key!r} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
 
 
@@ -109,16 +108,11 @@ def load_config(path: str) -> RunConfig:
                 domains = [line.strip() for line in handle if line.strip()]
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read domain catalog: {exc}") from exc
-    if domains is not None and (
-        not isinstance(domains, list) or not all(isinstance(d, str) and d for d in domains)
-    ):
-        raise ConfigError("domains must be a list of non-empty strings")
 
     temperatures = {}
-    given = _typed(raw, "temperatures", {})
-    for name in given:
+    for name, value in _typed(raw, "temperatures", {}).items():
         try:
-            temperatures[RoleKind(name)] = _typed(given, name, 0.0)
+            temperatures[RoleKind(name)] = value
         except ValueError as exc:
             raise ConfigError(f"bad temperature for role {name!r}: {exc}") from exc
 
@@ -130,7 +124,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         provider=provider,
         threshold=threshold,
-        domains=DEFAULT_DOMAINS if domains is None else tuple(domains),
+        domains=DEFAULT_DOMAINS if domains is None else domains,
         temperatures=temperatures,
         **{name: raw[name] for name in _SCALAR_FIELDS if name in raw},
     )

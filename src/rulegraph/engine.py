@@ -30,7 +30,6 @@ from typing import IO, TYPE_CHECKING, Callable, Mapping
 from . import graph as g
 from .agents import (
     REASK_LIMIT,
-    MalformedResponse,
     NodeSession,
     PlannerPlan,
     ProviderFailure,
@@ -40,13 +39,13 @@ from .agents import (
 )
 from .fusion import FinalResult, fuse_final, fuse_subtask
 from .membership import MembershipLabel
-from .rules import DEFAULT_DOMAINS, AllRulesFailed, construct_rules, run_global_rule, run_rules
+from .rules import DEFAULT_DOMAINS, construct_rules, run_global_rule, run_rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Executor
 
 DETERMINISTIC_RUN_ID = "run-0"
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an object"}
 
 
 class EngineError(Exception):
@@ -85,7 +84,9 @@ class RunConfig:
     replays a fixed script; deterministic mode requires that flag, fixes the
     run id and drops timestamps so traces are byte-stable. A config is
     validated when built, dataclasses.replace included: a bool, int or str
-    field must have exactly its default's type (a bool is not an int).
+    field must have exactly its default's type (a bool is not an int),
+    threshold a MembershipLabel, domains a list or tuple of non-empty
+    strings (stored as a tuple) and each temperature an int or float.
     Temperatures given for some roles keep the defaults of the others.
     """
 
@@ -104,12 +105,19 @@ class RunConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperatures", {**DEFAULT_TEMPERATURES, **self.temperatures})
         self.validate()
+        object.__setattr__(self, "domains", tuple(self.domains))
 
     def validate(self) -> None:
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind in (bool, int, str) and type(value) is not kind:
                 raise ConfigError(f"{f.name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+        if not isinstance(self.threshold, MembershipLabel):
+            raise ConfigError(f"'threshold' must be a MembershipLabel, got {self.threshold!r}")
+        if not isinstance(self.domains, (list, tuple)) or not all(
+            isinstance(d, str) and d for d in self.domains
+        ):
+            raise ConfigError(f"'domains' must be a list of non-empty strings, got {self.domains!r}")
         if self.k_rules < 1:
             raise ConfigError("k_rules must be at least 1")
         if self.max_reprocess < 1:
@@ -128,9 +136,11 @@ class RunConfig:
             raise ConfigError("k_rules exceeds the number of distinct catalog domains")
         if self.deterministic and not getattr(self.provider, "scripted", False):
             raise ConfigError("deterministic mode requires a scripted provider")
-        for role in self.temperatures:
+        for role, temperature in self.temperatures.items():
             if not isinstance(role, RoleKind):
                 raise ConfigError(f"temperature key {role!r} is not a RoleKind")
+            if type(temperature) not in (int, float):
+                raise ConfigError(f"temperature for {role.value} must be a number, got {temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,7 @@ def process_node(
                     "diff_text": assessment.diff_text,
                 },
             )
-        except (ProviderFailure, MalformedResponse, AllRulesFailed) as exc:
+        except ProviderFailure as exc:
             session.emit(
                 "warning",
                 {"node": node.id, "reason": "attempt_failed", "detail": str(exc)},
@@ -356,7 +366,7 @@ def handle_failure(
             },
         )
         scenario = doc["scenario"]
-    except (ProviderFailure, MalformedResponse) as exc:
+    except ProviderFailure as exc:
         session.emit(
             "warning",
             {"node": node.id, "reason": "classification_failed", "detail": str(exc)},
@@ -373,7 +383,7 @@ def handle_failure(
         else:
             try:
                 subplan = plan_task(node.statement, session)
-            except (ProviderFailure, MalformedResponse) as exc:
+            except ProviderFailure as exc:
                 session.emit(
                     "warning",
                     {"node": node.id, "reason": "replan_failed", "detail": str(exc)},
@@ -583,7 +593,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         try:
             the_plan = plan_task(task, root_session)
             graph = g.build_graph(the_plan)
-        except (ProviderFailure, MalformedResponse) as exc:
+        except ProviderFailure as exc:
             root_session.emit("warning", {"reason": "planning_failed", "detail": str(exc)})
             tracer.flush(root_session.events)
             raise PlanningFailure(str(exc)) from exc
@@ -618,7 +628,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         fusion_session = new_session(g.FUSION_ID)
         try:
             final = fuse_final(answers, task, session=fusion_session)
-        except (ProviderFailure, MalformedResponse) as exc:
+        except ProviderFailure as exc:
             fusion_session.emit("warning", {"reason": "final_fusion_failed", "detail": str(exc)})
             tracer.flush(fusion_session.events)
             raise FusionFailure(f"provider failure in final fusion: {exc}") from exc

@@ -14,7 +14,7 @@ import string as _string
 from dataclasses import dataclass
 from typing import Mapping
 
-from .agents import MalformedResponse, NodeSession, ProviderFailure, ResponseViolation
+from .agents import NodeSession, ProviderFailure, ResponseViolation
 from .graph import TaskNode
 from .membership import MembershipLabel
 from .rules import CandidateResult
@@ -67,7 +67,7 @@ def cluster_candidates(
     if mode == "model":
         try:
             keys = _model_keys(candidates, session)
-        except (ProviderFailure, MalformedResponse) as exc:
+        except ProviderFailure as exc:
             session.emit(
                 "warning",
                 {"reason": "cluster_fallback_lexical", "detail": str(exc)},
@@ -87,15 +87,15 @@ def cluster_candidates(
 def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list[str]:
     listing = "\n".join(f"{i}. {c.answer_text}" for i, c in enumerate(candidates, 1))
 
-    def check(doc: dict) -> None:
+    def read(doc: dict) -> list[str]:
         assignments = doc.get("assignments")
         if not isinstance(assignments, list) or len(assignments) != len(candidates):
             raise ResponseViolation(f"need exactly {len(candidates)} cluster assignments")
         if not all(isinstance(key, str) and key.strip() for key in assignments):
             raise ResponseViolation("each cluster assignment must be a non-blank string")
+        return [key.strip() for key in assignments]
 
-    doc = session.call("cluster", {"candidates": listing}, extra_check=check)
-    return [key.strip() for key in doc["assignments"]]
+    return session.call("cluster", {"candidates": listing}, read)
 
 
 def _rank_key(cluster: SemanticCluster) -> tuple:
@@ -140,12 +140,11 @@ def fuse_subtask(
         answer = best.answer_text
     else:
         listing = "\n".join(f"- {m.answer_text}" for m in winner.members)
-        doc = session.call(
+        answer = session.call(
             "fuse_subtask",
             {"statement": subtask.statement, "candidates": listing},
-            extra_check=_check_answer,
+            _read_answer,
         )
-        answer = doc["answer"]
 
     session.emit(
         "fusion",
@@ -178,14 +177,11 @@ def fuse_final(
     contributing nodes.
     """
     listing = "\n".join(f"- {text}" for text in answers.values())
-    doc = session.call(
-        "fuse_final",
-        {"task": original_task, "results": listing},
-        extra_check=_check_answer,
-    )
-    return FinalResult(answer_text=doc["answer"], contributing_nodes=tuple(answers))
+    answer = session.call("fuse_final", {"task": original_task, "results": listing}, _read_answer)
+    return FinalResult(answer_text=answer, contributing_nodes=tuple(answers))
 
 
-def _check_answer(doc: dict) -> None:
+def _read_answer(doc: dict) -> str:
     if not isinstance(doc.get("answer"), str) or not doc["answer"]:
         raise ResponseViolation("fusion response must carry a non-empty 'answer'")
+    return doc["answer"]

@@ -9,8 +9,10 @@ planner-generated chain of simpler subtasks in place of the failed node.
 Graphs are immutable values; every edit returns a new graph. Each value
 indexes its predecessors and successors once, when it is built.
 
-build_graph and from_payload validate what they build. The edits keep the
-invariants by construction and check only their own request:
+A PlannerPlan refuses a plan that cannot form a run graph, so build_graph
+wires only valid plans, and it and from_payload validate what they build.
+The edits keep the invariants by construction and check only their own
+request:
 
 - Removal bridges every predecessor of the node to every successor, so
   every path through the node survives with the node cut out.
@@ -180,25 +182,24 @@ def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
     return seen
 
 
-def plan_error(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> GraphError | None:
-    """The first reason a plan cannot form a run graph, or None.
+def check_plan(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> None:
+    """Raise GraphError with the first reason a plan cannot form a run graph.
 
     Checked in order: no subtasks, duplicate ids, reserved ids, dangling edges, a cycle.
     """
     if not ids:
-        return GraphError("plan contains no subtasks")
+        raise GraphError("plan contains no subtasks")
     if len(set(ids)) != len(ids):
-        return GraphError("subtask ids must be unique")
+        raise GraphError("subtask ids must be unique")
     for sid in ids:
         if sid in RESERVED_IDS:
-            return GraphError(f"subtask id {sid!r} is reserved")
+            raise GraphError(f"subtask id {sid!r} is reserved")
     known = set(ids)
     for a, b in edges:
         if a not in known or b not in known:
-            return GraphError(f"edge ({a}, {b}) references an unknown subtask")
+            raise GraphError(f"edge ({a}, {b}) references an unknown subtask")
     if not _acyclic(ids, edges):
-        return GraphError("dependency edges contain a cycle")
-    return None
+        raise GraphError("dependency edges contain a cycle")
 
 
 def build_graph(plan: "PlannerPlan") -> TaskGraph:
@@ -206,13 +207,9 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
 
     The original node is wired to every subtask without an in-plan
     predecessor, every subtask without an in-plan successor is wired to the
-    fusion node, and all plan edges are preserved.
+    fusion node, and all plan edges are preserved. The plan's ids and edges
+    are valid by construction; validate checks the statements.
     """
-    ids = [sid for sid, _ in plan.subtasks]
-    error = plan_error(ids, plan.edges)
-    if error is not None:
-        raise error
-
     nodes: dict[str, TaskNode] = {
         ROOT_ID: TaskNode(ROOT_ID, NodeKind.ORIGINAL, plan.task),
         FUSION_ID: TaskNode(FUSION_ID, NodeKind.FUSION, ""),
@@ -223,7 +220,7 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
     edges = {(a, b) for a, b in plan.edges}
     has_pred = {b for _, b in plan.edges}
     has_succ = {a for a, _ in plan.edges}
-    for sid in ids:
+    for sid, _ in plan.subtasks:
         if sid not in has_pred:
             edges.add((ROOT_ID, sid))
         if sid not in has_succ:

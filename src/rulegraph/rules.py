@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import NodeSession, ResponseViolation, render_result_set
+from .agents import NodeSession, ProviderFailure, ResponseViolation, render_result_set
 from .graph import TaskNode
 from .membership import MembershipLabel, parse_label
 
@@ -41,10 +41,6 @@ DEFAULT_DOMAINS = (
     "Religion",
     "Linguistics",
 )
-
-
-class AllRulesFailed(Exception):
-    """Every rule of a rule set failed to produce a candidate."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def construct_rules(
 
     catalog_set = set(catalog)
 
-    def check(doc: dict) -> None:
+    def read(doc: dict) -> tuple[DomainRule, ...]:
         rules = doc["rules"]
         if len(rules) != k:
             raise ResponseViolation(f"expected exactly {k} rules, got {len(rules)}")
@@ -100,8 +96,18 @@ def construct_rules(
         unknown = [d for d in domains if d not in catalog_set]
         if unknown:
             raise ResponseViolation(f"domains not in catalog: {unknown}")
+        return tuple(
+            DomainRule(
+                index=i,
+                domain_name=entry["domain"],
+                antecedent=entry["antecedent"],
+                membership=parse_label(entry["membership"]),
+                consequent_prompt=entry["expert_prompt"],
+            )
+            for i, entry in enumerate(rules, start=1)
+        )
 
-    doc = session.call(
+    return session.call(
         "analyze",
         {
             "statement": subtask.statement,
@@ -109,17 +115,7 @@ def construct_rules(
             "catalog": ", ".join(catalog),
             "feedback_block": feedback_block,
         },
-        extra_check=check,
-    )
-    return tuple(
-        DomainRule(
-            index=i,
-            domain_name=entry["domain"],
-            antecedent=entry["antecedent"],
-            membership=parse_label(entry["membership"]),
-            consequent_prompt=entry["expert_prompt"],
-        )
-        for i, entry in enumerate(doc["rules"], start=1)
+        read,
     )
 
 
@@ -136,7 +132,7 @@ def run_rules(
     session has a pool) and take the next K attempt numbers in rule order;
     re-asks follow in rule order. Each rule's events stay together in rule
     order. Output is ordered by rule index and each candidate carries its
-    rule's membership unchanged. Raises AllRulesFailed only when no rule
+    rule's membership unchanged. Raises ProviderFailure only when no rule
     produced a candidate.
     """
     context = render_result_set(preds)
@@ -170,7 +166,7 @@ def run_rules(
             )
         )
     if not candidates:
-        raise AllRulesFailed(f"all {len(rules)} rules failed for {session.node_id}")
+        raise ProviderFailure(f"all {len(rules)} rules failed for {session.node_id}")
     return candidates
 
 
@@ -188,26 +184,23 @@ def run_global_rule(
     comes with a non-empty description of the deviation.
     """
 
-    def check(doc: dict) -> None:
+    def read(doc: dict) -> GlobalAssessment:
         membership = parse_label(doc["membership"])
-        if membership < threshold and not doc.get("diff_text"):
+        diff_text = doc.get("diff_text") or ""
+        passed = membership >= threshold
+        if not passed and not diff_text:
             raise ResponseViolation(
                 f"membership {membership.token} is below {threshold.token} "
                 "so diff_text must be non-empty"
             )
+        return GlobalAssessment(membership=membership, diff_text=diff_text, passed=passed)
 
-    doc = session.call(
+    return session.call(
         "assess",
         {
             "goal": goal,
             "result": fused,
             "threshold": threshold.token,
         },
-        extra_check=check,
-    )
-    membership = parse_label(doc["membership"])
-    return GlobalAssessment(
-        membership=membership,
-        diff_text=doc.get("diff_text", "") or "",
-        passed=membership >= threshold,
+        read,
     )

@@ -18,7 +18,6 @@ from helpers import (
 )
 from rulegraph.agents import (
     LiveProvider,
-    MalformedResponse,
     MockProvider,
     NodeSession,
     ParseError,
@@ -543,5 +542,5 @@ class TestPlan:
 
     def test_malformed_after_retries(self):
         script = {("PA", n): "garbage" for n in (1, 2, 3)}
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(ProviderFailure, match="response still invalid after 2 re-asks"):
             plan("the task", make_session(script))

@@ -115,6 +115,8 @@ def mock_config(tmp_path, script) -> str:
         {"max_reprocces": 5},
         {"provider": {"type": "mock", "script": MOCK_SCRIPT, "scirpt": "other.json"}},
         {"provider": {**LIVE, "timeout": 5}},
+        {"domains": "History"},
+        {"temperatures": {"PA": "hot"}},
     ],
     ids=[
         "k_rules-string",
@@ -134,6 +136,8 @@ def mock_config(tmp_path, script) -> str:
         "unknown-key",
         "mock-unknown-key",
         "live-unknown-key",
+        "domains-string",
+        "temperature-string",
     ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):

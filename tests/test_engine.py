@@ -273,11 +273,15 @@ class TestProviderFaults:
         script[("GEA", 1)] = assessment_response("H")
         for attempt in range(1, 7):
             script[("DEA", attempt)] = candidate_response("the answer")
-        provider = FaultInjector(script, [("run-0", "s1", "DAA", 1)])
-        outcome = execute_task("task", RunConfig(provider=provider, deterministic=True))
-        warnings = [e.payload["reason"] for e in events_of(outcome.trace, "warning")]
-        assert "attempt_failed" in warnings
-        assert events_of(outcome.trace, "node_done")[0].payload["attempts_used"] == 2
+        for fail_keys, detail in (
+            ([("run-0", "s1", "DAA", 1)], "injected outage"),
+            ([("run-0", "s1", "DEA", n) for n in (1, 2, 3)], "all 3 rules failed for s1"),
+        ):
+            provider = FaultInjector(script, fail_keys)
+            outcome = execute_task("task", RunConfig(provider=provider, deterministic=True))
+            warnings = [e.payload for e in events_of(outcome.trace, "warning")]
+            assert [w["detail"] for w in warnings if w["reason"] == "attempt_failed"] == [detail]
+            assert events_of(outcome.trace, "node_done")[0].payload["attempts_used"] == 2
 
     def test_planning_failure_carries_partial_trace(self):
         script = {("PA", n): "garbage" for n in (1, 2, 3)}
@@ -665,6 +669,10 @@ class TestConfigValidation:
             {"max_depth": "2"},
             {"k_rules": True},
             {"deterministic": 1},
+            {"threshold": "ML"},
+            {"domains": "History"},
+            {"domains": ("History", "", "Biology", "Law")},
+            {"temperatures": {RoleKind.PA: "hot"}},
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from helpers import make_plan, random_graph, random_plan, subtask_ids
+from rulegraph.agents import PlannerPlan
 from rulegraph.graph import (
     FUSION_ID,
     ROOT_ID,
@@ -67,6 +68,24 @@ class TestBuildGraph:
         rng = random.Random(11)
         for _ in range(200):
             validate(build_graph(random_plan(rng)))
+
+    @given(
+        ids=st.lists(st.sampled_from("abcde"), unique=True, max_size=5),
+        extra=st.sampled_from(["", "a", ROOT_ID, FUSION_ID]),
+        ends=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=5),
+    )
+    def test_a_plan_that_builds_gives_a_valid_graph(self, ids, extra, ends):
+        # extra repeats "a" when it was drawn or adds a reserved id; edge ends
+        # index the ids and "x", which is never an id, and may close cycles.
+        ids = [*ids, extra] if extra else ids
+        names = [*ids, "x"]
+        edges = tuple((names[a % len(names)], names[b % len(names)]) for a, b in ends)
+        subtasks = tuple((sid, f"do {sid}") for sid in ids)
+        try:
+            plan = PlannerPlan(task="t", global_goal="g", subtasks=subtasks, edges=edges)
+        except GraphError:
+            return
+        validate(build_graph(plan))
 
 
 class TestReadyNodes:

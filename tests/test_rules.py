@@ -5,16 +5,15 @@ import pytest
 
 from helpers import assessment_response, candidate_response, ruleset_response
 from rulegraph.agents import (
-    MalformedResponse,
     MockProvider,
     NodeSession,
+    ProviderFailure,
     TransportError,
 )
 from rulegraph.graph import NodeKind, TaskNode
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import (
     DEFAULT_DOMAINS,
-    AllRulesFailed,
     construct_rules,
     run_global_rule,
     run_rules,
@@ -75,7 +74,7 @@ class TestConstructRules:
     def test_domain_outside_catalog_reasks_then_fails(self):
         off_catalog = ruleset_response([("Astrology", "H")])
         provider = MockProvider({("DAA", n): off_catalog for n in (1, 2, 3)})
-        with pytest.raises(MalformedResponse):
+        with pytest.raises(ProviderFailure, match="response still invalid after 2 re-asks"):
             construct_rules(T1, DEFAULT_DOMAINS, 1, session=session_for(provider))
 
     def test_duplicate_domains_rejected(self):
@@ -209,7 +208,7 @@ class TestRunRules:
         )
         session = session_for(provider)
         rules = construct_rules(T1, DEFAULT_DOMAINS, 1, session=session)
-        with pytest.raises(AllRulesFailed):
+        with pytest.raises(ProviderFailure, match="all 1 rules failed for T1"):
             run_rules(rules, T1.statement, [], session=session)
 
     def test_referential_transparency_with_mock(self):
