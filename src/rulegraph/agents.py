@@ -252,7 +252,7 @@ def _first_json_object(text: str) -> dict:
     while idx != -1:
         try:
             value, _ = decoder.raw_decode(text[idx:])
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # nesting too deep fails like bad JSON
             idx = text.find("{", idx + 1)
             continue
         if isinstance(value, dict):
@@ -362,22 +362,46 @@ class MockProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "MockProvider":
-        """Load a script file; a malformed entry or a repeated key raises ValueError."""
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        """Load a script file; a malformed script or a repeated key raises ValueError.
+
+        Each entry is indexed as the parser closes its object, so the entry
+        objects never exist together, and equal run, node and role names
+        share one string. The parser hands every object to the indexer, the
+        document and any object nested in an entry too, so the shape is
+        checked once the parse ends: the document is an object whose
+        entries list holds indexed entries and nothing else.
+        """
         script: dict[tuple, str] = {}
-        for entry in payload["entries"]:
-            if type(entry["attempt"]) is not int:
-                raise ValueError(f"attempt {entry['attempt']!r} must be an integer")
+        share = {}.setdefault  # name -> the first string seen with that value
+        indexed = object()  # what an indexed entry leaves in the parsed document
+
+        def index(entry: dict) -> object:
+            if "entries" in entry:
+                return entry  # the document, or an entry that the shape check refuses
+            role, attempt, response = entry["role"], entry["attempt"], entry["response"]
+            if type(attempt) is not int:
+                raise ValueError(f"attempt {attempt!r} must be an integer")
             if "run" in entry:
-                key = (entry["run"], entry["node"], entry["role"], entry["attempt"])
+                run, node = entry["run"], entry["node"]
+                key = (share(run, run), share(node, node), share(role, role), attempt)
             else:
-                key = (entry["role"], entry["attempt"])
-            if not isinstance(entry["response"], str):
+                key = (share(role, role), attempt)
+            if type(response) is not str:
                 raise ValueError(f"response for {key} must be a string")
-            if key in script:
+            size = len(script)
+            script[key] = response
+            if len(script) == size:
                 raise ValueError(f"duplicate script entry for {key}")
-            script[key] = entry["response"]
+            return indexed
+
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle, object_hook=index)
+        except (KeyError, TypeError, RecursionError) as exc:  # no such field, a list as a name, too deep
+            raise ValueError(f"malformed script: {type(exc).__name__}: {exc}") from None
+        entries = doc.get("entries") if type(doc) is dict else None
+        if type(entries) is not list or not len(entries) == len(script) == entries.count(indexed):
+            raise ValueError("a script is an object whose 'entries' is a list of flat entry objects")
         return cls(script)
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:

@@ -54,7 +54,7 @@ def load_dataset(path: str) -> list[Sample]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # bad JSON, or nested too deep
                 raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise DatasetError(f"line {lineno}: record must be an object")

@@ -88,7 +88,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:  # undecodable bytes, or text that is not JSON
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, not JSON, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
 
@@ -142,7 +142,7 @@ def _build_provider(spec: dict, base_dir: str):
         resolved = os.path.join(base_dir, script_path)  # an absolute script_path wins
         try:
             return MockProvider.from_file(resolved)
-        except (OSError, KeyError, ValueError, TypeError) as exc:  # bad JSON is a ValueError
+        except (OSError, ValueError) as exc:  # from_file raises ValueError for any malformed script
             raise ConfigError(f"cannot load mock script {resolved}: {exc}") from exc
     base_url = os.environ.get("RULEGRAPH_BASE_URL") or _typed(spec, "base_url", "")
     model = os.environ.get("RULEGRAPH_MODEL") or _typed(spec, "model", "")
@@ -273,9 +273,10 @@ def _cmd_export_dot(args) -> int:
             return EXIT_CONFIG
         graph = TaskGraph.from_payload(graph_payload)
         labels = {node: parse_label(token) for node, token in memberships.items() if node in graph.nodes}
-    except (OSError, ValueError, LookupError, TypeError, GraphError) as exc:
-        # a decode or JSON error is a ValueError; a record of the wrong shape, a
-        # LookupError or TypeError; a graph that breaks an invariant, a GraphError
+    except (OSError, ValueError, RecursionError, LookupError, TypeError, GraphError) as exc:
+        # a decode or JSON error is a ValueError, a line nested too deep a RecursionError;
+        # a record of the wrong shape, a LookupError or TypeError; a graph that breaks an
+        # invariant, a GraphError
         print(f"cannot read trace {args.trace}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     dot = export_dot(graph, labels)

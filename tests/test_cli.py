@@ -269,6 +269,31 @@ def test_bad_mock_script_exits_3(script, verb, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "deep, message",
+    [
+        ("config.json", "config file is not valid JSON"),
+        ("script.json", "cannot load mock script"),
+        ("dataset.jsonl", "line 1: invalid JSON"),
+        ("trace.jsonl", "cannot read trace"),
+    ],
+    ids=["config", "mock-script", "dataset", "trace"],
+)
+def test_deeply_nested_json_input_exits_3(deep, message, tmp_path, capsys):
+    config = mock_config(tmp_path, {"entries": []})
+    path = tmp_path / deep  # config.json and script.json overwrite what mock_config wrote
+    path.write_text('{"entries": ' + "[" * 100_000, encoding="utf-8")
+    argv = {
+        "dataset.jsonl": ["bench", "--dataset", str(path), "--report", str(tmp_path / "r.json")],
+        "trace.jsonl": ["export-dot", "--trace", str(path)],
+    }.get(deep, ["validate-config"])
+    if deep != "trace.jsonl":
+        argv += ["--config", config]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "fixture, verb", [("email_script.json", "run"), ("bench_script.json", "bench")]
 )
 def test_incomplete_mock_script_exits_3(fixture, verb, tmp_path, capsys):
