@@ -6,9 +6,11 @@ experts (DEA) execute rule consequents, the fusion expert (FEA) clusters
 and synthesizes, and the global expert (GEA) gates fused results against
 the global goal.
 
+Each role's prompt is a printf-style template filled by render_prompt.
 Every role emits a JSON document embedded in free text; parse_structured
-extracts the first well-formed object and validates it against a named
-schema. Two provider implementations sit behind one interface: a live
+extracts the first well-formed object, trying at most _MAX_PARSE_TRIES
+places where one can start, and validates it against a named schema. Two
+provider implementations sit behind one interface: a live
 OpenAI-compatible chat-completions client and a deterministic scripted
 mock keyed by call context, used by every test.
 """
@@ -16,11 +18,11 @@ mock keyed by call context, used by every test.
 from __future__ import annotations
 
 import json
-import string
+import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
@@ -31,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
 _MAX_TRANSPORT_RETRIES = 10
+_MAX_PARSE_TRIES = 32  # decode tries per response before it counts as holding no JSON object
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +76,7 @@ class RoleKind(Enum):
 class Role:
     kind: RoleKind
     schema: str  # the schema id every response of this role is validated against
-    template: str
+    template: str  # printf-style: %(name)s is a slot, and a literal % must be written %%
 
 
 _JSON_RULES = (
@@ -87,7 +90,7 @@ subtasks where one needs another's result, and state the global goal the
 final answer must satisfy.
 
 Task:
-$task
+%(task)s
 
 {_JSON_RULES}
 Fields: "goal" (string), "subtasks" (array of {{"id", "statement"}}),
@@ -95,13 +98,13 @@ Fields: "goal" (string), "subtasks" (array of {{"id", "statement"}}),
 """
 
 _CLASSIFY_TEMPLATE = f"""You are a task planner reviewing a subtask that kept failing its goal check
-after $attempts attempts. Decide why.
+after %(attempts)s attempts. Decide why.
 
 Global goal:
-$goal
+%(goal)s
 
 Failing subtask:
-$statement
+%(statement)s
 
 Answer "irrelevant" if the subtask does not serve the global goal and should
 be dropped, or "too_complex" if it is relevant but needs to be broken into
@@ -111,29 +114,29 @@ simpler steps.
 Fields: "scenario" ("irrelevant" or "too_complex"), "reason" (string).
 """
 
-_ANALYZE_TEMPLATE = f"""You are a domain analyst. For the subtask below, write $k IF-THEN domain
+_ANALYZE_TEMPLATE = f"""You are a domain analyst. For the subtask below, write %(k)s IF-THEN domain
 rules. For each rule pick a distinct domain from the catalog, write the
 IF-part in that domain's terminology, judge how strongly the subtask belongs
 to the domain as one of H, SH, M, ML, Lr, L, and write the THEN-part as an
 initialization prompt for a domain expert who will answer the subtask.
 
 Subtask:
-$statement
-$feedback_block
-Domain catalog: $catalog
+%(statement)s
+%(feedback_block)s
+Domain catalog: %(catalog)s
 
 {_JSON_RULES}
 Fields: "rules" (array of {{"domain", "antecedent", "membership",
 "expert_prompt"}}).
 """
 
-_EXECUTE_TEMPLATE = f"""$instructions
+_EXECUTE_TEMPLATE = f"""%(instructions)s
 
 Subtask:
-$statement
+%(statement)s
 
 Results from earlier steps:
-$context
+%(context)s
 
 {_JSON_RULES}
 Fields: "answer" (string with your full answer).
@@ -141,18 +144,18 @@ Fields: "answer" (string with your full answer).
 
 _ASSESS_TEMPLATE = f"""You are a global reviewer. Judge how strongly the result below satisfies the
 global goal, as one of H, SH, M, ML, Lr, L. If your judgement is below
-$threshold, describe precisely what deviates from the goal so the subtask
+%(threshold)s, describe precisely what deviates from the goal so the subtask
 can be reworked.
 
 Global goal:
-$goal
+%(goal)s
 
 Result:
-$result
+%(result)s
 
 {_JSON_RULES}
 Fields: "membership" (label), "diff_text" (string; required and non-empty
-when membership is below $threshold).
+when membership is below %(threshold)s).
 """
 
 _CLUSTER_TEMPLATE = f"""You are a fusion expert. Group the candidate answers below by meaning:
@@ -160,7 +163,7 @@ answers that state the same thing get the same short cluster key, answers
 that disagree get different keys.
 
 Candidates:
-$candidates
+%(candidates)s
 
 {_JSON_RULES}
 Fields: "assignments" (array of cluster-key strings, one per candidate, in
@@ -171,10 +174,10 @@ _FUSE_SUBTASK_TEMPLATE = f"""You are a fusion expert. The answers below agree on
 subtask result. Write one consolidated answer grounded only in them.
 
 Subtask:
-$statement
+%(statement)s
 
 Supporting answers:
-$candidates
+%(candidates)s
 
 {_JSON_RULES}
 Fields: "answer" (string).
@@ -184,10 +187,10 @@ _FUSE_FINAL_TEMPLATE = f"""You are a fusion expert. Combine the completed subtas
 single final answer to the original task. Use every result.
 
 Original task:
-$task
+%(task)s
 
 Subtask results:
-$results
+%(results)s
 
 {_JSON_RULES}
 Fields: "answer" (string).
@@ -214,8 +217,8 @@ DEFAULT_TEMPERATURES: dict[RoleKind, float] = {
 
 
 def render_prompt(role: Role, slots: Mapping[str, object]) -> str:
-    """Fill a role template; a slot the template references but slots lacks raises KeyError."""
-    return string.Template(role.template).substitute({k: str(v) for k, v in slots.items()})
+    """Fill a role template with str() of each slot; a slot that slots lacks raises KeyError."""
+    return role.template % slots
 
 
 def render_result_set(preds: Sequence[str]) -> str:
@@ -246,18 +249,26 @@ def parse_structured(response_text: str, schema_id: str) -> dict:
     return doc
 
 
+_DECODER = json.JSONDecoder()
+# Where an object can start: a brace, JSON whitespace, then a key or the closing brace.
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
+
+
 def _first_json_object(text: str) -> dict:
-    decoder = json.JSONDecoder()
-    idx = text.find("{")
-    while idx != -1:
+    """Decode at each place an object can start, at most _MAX_PARSE_TRIES of them.
+
+    Each try copies the rest of the text, so the cap keeps a rejected
+    response linear in its length.
+    """
+    start = _OBJECT_START.search(text)
+    for _ in range(_MAX_PARSE_TRIES):
+        if start is None:
+            break
+        idx = start.start()
         try:
-            value, _ = decoder.raw_decode(text[idx:])
+            return _DECODER.raw_decode(text[idx:])[0]  # an object, since it starts with a brace
         except (json.JSONDecodeError, RecursionError):  # nesting too deep fails like bad JSON
-            idx = text.find("{", idx + 1)
-            continue
-        if isinstance(value, dict):
-            return value
-        idx = text.find("{", idx + 1)
+            start = _OBJECT_START.search(text, idx + 1)
     raise ParseError("no JSON object found in response")
 
 
@@ -330,16 +341,14 @@ def _validate_schema(doc: dict, schema_id: str) -> None:
 # provider boundary
 
 
-@dataclass(frozen=True)
-class ProviderRequest:
+class ProviderRequest(NamedTuple):
     role_kind: RoleKind
     rendered_prompt: str
     temperature: float
     context_key: tuple[str, str, str, int]  # (run id, node id, role kind, attempt)
 
 
-@dataclass(frozen=True)
-class ProviderResponse:
+class ProviderResponse(NamedTuple):
     """A completion as the provider returned it; NodeSession parses and checks it."""
 
     raw_text: str
@@ -411,7 +420,7 @@ class MockProvider:
             text = self._script.get((role, attempt))
         if text is None:
             raise ScriptMiss(f"mock script has no entry for {request.context_key}")
-        return ProviderResponse(raw_text=text, token_usage={"prompt_tokens": 0, "completion_tokens": 0})
+        return ProviderResponse(text, {"prompt_tokens": 0, "completion_tokens": 0})
 
 
 class LiveProvider:
@@ -478,7 +487,7 @@ class LiveProvider:
             raise ProviderFailure(f"provider returned {status}: {body[:200].decode(errors='replace')}")
         try:
             return json.loads(body)
-        except ValueError as exc:  # bad JSON, or bytes that are not text
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not text, too deep
             raise ProviderFailure(f"provider returned a non-JSON body: {exc}") from exc
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
@@ -520,10 +529,12 @@ class NodeSession:
     deterministic order so concurrent node processing cannot reorder the
     trace. The session numbers its calls' attempts per role (_attempts
     holds the last number taken), and the engine opens one session per node
-    id and run, so every context key is unique. Each response is validated
-    against its role's schema, then read by the call's reader; one that
-    fails either is re-asked up to REASK_LIMIT times with the violation
-    appended to the prompt, each re-ask under a fresh attempt number.
+    id and run, so every context key is unique. call makes one call
+    directly; call_many makes several, their first tries at once. Each
+    response is validated against its role's schema, then read by the
+    call's reader; one that fails either is re-asked up to REASK_LIMIT times
+    with the violation appended to the prompt, each re-ask under a fresh
+    attempt number.
     """
 
     run_id: str
@@ -543,13 +554,16 @@ class NodeSession:
         slots: Mapping[str, object],
         read: Callable[[dict], object] | None = None,
     ):
-        """call_many with one slot mapping, logged to this session's events.
+        """One call under the next attempt number, logged to this session's events.
 
         Returns what read made of the document (the document itself without
         a reader), or raises the ProviderFailure that ended the call.
         """
-        [(outcome, events)] = self.call_many(template_key, [slots], read)
-        self.events.extend(events)
+        role = ROLES[template_key]
+        attempt = self._attempts[role.kind] = self._attempts.get(role.kind, 0) + 1
+        prompt = render_prompt(role, slots)
+        outcome, violation = self._ask(role, prompt, attempt, None, read, self.events)
+        outcome = self._reask(role, prompt, outcome, violation, read, self.events)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -584,19 +598,33 @@ class NodeSession:
         else:
             tries = list(self.pool.map(first_try, range(len(calls))))
 
-        outcomes = []
-        for (outcome, violation), (prompt, events) in zip(tries, calls):
-            for _ in range(REASK_LIMIT):
-                if outcome is not None:
-                    break
-                attempt = self._attempts[role.kind] = self._attempts[role.kind] + 1
-                outcome, violation = self._ask(role, prompt, attempt, violation, read, events)
-            if outcome is None:
-                outcome = ProviderFailure(
-                    f"response still invalid after {REASK_LIMIT} re-asks: {violation}"
-                )
-            outcomes.append((outcome, events))
-        return outcomes
+        return [
+            (self._reask(role, prompt, outcome, violation, read, events), events)
+            for (outcome, violation), (prompt, events) in zip(tries, calls)
+        ]
+
+    def _reask(
+        self,
+        role: Role,
+        prompt: str,
+        outcome: object,
+        violation: str | None,
+        read: Callable[[dict], object] | None,
+        events: list[tuple[str, dict]],
+    ) -> object:
+        """Re-ask a first try that left no outcome, up to REASK_LIMIT times.
+
+        Returns the outcome, or a ProviderFailure when the response is still
+        invalid after the re-asks.
+        """
+        for _ in range(REASK_LIMIT):
+            if outcome is not None:
+                return outcome
+            attempt = self._attempts[role.kind] = self._attempts[role.kind] + 1
+            outcome, violation = self._ask(role, prompt, attempt, violation, read, events)
+        if outcome is None:
+            outcome = ProviderFailure(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
+        return outcome
 
     def _ask(
         self,
@@ -622,10 +650,7 @@ class NodeSession:
             )
         kind = role.kind.value
         request = ProviderRequest(
-            role_kind=role.kind,
-            rendered_prompt=prompt,
-            temperature=self.temperatures[role.kind],
-            context_key=(self.run_id, self.node_id, kind, attempt),
+            role.kind, prompt, self.temperatures[role.kind], (self.run_id, self.node_id, kind, attempt)
         )
         response = outcome = error = None
         try:
@@ -639,7 +664,7 @@ class NodeSession:
         except (ParseError, ResponseViolation) as exc:
             status = "parse_error" if isinstance(exc, ParseError) else "rejected"
             outcome, error = None, str(exc)
-        usage = response.token_usage if response else {"prompt_tokens": 0, "completion_tokens": 0}
+        usage = {"prompt_tokens": 0, "completion_tokens": 0} if response is None else response.token_usage
         payload = {
             "context": {"run": self.run_id, "node": self.node_id, "role": kind, "attempt": attempt},
             "schema": role.schema,

@@ -25,7 +25,7 @@ import queue
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import IO, TYPE_CHECKING, Callable, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from . import graph as g
 from .agents import (
@@ -143,8 +143,7 @@ class RunConfig:
                 raise ConfigError(f"temperature for {role.value} must be a number, got {temperature!r}")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     kind: str
     payload: dict
@@ -167,6 +166,7 @@ TRACE_KINDS: dict[str, tuple[str, ...]] = {
     "provider_call": ("context", "schema", "status", "usage"),
     "warning": ("reason",),
 }
+_REQUIRED = {kind: frozenset(names) for kind, names in TRACE_KINDS.items()}
 
 
 @dataclass
@@ -189,23 +189,18 @@ class _Tracer:
         self._seq = 0
 
     def flush(self, buffered: list[tuple[str, dict]]) -> None:
+        events, totals = self.events, self.token_usage
         for kind, payload in buffered:
-            missing = [f for f in TRACE_KINDS[kind] if f not in payload]
-            if missing:
+            if not payload.keys() >= _REQUIRED[kind]:
+                missing = [f for f in TRACE_KINDS[kind] if f not in payload]
                 raise ValueError(f"trace event {kind!r} missing fields {missing}")
             self._seq += 1
-            self.events.append(
-                TraceEvent(
-                    seq=self._seq,
-                    kind=kind,
-                    payload=payload,
-                    timestamp=None if self.deterministic else time.time(),
-                )
-            )
+            events.append(TraceEvent(self._seq, kind, payload, None if self.deterministic else time.time()))
             if kind == "provider_call":
                 self.provider_calls += 1
-                for key in self.token_usage:
-                    self.token_usage[key] += int(payload["usage"].get(key, 0))
+                usage = payload["usage"]
+                totals["prompt_tokens"] += usage.get("prompt_tokens", 0)
+                totals["completion_tokens"] += usage.get("completion_tokens", 0)
         buffered.clear()
 
 
@@ -659,14 +654,18 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     )
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
-    """One canonical JSON record per line; timestamps omitted when absent."""
-    for event in events:
-        record: dict = {"seq": event.seq, "kind": event.kind}
-        if event.timestamp is not None:
-            record["timestamp"] = event.timestamp
-        record["payload"] = event.payload
-        sink.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    """One canonical JSON record per line, in one write; timestamps omitted when absent."""
+    lines = []
+    for seq, kind, payload, timestamp in events:
+        record = {"seq": seq, "kind": kind, "payload": payload}
+        if timestamp is not None:
+            record["timestamp"] = timestamp
+        lines.append(_ENCODE(record) + "\n")
+    sink.write("".join(lines))
 
 
 def write_trace(outcome: RunOutcome, sink: IO[str]) -> None:

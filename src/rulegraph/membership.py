@@ -12,16 +12,21 @@ fails loudly on anything else.
 from __future__ import annotations
 
 import enum
-import functools
 
 
 class UnrecognizedLabel(ValueError):
     """Raised when a token matches no known membership alias."""
 
 
-@functools.total_ordering
+_TOKENS = ("L", "Lr", "ML", "M", "SH", "H")  # indexed by label value
+
+
 class MembershipLabel(enum.Enum):
-    """Six-level ordinal membership degree; higher value means stronger membership."""
+    """Six-level ordinal membership degree; higher value means stronger membership.
+
+    token is the canonical short token, the serialized form in traces and
+    datasets. Labels compare only with labels.
+    """
 
     L = 0
     LR = 1
@@ -30,28 +35,32 @@ class MembershipLabel(enum.Enum):
     SH = 4
     H = 5
 
-    @property
-    def token(self) -> str:
-        """Canonical short token, the serialized form in traces and datasets."""
-        return _TOKENS[self]
+    def __init__(self, value: int) -> None:
+        self.token = _TOKENS[value]
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, MembershipLabel):
             return NotImplemented
-        return self.value < other.value
+        return self._value_ < other._value_
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, MembershipLabel):
+            return NotImplemented
+        return self._value_ <= other._value_
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, MembershipLabel):
+            return NotImplemented
+        return self._value_ > other._value_
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, MembershipLabel):
+            return NotImplemented
+        return self._value_ >= other._value_
 
     def __str__(self) -> str:
         return self.token
 
-
-_TOKENS = {
-    MembershipLabel.H: "H",
-    MembershipLabel.SH: "SH",
-    MembershipLabel.M: "M",
-    MembershipLabel.ML: "ML",
-    MembershipLabel.LR: "Lr",
-    MembershipLabel.L: "L",
-}
 
 _LONG_FORMS = {
     MembershipLabel.H: "High",
@@ -64,7 +73,7 @@ _LONG_FORMS = {
 
 # Short and long forms only; anything else is an error rather than a guess.
 _ALIASES = {
-    **{token.casefold(): label for label, token in _TOKENS.items()},
+    **{label.token.casefold(): label for label in MembershipLabel},
     **{long.casefold(): label for label, long in _LONG_FORMS.items()},
 }
 

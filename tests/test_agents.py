@@ -1,8 +1,10 @@
+import hashlib
 import http.client
 import io
 import itertools
 import json
 import os
+import time
 import tracemalloc
 import urllib.error
 import urllib.request
@@ -49,6 +51,35 @@ SLOTS = {
     "fuse_final": {"task": "t", "results": "- a"},
 }
 
+# Slots for the golden prompt hashes: integers, a non-empty feedback block,
+# and values holding template syntax that must pass through as text.
+GOLDEN_SLOTS = {
+    "plan": {"task": "Plan a 3-day trip; budget 100% in $USD."},
+    "classify": {"statement": "Book the hotel", "goal": "A trip plan", "attempts": 3},
+    "analyze": {
+        "statement": "Pick a route",
+        "k": 3,
+        "catalog": "History, Biology, Law",
+        "feedback_block": "\nFeedback from the previous attempt:\nthe route skips $task and %(goal)s\n",
+    },
+    "execute": {"statement": "s", "context": "1. earlier", "instructions": "You are an expert in Law."},
+    "assess": {"goal": "g", "result": "r 50%", "threshold": "ML"},
+    "cluster": {"candidates": "1. a\n2. b"},
+    "fuse_subtask": {"statement": "s", "candidates": "- a\n- b"},
+    "fuse_final": {"task": "t", "results": "- T1: a\n- T2: b"},
+}
+GOLDEN_PROMPT_SHA256 = {
+    "plan": "f8c5e2ab173bdf3a3a44e4cf74765f7bb7c4a9846ffd6cc3ba0d0cf6ec6d7fb7",
+    "classify": "e3ce56b89333d9cfb06de73de5d66f149367fae75b5a5e62df091dde03cf3d12",
+    "analyze": "7988bd239af7b321e03c92771ef8424b5085b58f9ba7d61a0ab86b772b5de358",
+    "execute": "d175a5407cae49830bf5c6d8f061159aac6a9d4c858902ac14c80ceb4c74e34b",
+    "assess": "ca70c5e342cbc630946a166a4b40c70e293bc085be4d416b64871df1a10641df",
+    "cluster": "f30f4e9f87378335203681dfe30cb25835553a80531224c5206feaf77537170a",
+    "fuse_subtask": "2fafd867b97a36f22692327fc27a7c0cf709dab33575c189363ab0912a6d9052",
+    "fuse_final": "be76e7c9a92f5791abbd5ce26233a9d0d61b4af33e69a214c050bec5c38ef538",
+}
+GOLDEN_REASK_SHA256 = "23e09698354454e2e3e58cf29bfea370d556ae481c42d976f7359b996bfe3a1a"
+
 
 def make_session(script, node_id="T", run_id="run-0"):
     return NodeSession(
@@ -78,6 +109,27 @@ class TestParseStructured:
     def test_no_document(self):
         with pytest.raises(ParseError, match="no JSON object found in response"):
             parse_structured("no json here, just words", "candidate")
+
+    @pytest.mark.parametrize("unit", ["{", '{"'], ids=["braces", "brace-quotes"])
+    def test_rejected_response_is_scanned_in_linear_time(self, unit):
+        text = unit * 320_000
+        started = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_structured(text, "candidate")
+        assert time.perf_counter() - started < 0.1
+
+    def test_braces_that_cannot_start_an_object_are_not_tries(self):
+        text = "{ 1 {[ {x " * 1000 + json_doc({"answer": "found"})
+        assert parse_structured(text, "candidate") == {"answer": "found"}
+
+    def test_decode_tries_are_capped(self):
+        from rulegraph.agents import _MAX_PARSE_TRIES
+
+        broken = '{"unclosed " '
+        found = broken * (_MAX_PARSE_TRIES - 1) + json_doc({"answer": "found"})
+        assert parse_structured(found, "candidate") == {"answer": "found"}
+        with pytest.raises(ParseError, match="no JSON object found in response"):
+            parse_structured(broken + found, "candidate")
 
     def test_low_assessment_parses_without_diff_text(self):
         # Whether a deviation must be described is the run threshold's call.
@@ -136,6 +188,28 @@ class TestPrompts:
         for key, role in ROLES.items():
             text = render_prompt(role, slots[key])
             assert "$" not in text
+            assert "%(" not in text
+
+    def test_rendered_prompts_are_byte_stable(self):
+        """The scripted provider ignores prompts, so no trace hash sees a change to their bytes."""
+        digests = {
+            key: hashlib.sha256(render_prompt(role, GOLDEN_SLOTS[key]).encode()).hexdigest()
+            for key, role in ROLES.items()
+        }
+        assert digests == GOLDEN_PROMPT_SHA256
+
+    def test_reask_prompt_is_byte_stable(self):
+        prompts = []
+
+        class Recorder(MockProvider):
+            def complete(self, request):
+                prompts.append(request.rendered_prompt)
+                return super().complete(request)
+
+        script = {("DAA", 1): "no document", ("DAA", 2): ruleset_response([("History", "H")])}
+        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
+        session.call("analyze", GOLDEN_SLOTS["analyze"])
+        assert hashlib.sha256(prompts[1].encode()).hexdigest() == GOLDEN_REASK_SHA256
 
 
 class TestMockProvider:
@@ -353,6 +427,12 @@ class TestLiveProvider:
         )
         provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
         with pytest.raises(ProviderFailure, match="non-JSON"):
+            provider.complete(self.request())
+
+    def test_deeply_nested_body_is_provider_failure(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: HttpResponse(200, b"[" * 100_000))
+        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
+        with pytest.raises(ProviderFailure, match="non-JSON body: maximum recursion depth"):
             provider.complete(self.request())
 
     def test_exhausted_retries_raise(self):

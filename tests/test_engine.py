@@ -406,6 +406,15 @@ class TestEmailScenario:
         for cap in (1, 2, 4, 8):
             assert trace_text(self.run(concurrency=cap)) == baseline
 
+    def test_timestamped_trace_is_canonical_json(self):
+        config = mk_config(email_script(), deterministic=False)
+        lines = trace_text(execute_task(EMAIL_TASK, config, run_id="run-0")).splitlines()
+        assert len(lines) > 1
+        for line in lines:
+            record = json.loads(line)
+            assert isinstance(record["timestamp"], float)
+            assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+
 
 def model_mode_script():
     """Three subtasks under model clustering, c after a and b.

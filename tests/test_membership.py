@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,22 @@ def test_total_order_over_all_pairs():
         assert (a < b) == (ia > ib)
         assert (a == b) == (ia == ib)
         assert (a > b) == (ia < ib)
+        assert (a <= b) == (ia >= ib)
+        assert (a >= b) == (ia <= ib)
+
+
+def test_tokens_in_value_order():
+    assert [label.token for label in MembershipLabel] == ["L", "Lr", "ML", "M", "SH", "H"]
+    assert [str(label) for label in MembershipLabel] == ["L", "Lr", "ML", "M", "SH", "H"]
+
+
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_comparing_with_an_int_is_a_type_error(compare):
+    for label in MembershipLabel:
+        with pytest.raises(TypeError):
+            compare(label, label.value)
+        with pytest.raises(TypeError):
+            compare(label.value, label)
 
 
 @pytest.mark.parametrize(
