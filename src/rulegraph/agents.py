@@ -9,10 +9,10 @@ the global goal.
 Each role's prompt is a printf-style template filled by render_prompt.
 Every role emits a JSON document embedded in free text; parse_structured
 extracts the first well-formed object, trying at most _MAX_PARSE_TRIES
-places where one can start, and validates it against a named schema. Two
-provider implementations sit behind one interface: a live
-OpenAI-compatible chat-completions client and a deterministic scripted
-mock keyed by call context, used by every test.
+places where one can start, and the call's reader checks that object and
+builds the value its caller uses. Two provider implementations sit behind
+one interface: a live OpenAI-compatible chat-completions client and a
+deterministic scripted mock keyed by call context, used by every test.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class ScriptMiss(Exception):
 
 
 class ParseError(Exception):
-    """Response text holds no JSON object, or the first one fails its schema."""
+    """Response text holds no JSON object, or the first one has the wrong shape for its role."""
 
 
 class ResponseViolation(Exception):
-    """A call's reader refused a parsed response; triggers a re-ask."""
+    """A call's reader refused a well-shaped response on its meaning; triggers a re-ask."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class RoleKind(Enum):
 @dataclass(frozen=True)
 class Role:
     kind: RoleKind
-    schema: str  # the schema id every response of this role is validated against
+    schema: str  # names the response shape in each provider_call record
     template: str  # printf-style: %(name)s is a slot, and a literal % must be written %%
 
 
@@ -232,109 +232,52 @@ def render_result_set(preds: Sequence[str]) -> str:
 # structured-output parsing
 
 
-SCHEMA_IDS = ("plan", "ruleset", "candidate", "fusion", "assessment", "failure_classification")
-
-
-def parse_structured(response_text: str, schema_id: str) -> dict:
-    """Extract the first well-formed JSON object from text and validate it.
-
-    Models wrap documents in prose or markdown fences; extraction scans for
-    the first position where a JSON object parses, and never consumes more
-    than that one document.
-    """
-    if schema_id not in SCHEMA_IDS:
-        raise ValueError(f"unknown schema id {schema_id!r}")
-    doc = _first_json_object(response_text)
-    _validate_schema(doc, schema_id)
-    return doc
-
-
 _DECODER = json.JSONDecoder()
 # Where an object can start: a brace, JSON whitespace, then a key or the closing brace.
 _OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
-def _first_json_object(text: str) -> dict:
-    """Decode at each place an object can start, at most _MAX_PARSE_TRIES of them.
+def parse_structured(response_text: str) -> dict:
+    """Extract the first well-formed JSON object from text; the call's reader checks it.
 
-    Each try copies the rest of the text, so the cap keeps a rejected
-    response linear in its length.
+    Models wrap documents in prose or markdown fences, so this decodes at
+    each place an object can start, at most _MAX_PARSE_TRIES of them, and
+    never consumes more than the first document. Each try copies the rest
+    of the text, so the cap keeps a rejected response linear in its length.
     """
-    start = _OBJECT_START.search(text)
+    start = _OBJECT_START.search(response_text)
     for _ in range(_MAX_PARSE_TRIES):
         if start is None:
             break
         idx = start.start()
         try:
-            return _DECODER.raw_decode(text[idx:])[0]  # an object, since it starts with a brace
+            return _DECODER.raw_decode(response_text[idx:])[0]  # an object, since it starts with a brace
         except (json.JSONDecodeError, RecursionError):  # nesting too deep fails like bad JSON
-            start = _OBJECT_START.search(text, idx + 1)
+            start = _OBJECT_START.search(response_text, idx + 1)
     raise ParseError("no JSON object found in response")
 
 
-def _need(doc: Mapping, fieldname: str, kind: type, nonempty: bool = False):
+def need_field(doc: Mapping, fieldname: str, kind: type = str, nonempty: bool = True):
+    """doc[fieldname] if it is a kind, and non-empty unless nonempty is false; else a ParseError.
+
+    kind MembershipLabel takes a label token and returns the label it names.
+    Readers share this check, so a field's shape fails with one message
+    whichever role's response carries it.
+    """
     if fieldname not in doc:
         raise ParseError(f"missing required field {fieldname!r}")
     value = doc[fieldname]
-    if not isinstance(value, kind):
-        raise ParseError(f"field {fieldname!r} must be {kind.__name__}")
+    shape = str if kind is MembershipLabel else kind
+    if not isinstance(value, shape):
+        raise ParseError(f"field {fieldname!r} must be {shape.__name__}")
     if nonempty and not value:
         raise ParseError(f"field {fieldname!r} must be non-empty")
+    if kind is MembershipLabel:
+        try:
+            return parse_label(value)
+        except UnrecognizedLabel as exc:
+            raise ParseError(str(exc)) from None
     return value
-
-
-def _need_label(doc: Mapping, fieldname: str) -> MembershipLabel:
-    raw = _need(doc, fieldname, str, nonempty=True)
-    try:
-        return parse_label(raw)
-    except UnrecognizedLabel as exc:
-        raise ParseError(str(exc)) from None
-
-
-def _validate_schema(doc: dict, schema_id: str) -> None:
-    if schema_id == "plan":
-        _need(doc, "goal", str, nonempty=True)
-        subtasks = _need(doc, "subtasks", list, nonempty=True)
-        for entry in subtasks:
-            if not isinstance(entry, dict):
-                raise ParseError("each subtask must be an object")
-            _need(entry, "id", str, nonempty=True)
-            _need(entry, "statement", str, nonempty=True)
-        edges = _need(doc, "edges", list)
-        for edge in edges:
-            if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, str) for e in edge)):
-                raise ParseError("each edge must be a [from, to] pair of strings")
-    elif schema_id == "ruleset":
-        rules = _need(doc, "rules", list, nonempty=True)
-        for entry in rules:
-            if not isinstance(entry, dict):
-                raise ParseError("each rule must be an object")
-            _need(entry, "domain", str, nonempty=True)
-            _need(entry, "antecedent", str, nonempty=True)
-            _need_label(entry, "membership")
-            _need(entry, "expert_prompt", str, nonempty=True)
-    elif schema_id == "candidate":
-        _need(doc, "answer", str, nonempty=True)
-    elif schema_id == "fusion":
-        has_answer = isinstance(doc.get("answer"), str) and doc.get("answer")
-        assignments = doc.get("assignments")
-        has_assignments = (
-            isinstance(assignments, list)
-            and len(assignments) > 0
-            and all(isinstance(a, str) and a.strip() for a in assignments)
-        )
-        if not has_answer and not has_assignments:
-            raise ParseError("fusion response needs 'answer' or 'assignments'")
-    elif schema_id == "assessment":
-        # The run's threshold decides when a deviation must be described
-        # (rules.run_global_rule).
-        _need_label(doc, "membership")
-        if "diff_text" in doc and not isinstance(doc["diff_text"], str):
-            raise ParseError("diff_text must be a string")
-    elif schema_id == "failure_classification":
-        scenario = _need(doc, "scenario", str, nonempty=True)
-        if scenario not in ("irrelevant", "too_complex"):
-            raise ParseError("scenario must be 'irrelevant' or 'too_complex'")
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +474,10 @@ class NodeSession:
     holds the last number taken), and the engine opens one session per node
     id and run, so every context key is unique. call makes one call
     directly; call_many makes several, their first tries at once. Each
-    response is validated against its role's schema, then read by the
-    call's reader; one that fails either is re-asked up to REASK_LIMIT times
-    with the violation appended to the prompt, each re-ask under a fresh
-    attempt number.
+    response's first JSON object goes to the call's reader, which checks it
+    whole and builds the call's value; a response it refuses is re-asked up
+    to REASK_LIMIT times with the violation appended to the prompt, each
+    re-ask under a fresh attempt number.
     """
 
     run_id: str
@@ -552,12 +495,12 @@ class NodeSession:
         self,
         template_key: str,
         slots: Mapping[str, object],
-        read: Callable[[dict], object] | None = None,
+        read: Callable[[dict], object],
     ):
         """One call under the next attempt number, logged to this session's events.
 
-        Returns what read made of the document (the document itself without
-        a reader), or raises the ProviderFailure that ended the call.
+        Returns what read made of the document, or raises the
+        ProviderFailure that ended the call.
         """
         role = ROLES[template_key]
         attempt = self._attempts[role.kind] = self._attempts.get(role.kind, 0) + 1
@@ -572,7 +515,7 @@ class NodeSession:
         self,
         template_key: str,
         slot_list: Sequence[Mapping[str, object]],
-        read: Callable[[dict], object] | None = None,
+        read: Callable[[dict], object],
     ) -> list[tuple[object, list[tuple[str, dict]]]]:
         """One call per slot mapping: every first try at once, then the re-asks.
 
@@ -609,7 +552,7 @@ class NodeSession:
         prompt: str,
         outcome: object,
         violation: str | None,
-        read: Callable[[dict], object] | None,
+        read: Callable[[dict], object],
         events: list[tuple[str, dict]],
     ) -> object:
         """Re-ask a first try that left no outcome, up to REASK_LIMIT times.
@@ -632,16 +575,16 @@ class NodeSession:
         prompt: str,
         attempt: int,
         violation: str | None,
-        read: Callable[[dict], object] | None,
+        read: Callable[[dict], object],
         events: list[tuple[str, dict]],
     ) -> tuple[object, str | None]:
         """One provider request, logged to `events` as one provider_call record.
 
         Returns (what read made of the document, None) for a valid response,
         (the ProviderFailure, its text) when the provider failed, else (None,
-        the violation to re-ask with). A schema failure is a parse_error, a
-        reader's ResponseViolation is rejected. A previous violation is
-        appended to the prompt.
+        the violation to re-ask with). A ParseError, from extraction or the
+        reader, is a parse_error; a reader's ResponseViolation is rejected. A
+        previous violation is appended to the prompt.
         """
         if violation:
             prompt += (
@@ -655,9 +598,7 @@ class NodeSession:
         response = outcome = error = None
         try:
             response = self.provider.complete(request)
-            outcome = parse_structured(response.raw_text, role.schema)
-            if read is not None:
-                outcome = read(outcome)
+            outcome = read(parse_structured(response.raw_text))
             status = "ok"
         except ProviderFailure as exc:
             status, outcome, error = "transport_error", exc, str(exc)
@@ -703,13 +644,18 @@ def plan(task: str, session: NodeSession) -> PlannerPlan:
     """One planner invocation; used for the original task and for failed-subtask decomposition."""
 
     def read(doc: dict) -> PlannerPlan:
+        goal = need_field(doc, "goal")
+        subtasks = []
+        for entry in need_field(doc, "subtasks", list):
+            if not isinstance(entry, dict):
+                raise ParseError("each subtask must be an object")
+            subtasks.append((need_field(entry, "id"), need_field(entry, "statement")))
+        edges = need_field(doc, "edges", list, nonempty=False)
+        for edge in edges:
+            if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, str) for e in edge)):
+                raise ParseError("each edge must be a [from, to] pair of strings")
         try:
-            return PlannerPlan(
-                task=task,
-                global_goal=doc["goal"],
-                subtasks=tuple((entry["id"], entry["statement"]) for entry in doc["subtasks"]),
-                edges=tuple((a, b) for a, b in doc["edges"]),
-            )
+            return PlannerPlan(task, goal, tuple(subtasks), tuple((a, b) for a, b in edges))
         except graph_mod.GraphError as exc:
             raise ResponseViolation(str(exc)) from None
 

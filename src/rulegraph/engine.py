@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import queue
 import time
@@ -31,10 +32,12 @@ from . import graph as g
 from .agents import (
     REASK_LIMIT,
     NodeSession,
+    ParseError,
     PlannerPlan,
     ProviderFailure,
     RoleKind,
     DEFAULT_TEMPERATURES,
+    need_field,
     plan as plan_task,
 )
 from .fusion import FinalResult, fuse_final, fuse_subtask
@@ -86,7 +89,7 @@ class RunConfig:
     validated when built, dataclasses.replace included: a bool, int or str
     field must have exactly its default's type (a bool is not an int),
     threshold a MembershipLabel, domains a list or tuple of non-empty
-    strings (stored as a tuple) and each temperature an int or float.
+    strings (stored as a tuple) and each temperature a finite int or float.
     Temperatures given for some roles keep the defaults of the others.
     """
 
@@ -139,8 +142,10 @@ class RunConfig:
         for role, temperature in self.temperatures.items():
             if not isinstance(role, RoleKind):
                 raise ConfigError(f"temperature key {role!r} is not a RoleKind")
-            if type(temperature) not in (int, float):
-                raise ConfigError(f"temperature for {role.value} must be a number, got {temperature!r}")
+            if type(temperature) not in (int, float) or not math.isfinite(temperature):
+                raise ConfigError(
+                    f"temperature for {role.value} must be a finite number, got {temperature!r}"
+                )
 
 
 class TraceEvent(NamedTuple):
@@ -352,15 +357,15 @@ def handle_failure(
     """
     reason = "irrelevant"
     try:
-        doc = session.call(
+        scenario = session.call(
             "classify",
             {
                 "statement": node.statement,
                 "goal": graph.global_goal,
                 "attempts": config.max_reprocess,
             },
+            _read_scenario,
         )
-        scenario = doc["scenario"]
     except ProviderFailure as exc:
         session.emit(
             "warning",
@@ -387,6 +392,13 @@ def handle_failure(
             else:
                 return Repair(node, chain=_clamp_chain(node, subplan, config, session))
     return Repair(node, reason=reason)
+
+
+def _read_scenario(doc: dict) -> str:
+    scenario = need_field(doc, "scenario")
+    if scenario not in ("irrelevant", "too_complex"):
+        raise ParseError("scenario must be 'irrelevant' or 'too_complex'")
+    return scenario
 
 
 def _clamp_chain(

@@ -14,7 +14,7 @@ import string as _string
 from dataclasses import dataclass
 from typing import Mapping
 
-from .agents import NodeSession, ProviderFailure, ResponseViolation
+from .agents import NodeSession, ParseError, ProviderFailure, ResponseViolation
 from .graph import TaskNode
 from .membership import MembershipLabel
 from .rules import CandidateResult
@@ -88,6 +88,7 @@ def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list
     listing = "\n".join(f"{i}. {c.answer_text}" for i, c in enumerate(candidates, 1))
 
     def read(doc: dict) -> list[str]:
+        _check_fusion_shape(doc)
         assignments = doc.get("assignments")
         if not isinstance(assignments, list) or len(assignments) != len(candidates):
             raise ResponseViolation(f"need exactly {len(candidates)} cluster assignments")
@@ -181,7 +182,19 @@ def fuse_final(
     return FinalResult(answer_text=answer, contributing_nodes=tuple(answers))
 
 
+def _check_fusion_shape(doc: dict) -> None:
+    """Both fusion readers' shape check: a non-empty answer, or a non-empty list of non-blank keys."""
+    answer, assignments = doc.get("answer"), doc.get("assignments")
+    if not (isinstance(answer, str) and answer) and not (
+        isinstance(assignments, list)
+        and assignments
+        and all(isinstance(key, str) and key.strip() for key in assignments)
+    ):
+        raise ParseError("fusion response needs 'answer' or 'assignments'")
+
+
 def _read_answer(doc: dict) -> str:
+    _check_fusion_shape(doc)
     if not isinstance(doc.get("answer"), str) or not doc["answer"]:
         raise ResponseViolation("fusion response must carry a non-empty 'answer'")
     return doc["answer"]

@@ -324,19 +324,25 @@ def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = 
     """Render the graph as a DOT digraph with deterministic ordering.
 
     Node labels carry id and kind, plus the node's membership token when
-    labels has an entry for it.
+    labels has an entry for it. A planner id may hold any character, so
+    each id is escaped inside its DOT string.
     """
     lines = ["digraph taskgraph {"]
     for node in sorted(graph.nodes.values(), key=lambda n: n.id):
-        label = f"{node.id}\\n{node.kind.value}"
+        escaped = _dot_escape(node.id)
+        label = f"{escaped}\\n{node.kind.value}"
         membership = (labels or {}).get(node.id)
         if membership is not None:
             label += f"\\n{membership.token}"
-        lines.append(f'  "{node.id}" [label="{label}"];')
+        lines.append(f'  "{escaped}" [label="{label}"];')
     for a, b in sorted(graph.edges):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _require_subtask(graph: TaskGraph, node_id: str) -> None:

@@ -14,9 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import NodeSession, ProviderFailure, ResponseViolation, render_result_set
+from .agents import (
+    NodeSession,
+    ParseError,
+    ProviderFailure,
+    ResponseViolation,
+    need_field,
+    render_result_set,
+)
 from .graph import TaskNode
-from .membership import MembershipLabel, parse_label
+from .membership import MembershipLabel
 
 # Default domain catalog; runs may supply their own via configuration.
 DEFAULT_DOMAINS = (
@@ -87,25 +94,28 @@ def construct_rules(
     catalog_set = set(catalog)
 
     def read(doc: dict) -> tuple[DomainRule, ...]:
-        rules = doc["rules"]
+        rules = []
+        for i, entry in enumerate(need_field(doc, "rules", list), start=1):
+            if not isinstance(entry, dict):
+                raise ParseError("each rule must be an object")
+            rules.append(
+                DomainRule(
+                    index=i,
+                    domain_name=need_field(entry, "domain"),
+                    antecedent=need_field(entry, "antecedent"),
+                    membership=need_field(entry, "membership", MembershipLabel),
+                    consequent_prompt=need_field(entry, "expert_prompt"),
+                )
+            )
         if len(rules) != k:
             raise ResponseViolation(f"expected exactly {k} rules, got {len(rules)}")
-        domains = [entry["domain"] for entry in rules]
+        domains = [rule.domain_name for rule in rules]
         if len(set(domains)) != len(domains):
             raise ResponseViolation("rule domains must be pairwise distinct")
         unknown = [d for d in domains if d not in catalog_set]
         if unknown:
             raise ResponseViolation(f"domains not in catalog: {unknown}")
-        return tuple(
-            DomainRule(
-                index=i,
-                domain_name=entry["domain"],
-                antecedent=entry["antecedent"],
-                membership=parse_label(entry["membership"]),
-                consequent_prompt=entry["expert_prompt"],
-            )
-            for i, entry in enumerate(rules, start=1)
-        )
+        return tuple(rules)
 
     return session.call(
         "analyze",
@@ -142,6 +152,7 @@ def run_rules(
             {"statement": input_text, "context": context, "instructions": rule.consequent_prompt}
             for rule in rules
         ],
+        _read_answer,
     )
     candidates: list[CandidateResult] = []
     for rule, (outcome, events) in zip(rules, outcomes):
@@ -162,7 +173,7 @@ def run_rules(
                 rule_index=rule.index,
                 domain_name=rule.domain_name,
                 membership=rule.membership,
-                answer_text=outcome["answer"],
+                answer_text=outcome,
             )
         )
     if not candidates:
@@ -185,8 +196,10 @@ def run_global_rule(
     """
 
     def read(doc: dict) -> GlobalAssessment:
-        membership = parse_label(doc["membership"])
-        diff_text = doc.get("diff_text") or ""
+        membership = need_field(doc, "membership", MembershipLabel)
+        diff_text = doc.get("diff_text", "")
+        if not isinstance(diff_text, str):
+            raise ParseError("diff_text must be a string")
         passed = membership >= threshold
         if not passed and not diff_text:
             raise ResponseViolation(
@@ -204,3 +217,7 @@ def run_global_rule(
         },
         read,
     )
+
+
+def _read_answer(doc: dict) -> str:
+    return need_field(doc, "answer")

@@ -18,6 +18,7 @@ from helpers import (
     classification_response,
     fusion_answer,
     json_doc,
+    make_plan,
     plan_response,
     ruleset_response,
 )
@@ -36,6 +37,11 @@ from rulegraph.agents import (
     render_prompt,
     ROLES,
 )
+from rulegraph.engine import RunConfig, handle_failure
+from rulegraph.fusion import cluster_candidates, fuse_final
+from rulegraph.graph import NodeKind, TaskNode, build_graph
+from rulegraph.membership import MembershipLabel
+from rulegraph.rules import CandidateResult, construct_rules, run_global_rule
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -89,84 +95,128 @@ def make_session(script, node_id="T", run_id="run-0"):
     )
 
 
+def whole(doc):
+    """A reader that keeps the parsed document, for tests of the session itself."""
+    return doc
+
+
+def answering(kind, response, node_id="T"):
+    """A session whose provider gives response to every one of the role's first three attempts."""
+    return make_session({(kind, n): response for n in (1, 2, 3)}, node_id=node_id)
+
+
+def first_call(session):
+    """(status, error) of the session's first provider_call record."""
+    payload = next(p for kind, p in session.events if kind == "provider_call")
+    return payload["status"], payload.get("error")
+
+
 class TestParseStructured:
+    """Extraction of a response's first JSON object, and each role reader's check of it."""
+
     def test_fenced_block(self):
         text = json_doc({"membership": "H"})
-        assert parse_structured(text, "assessment") == {"membership": "H"}
+        assert parse_structured(text) == {"membership": "H"}
 
     def test_prose_then_trailing_object(self):
         text = 'Thinking out loud first...\nfinal: {"answer": "42"}'
-        assert parse_structured(text, "candidate") == {"answer": "42"}
+        assert parse_structured(text) == {"answer": "42"}
 
     def test_first_document_wins(self):
         text = '{"answer": "first"} and then {"answer": "second"}'
-        assert parse_structured(text, "candidate")["answer"] == "first"
+        assert parse_structured(text)["answer"] == "first"
 
     def test_idempotent(self):
         text = json_doc({"answer": "same"})
-        assert parse_structured(text, "candidate") == parse_structured(text, "candidate")
+        assert parse_structured(text) == parse_structured(text)
 
     def test_no_document(self):
         with pytest.raises(ParseError, match="no JSON object found in response"):
-            parse_structured("no json here, just words", "candidate")
+            parse_structured("no json here, just words")
 
     @pytest.mark.parametrize("unit", ["{", '{"'], ids=["braces", "brace-quotes"])
     def test_rejected_response_is_scanned_in_linear_time(self, unit):
         text = unit * 320_000
         started = time.perf_counter()
         with pytest.raises(ParseError):
-            parse_structured(text, "candidate")
+            parse_structured(text)
         assert time.perf_counter() - started < 0.1
 
     def test_braces_that_cannot_start_an_object_are_not_tries(self):
         text = "{ 1 {[ {x " * 1000 + json_doc({"answer": "found"})
-        assert parse_structured(text, "candidate") == {"answer": "found"}
+        assert parse_structured(text) == {"answer": "found"}
 
     def test_decode_tries_are_capped(self):
         from rulegraph.agents import _MAX_PARSE_TRIES
 
         broken = '{"unclosed " '
         found = broken * (_MAX_PARSE_TRIES - 1) + json_doc({"answer": "found"})
-        assert parse_structured(found, "candidate") == {"answer": "found"}
+        assert parse_structured(found) == {"answer": "found"}
         with pytest.raises(ParseError, match="no JSON object found in response"):
-            parse_structured(broken + found, "candidate")
+            parse_structured(broken + found)
 
     def test_low_assessment_parses_without_diff_text(self):
         # Whether a deviation must be described is the run threshold's call.
-        assert parse_structured(json_doc({"membership": "L"}), "assessment") == {"membership": "L"}
+        low = assessment_response("L")
+        verdict = run_global_rule("g", MembershipLabel.L, "r", session=answering("GEA", low))
+        assert (verdict.diff_text, verdict.passed) == ("", True)
+        session = answering("GEA", low)
+        with pytest.raises(ProviderFailure):
+            run_global_rule("g", MembershipLabel.ML, "r", session=session)
+        assert first_call(session) == ("rejected", "membership L is below ML so diff_text must be non-empty")
 
     def test_passing_assessment_needs_no_diff(self):
-        assert parse_structured(json_doc({"membership": "ML"}), "assessment")
+        session = answering("GEA", assessment_response("ML"))
+        verdict = run_global_rule("g", MembershipLabel.ML, "r", session=session)
+        assert (verdict.membership, verdict.diff_text, verdict.passed) == (MembershipLabel.ML, "", True)
 
     def test_bad_membership_token(self):
-        with pytest.raises(ParseError, match="unknown membership token: 'super high'"):
-            parse_structured(json_doc({"membership": "super high"}), "assessment")
+        session = answering("GEA", json_doc({"membership": "super high"}))
+        with pytest.raises(ProviderFailure, match="unknown membership token: 'super high'"):
+            run_global_rule("g", MembershipLabel.ML, "r", session=session)
+        assert first_call(session) == ("parse_error", "unknown membership token: 'super high'")
 
     def test_plan_schema(self):
-        good = {
-            "goal": "g",
-            "subtasks": [{"id": "a", "statement": "s"}],
-            "edges": [["a", "a"]],
-        }
-        assert parse_structured(json_doc(good), "plan")
-        with pytest.raises(ParseError, match="field 'subtasks' must be non-empty"):
-            parse_structured(json_doc({"goal": "g", "subtasks": [], "edges": []}), "plan")
+        # A self-loop has the plan's shape; the plan reader refuses it on its meaning.
+        session = answering("PA", plan_response("g", [("a", "s")], [("a", "a")]))
+        with pytest.raises(ProviderFailure):
+            plan("t", session)
+        assert first_call(session) == ("rejected", "dependency edges contain a cycle")
+        session = answering("PA", json_doc({"goal": "g", "subtasks": [], "edges": []}))
+        with pytest.raises(ProviderFailure, match="field 'subtasks' must be non-empty"):
+            plan("t", session)
+        assert first_call(session) == ("parse_error", "field 'subtasks' must be non-empty")
 
     def test_ruleset_schema(self):
         bad = {"rules": [{"domain": "History", "antecedent": "a", "membership": "H"}]}
-        with pytest.raises(ParseError, match="missing required field 'expert_prompt'"):
-            parse_structured(json_doc(bad), "ruleset")
+        session = answering("DAA", json_doc(bad))
+        with pytest.raises(ProviderFailure, match="missing required field 'expert_prompt'"):
+            construct_rules(TaskNode("T1", NodeKind.SUBTASK, "s"), ("History",), 1, session=session)
+        assert first_call(session) == ("parse_error", "missing required field 'expert_prompt'")
 
     def test_fusion_needs_answer_or_assignments(self):
-        assert parse_structured(json_doc({"assignments": ["k1", "k2"]}), "fusion")
-        assert parse_structured(json_doc({"answer": "x"}), "fusion")
-        with pytest.raises(ParseError, match="fusion response needs 'answer' or 'assignments'"):
-            parse_structured(json_doc({"other": 1}), "fusion")
+        candidates = [CandidateResult(i, "History", MembershipLabel.H, f"answer {i}") for i in (1, 2)]
+        session = answering("FEA", assignments_response(["k1", "k2"]))
+        assert [c.key for c in cluster_candidates(candidates, "model", session)] == ["k1", "k2"]
+        final = fuse_final({"T1": "a"}, "t", session=answering("FEA", fusion_answer("x")))
+        assert final.answer_text == "x"
+        neither = json_doc({"other": 1})
+        session = answering("FEA", neither)
+        cluster_candidates(candidates, "model", session)
+        assert first_call(session) == ("parse_error", "fusion response needs 'answer' or 'assignments'")
+        session = answering("FEA", neither)
+        with pytest.raises(ProviderFailure, match="fusion response needs 'answer' or 'assignments'"):
+            fuse_final({"T1": "a"}, "t", session=session)
 
     def test_classification_schema(self):
-        assert parse_structured(json_doc({"scenario": "irrelevant"}), "failure_classification")
-        with pytest.raises(ParseError, match="scenario must be 'irrelevant' or 'too_complex'"):
-            parse_structured(json_doc({"scenario": "maybe"}), "failure_classification")
+        graph = build_graph(make_plan(["T1"]))
+        config = RunConfig(provider=MockProvider({}))
+        session = answering("PA", classification_response("irrelevant"))
+        repair = handle_failure(graph.node("T1"), graph, config, session)
+        assert (repair.reason, repair.chain) == ("irrelevant", ())
+        session = answering("PA", classification_response("maybe"))
+        assert handle_failure(graph.node("T1"), graph, config, session).reason == "classification_failed"
+        assert first_call(session) == ("parse_error", "scenario must be 'irrelevant' or 'too_complex'")
 
 
 class TestPrompts:
@@ -208,7 +258,7 @@ class TestPrompts:
 
         script = {("DAA", 1): "no document", ("DAA", 2): ruleset_response([("History", "H")])}
         session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
-        session.call("analyze", GOLDEN_SLOTS["analyze"])
+        session.call("analyze", GOLDEN_SLOTS["analyze"], whole)
         assert hashlib.sha256(prompts[1].encode()).hexdigest() == GOLDEN_REASK_SHA256
 
 
@@ -537,6 +587,7 @@ class TestNodeSession:
         doc = session.call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
+            whole,
         )
         assert doc == {"answer": "recovered"}
         assert len(prompts) == 2
@@ -547,28 +598,34 @@ class TestNodeSession:
     def test_deeply_nested_response_is_reasked(self):
         script = {("DEA", 1): '{"answer": ' + "[" * 5000, ("DEA", 2): candidate_response("recovered")}
         session = make_session(script, node_id="T1")
-        assert session.call("execute", SLOTS["execute"]) == {"answer": "recovered"}
+        assert session.call("execute", SLOTS["execute"], whole) == {"answer": "recovered"}
         statuses = [p["status"] for kind, p in session.events if kind == "provider_call"]
         assert statuses == ["parse_error", "ok"]
 
     def test_each_response_is_parsed_once(self, monkeypatch):
         import rulegraph.agents as agents
 
-        schemas = []
+        texts, docs = [], []
         real = agents.parse_structured
 
-        def counting(text, schema_id):
-            schemas.append(schema_id)
-            return real(text, schema_id)
+        def counting(text):
+            texts.append(text)
+            return real(text)
+
+        def read(doc):
+            docs.append(doc)
+            return doc["answer"]
 
         monkeypatch.setattr(agents, "parse_structured", counting)
         script = {("DEA", 1): "prose, no document", ("DEA", 2): candidate_response("ok")}
-        doc = make_session(script, node_id="T1").call(
+        answer = make_session(script, node_id="T1").call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
+            read,
         )
-        assert doc == {"answer": "ok"}
-        assert schemas == ["candidate", "candidate"]
+        assert answer == "ok"
+        assert texts == ["prose, no document", candidate_response("ok")]
+        assert docs == [{"answer": "ok"}]
 
     @pytest.mark.parametrize(
         "template_key, schema, response",
@@ -587,7 +644,7 @@ class TestNodeSession:
     def test_each_role_fixes_its_schema(self, template_key, schema, response):
         assert set(SLOTS) == set(ROLES)
         session = make_session({(ROLES[template_key].kind.value, 1): response})
-        session.call(template_key, SLOTS[template_key])
+        session.call(template_key, SLOTS[template_key], whole)
         [(kind, payload)] = session.events
         assert kind == "provider_call"
         assert payload["schema"] == schema and payload["status"] == "ok"
@@ -605,7 +662,7 @@ class TestNodeSession:
             provider=FailsOnReask({("DEA", 1): "not json"}),
         )
         with pytest.raises(TransportError, match="outage on re-ask"):
-            session.call("execute", SLOTS["execute"])
+            session.call("execute", SLOTS["execute"], whole)
         calls = [p for kind, p in session.events if kind == "provider_call"]
         assert [c["status"] for c in calls] == ["parse_error", "transport_error"]
         assert calls[1]["error"] == "outage on re-ask"
@@ -624,7 +681,7 @@ class TestNodeSession:
         )
         session = NodeSession(run_id="run-0", node_id="T1", provider=provider)
         with pytest.raises(ProviderFailure, match="malformed completion body"):
-            session.call("execute", SLOTS["execute"])
+            session.call("execute", SLOTS["execute"], whole)
         [(kind, payload)] = session.events
         assert (kind, payload["status"]) == ("provider_call", "transport_error")
 
@@ -635,8 +692,8 @@ class TestNodeSession:
 
         session = make_session({("DEA", n): candidate_response("a") for n in (1, 2)})
         session.pool = NoPool()
-        assert session.call("execute", SLOTS["execute"]) == {"answer": "a"}
-        [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]])
+        assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a"}
+        [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]], whole)
         assert outcome == {"answer": "a"}
 
     def test_attempt_numbers_monotonic_per_node_and_role(self):
@@ -651,11 +708,11 @@ class TestNodeSession:
         script[("DEA", 2)] = "no document here"
         script[("GEA", 1)] = assessment_response("H")
         session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
-        session.call_many("execute", [SLOTS["execute"]] * 3)  # first tries 1-3, the re-ask 4
-        session.call("execute", SLOTS["execute"])
-        session.call("assess", SLOTS["assess"])
+        session.call_many("execute", [SLOTS["execute"]] * 3, whole)  # first tries 1-3, the re-ask 4
+        session.call("execute", SLOTS["execute"], whole)
+        session.call("assess", SLOTS["assess"], whole)
         NodeSession(run_id="run-0", node_id="T2", provider=Recorder(script)).call(
-            "execute", SLOTS["execute"]
+            "execute", SLOTS["execute"], whole
         )
         assert keys == [
             *(("T1", "DEA", n) for n in range(1, 6)),
@@ -670,10 +727,10 @@ class TestNodeSession:
         session = make_session(script, node_id="T1")
         with ThreadPoolExecutor(max_workers=2) as pool:
             session.pool = pool
-            outcomes = session.call_many("execute", [SLOTS["execute"]] * 3)
+            outcomes = session.call_many("execute", [SLOTS["execute"]] * 3, whole)
         assert [outcome for outcome, _ in outcomes] == [{"answer": f"a{n}"} for n in (1, 2, 3)]
         session.pool = None
-        assert session.call("execute", SLOTS["execute"]) == {"answer": "a4"}
+        assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a4"}
 
 
 class TestPlan:

@@ -117,6 +117,8 @@ def mock_config(tmp_path, script) -> str:
         {"provider": {**LIVE, "timeout": 5}},
         {"domains": "History"},
         {"temperatures": {"PA": "hot"}},
+        {"temperatures": {"PA": float("nan")}},  # json.load reads NaN; a request body cannot carry it
+        {"temperatures": {"DEA": -float("inf")}},
     ],
     ids=[
         "k_rules-string",
@@ -138,6 +140,8 @@ def mock_config(tmp_path, script) -> str:
         "live-unknown-key",
         "domains-string",
         "temperature-string",
+        "temperature-nan",
+        "temperature-minus-infinity",
     ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):

@@ -682,6 +682,8 @@ class TestConfigValidation:
             {"domains": "History"},
             {"domains": ("History", "", "Biology", "Law")},
             {"temperatures": {RoleKind.PA: "hot"}},
+            {"temperatures": {RoleKind.PA: float("nan")}},
+            {"temperatures": {RoleKind.GEA: float("inf")}},
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -306,3 +307,41 @@ class TestExportDot:
         graph = build_graph(make_plan(["T1"]))
         dot = export_dot(graph, {"T1": MembershipLabel.SH})
         assert "T1\\nsubtask\\nSH" in dot
+
+    def test_ordinary_ids_render_byte_stable(self):
+        from rulegraph.membership import MembershipLabel
+
+        graph = build_graph(make_plan(["T1", "T2"], [("T1", "T2")]))
+        dot = export_dot(graph, {"T1": MembershipLabel.SH, "T2": MembershipLabel.LR})
+        assert dot == (
+            "digraph taskgraph {\n"
+            '  "F" [label="F\\nfusion"];\n'
+            '  "T" [label="T\\noriginal"];\n'
+            '  "T1" [label="T1\\nsubtask\\nSH"];\n'
+            '  "T2" [label="T2\\nsubtask\\nLr"];\n'
+            '  "T" -> "T1";\n'
+            '  "T1" -> "T2";\n'
+            '  "T2" -> "F";\n'
+            "}\n"
+        )
+
+    def test_quotes_and_backslashes_in_ids_are_escaped(self):
+        # Planner ids are any non-empty strings; each must stay one DOT string.
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node_line = re.compile(rf"  {quoted} \[label={quoted}\];")
+        edge_line = re.compile(rf"  {quoted} -> {quoted};")
+
+        def unescape(text):
+            return re.sub(r"\\(.)", r"\1", text)
+
+        ids = ['say "hi"', "end\\", 'a\\"b']
+        graph = build_graph(make_plan(ids, [(ids[0], ids[1])]))
+        lines = export_dot(graph).splitlines()
+        assert lines[0] == "digraph taskgraph {" and lines[-1] == "}"
+        nodes = [node_line.fullmatch(line) for line in lines[1:-1] if " -> " not in line]
+        edges = [edge_line.fullmatch(line) for line in lines[1:-1] if " -> " in line]
+        assert all(nodes) and all(edges)
+        assert {unescape(m[1]) for m in nodes} == set(graph.nodes)
+        # A label is the escaped id, then "\\n" and the kind.
+        assert {unescape(m[2].rsplit("\\n", 1)[0]) for m in nodes} == set(graph.nodes)
+        assert {(unescape(m[1]), unescape(m[2])) for m in edges} == set(graph.edges)
