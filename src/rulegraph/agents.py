@@ -12,7 +12,7 @@ extracts the first well-formed object, trying at most _MAX_PARSE_TRIES
 places where one can start, and the call's reader checks that object and
 builds the value its caller uses. Two provider implementations sit behind
 one interface: a live OpenAI-compatible chat-completions client and a
-deterministic scripted mock keyed by call context, used by every test.
+deterministic scripted mock keyed by call context.
 """
 
 from __future__ import annotations
@@ -385,7 +385,6 @@ class LiveProvider:
         timeout_s: float = 60.0,
         transport_retries: int = 3,
         backoff_s: float = 1.0,
-        transport: Callable | None = None,
     ):
         # NaN and the infinities fail these comparisons, so non-finite values are rejected too.
         if not (
@@ -401,23 +400,22 @@ class LiveProvider:
                 f"{_MAX_TRANSPORT_RETRIES}, got timeout_s={timeout_s!r}, "
                 f"backoff_s={backoff_s!r}, transport_retries={transport_retries!r}"
             )
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self._api_key = api_key
+        self._url = f"{base_url.rstrip('/')}/chat/completions"
+        self._headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         self.timeout_s = timeout_s
         self.transport_retries = transport_retries
         self.backoff_s = backoff_s
-        self._transport = transport or self._http_post
 
-    def _http_post(self, url: str, headers: dict, payload: dict, timeout: float) -> dict:
+    def _http_post(self, payload: dict) -> dict:
         import http.client  # imported here: only a live call needs an HTTP stack
         import urllib.error
         import urllib.request
 
-        request = urllib.request.Request(url, json.dumps(payload).encode(), headers, method="POST")
+        request = urllib.request.Request(self._url, json.dumps(payload).encode(), self._headers, method="POST")
         try:
             try:
-                response = urllib.request.urlopen(request, timeout=timeout)
+                response = urllib.request.urlopen(request, timeout=self.timeout_s)
             except urllib.error.HTTPError as exc:  # an OSError: caught first, its status decides
                 response = exc
             with response:
@@ -434,8 +432,6 @@ class LiveProvider:
             raise ProviderFailure(f"provider returned a non-JSON body: {exc}") from exc
 
     def complete(self, request: ProviderRequest) -> ProviderResponse:
-        url = f"{self.base_url}/chat/completions"
-        headers = {"Authorization": f"Bearer {self._api_key}", "Content-Type": "application/json"}
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.rendered_prompt}],
@@ -443,7 +439,7 @@ class LiveProvider:
         }
         for attempt in range(self.transport_retries):
             try:
-                body = self._transport(url, headers, payload, self.timeout_s)
+                body = self._http_post(payload)
                 break
             except TransportError:
                 if attempt == self.transport_retries - 1:
@@ -591,7 +587,7 @@ class NodeSession:
                 "\n\nYour previous response was rejected: "
                 f"{violation}\nRespond again following the required format."
             )
-        kind = role.kind.value
+        kind = role.kind._value_
         request = ProviderRequest(
             role.kind, prompt, self.temperatures[role.kind], (self.run_id, self.node_id, kind, attempt)
         )
@@ -637,7 +633,7 @@ class PlannerPlan:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        graph_mod.check_plan([sid for sid, _ in self.subtasks], self.edges)
+        graph_mod.check_plan(self)
 
 
 def plan(task: str, session: NodeSession) -> PlannerPlan:

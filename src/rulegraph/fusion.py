@@ -102,7 +102,7 @@ def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list
 def _rank_key(cluster: SemanticCluster) -> tuple:
     # Layer order: votes, then membership, then lowest rule index; cluster
     # key last so resolution is total even for malformed duplicate indices.
-    return (-cluster.votes, -cluster.max_membership.value, cluster.min_rule_index, cluster.key)
+    return (-cluster.votes, -cluster.max_membership._value_, cluster.min_rule_index, cluster.key)
 
 
 def resolve_conflict(clusters: list[SemanticCluster]) -> tuple[SemanticCluster, str]:
@@ -135,7 +135,7 @@ def fuse_subtask(
     """
     clusters = cluster_candidates(candidates, mode, session)
     winner, layer = resolve_conflict(clusters)
-    best = min(winner.members, key=lambda c: (-c.membership.value, c.rule_index))
+    best = min(winner.members, key=lambda c: (-c.membership._value_, c.rule_index))
 
     if len({lexical_key(m.answer_text) for m in winner.members}) == 1:
         answer = best.answer_text

@@ -10,7 +10,7 @@ Graphs are immutable values; every edit returns a new graph. Each value
 indexes its predecessors and successors once, when it is built.
 
 A PlannerPlan refuses a plan that cannot form a run graph, so build_graph
-wires only valid plans, and it and from_payload validate what they build.
+wires it without checking again; from_payload validates what it builds.
 The edits keep the invariants by construction and check only their own
 request:
 
@@ -102,7 +102,7 @@ class TaskGraph:
         """Serialized node/edge lists with canonical field names, stable order."""
         return {
             "nodes": [
-                {"id": n.id, "kind": n.kind.value, "statement": n.statement, "depth": n.depth}
+                {"id": n.id, "kind": n.kind._value_, "statement": n.statement, "depth": n.depth}
                 for n in sorted(self.nodes.values(), key=lambda n: n.id)
             ],
             "edges": [list(e) for e in sorted(self.edges)],
@@ -182,11 +182,13 @@ def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
     return seen
 
 
-def check_plan(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> None:
+def check_plan(plan: "PlannerPlan") -> None:
     """Raise GraphError with the first reason a plan cannot form a run graph.
 
-    Checked in order: no subtasks, duplicate ids, reserved ids, dangling edges, a cycle.
+    Checked in order: no subtasks, duplicate ids, reserved ids, dangling
+    edges, a cycle, an empty task or subtask statement.
     """
+    ids = [sid for sid, _ in plan.subtasks]
     if not ids:
         raise GraphError("plan contains no subtasks")
     if len(set(ids)) != len(ids):
@@ -195,11 +197,14 @@ def check_plan(ids: Sequence[str], edges: Sequence[Sequence[str]]) -> None:
         if sid in RESERVED_IDS:
             raise GraphError(f"subtask id {sid!r} is reserved")
     known = set(ids)
-    for a, b in edges:
+    for a, b in plan.edges:
         if a not in known or b not in known:
             raise GraphError(f"edge ({a}, {b}) references an unknown subtask")
-    if not _acyclic(ids, edges):
+    if not _acyclic(ids, plan.edges):
         raise GraphError("dependency edges contain a cycle")
+    for sid, statement in ((ROOT_ID, plan.task), *plan.subtasks):
+        if not statement:
+            raise GraphError(f"node {sid} has an empty statement")
 
 
 def build_graph(plan: "PlannerPlan") -> TaskGraph:
@@ -207,8 +212,8 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
 
     The original node is wired to every subtask without an in-plan
     predecessor, every subtask without an in-plan successor is wired to the
-    fusion node, and all plan edges are preserved. The plan's ids and edges
-    are valid by construction; validate checks the statements.
+    fusion node, and all plan edges are preserved. A PlannerPlan is valid
+    by construction, so the graph is not validated again.
     """
     nodes: dict[str, TaskNode] = {
         ROOT_ID: TaskNode(ROOT_ID, NodeKind.ORIGINAL, plan.task),
@@ -226,9 +231,7 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
         if sid not in has_succ:
             edges.add((sid, FUSION_ID))
 
-    graph = TaskGraph(nodes=nodes, edges=frozenset(edges), global_goal=plan.global_goal)
-    validate(graph)
-    return graph
+    return TaskGraph(nodes=nodes, edges=frozenset(edges), global_goal=plan.global_goal)
 
 
 def ready_nodes(graph: TaskGraph, completed: Iterable[str]) -> set[str]:
@@ -330,7 +333,7 @@ def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = 
     lines = ["digraph taskgraph {"]
     for node in sorted(graph.nodes.values(), key=lambda n: n.id):
         escaped = _dot_escape(node.id)
-        label = f"{escaped}\\n{node.kind.value}"
+        label = f"{escaped}\\n{node.kind._value_}"
         membership = (labels or {}).get(node.id)
         if membership is not None:
             label += f"\\n{membership.token}"

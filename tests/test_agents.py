@@ -1,16 +1,14 @@
 import hashlib
-import http.client
-import io
 import itertools
 import json
 import os
 import time
 import tracemalloc
-import urllib.error
 import urllib.request
 
 import pytest
 
+from chat_server import inject, needs_loopback
 from helpers import (
     assessment_response,
     assignments_response,
@@ -396,100 +394,46 @@ class TestMockProvider:
         assert peak / size < 2.80
 
 
-class FlakyTransport:
-    """Fails with transport errors a fixed number of times, then succeeds."""
-
-    def __init__(self, failures, body):
-        self.failures = failures
-        self.body = body
-        self.calls = 0
-
-    def __call__(self, url, headers, payload, timeout):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransportError("injected fault")
-        return self.body
-
-
-def chat_body(content):
-    return {
-        "choices": [{"message": {"content": content}}],
-        "usage": {"prompt_tokens": 7, "completion_tokens": 5},
-    }
-
-
-class HttpResponse:
-    """What urllib.request.urlopen gives for one status: this response for 200, else an HTTPError.
-
-    The body is bytes, a JSON value to encode, or an exception that read() raises.
-    """
-
-    def __init__(self, status, body=b"error"):
-        self.status = status
-        self.body = body if isinstance(body, (bytes, Exception)) else json.dumps(body).encode()
-
-    def opened(self):
-        if self.status != 200:
-            raise urllib.error.HTTPError("http://example.test", self.status, "err", {}, io.BytesIO(self.body))
-        return self
-
-    def read(self):
-        if isinstance(self.body, Exception):
-            raise self.body
-        return self.body
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
 class TestLiveProvider:
-    def make(self, transport, retries=3):
+    def make(self, server, retries=3, **options):
         return LiveProvider(
-            base_url="http://example.test/v1",
-            model="m",
-            api_key="k",
-            transport_retries=retries,
-            backoff_s=0.0,
-            transport=transport,
+            base_url=server.url, model="m", api_key="k", transport_retries=retries, backoff_s=0.0, **options
         )
 
     def request(self):
         return ProviderRequest(
             role_kind=RoleKind.GEA,
-            rendered_prompt="p",
+            rendered_prompt=render_prompt(ROLES["assess"], SLOTS["assess"]),
             temperature=0.0,
             context_key=("r", "T1", "GEA", 1),
         )
 
-    def test_two_faults_then_success_records_three_attempts(self):
-        transport = FlakyTransport(2, chat_body(json_doc({"membership": "H"})))
-        response = self.make(transport).complete(self.request())
-        assert transport.calls == 3
+    @needs_loopback
+    def test_two_faults_then_success_records_three_attempts(self, chat_server):
+        chat_server.fault = inject(503, tries=(1, 2))
+        response = self.make(chat_server).complete(self.request())
+        assert len(chat_server.posts) == 3
         assert response.raw_text == json_doc({"membership": "H"})
         assert response.token_usage == {"prompt_tokens": 7, "completion_tokens": 5}
 
-    def test_non_json_body_is_provider_failure(self, monkeypatch):
-        monkeypatch.setattr(
-            urllib.request, "urlopen", lambda *args, **kwargs: HttpResponse(200, b"<html>gateway</html>")
-        )
-        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
+    @needs_loopback
+    def test_non_json_body_is_provider_failure(self, chat_server):
+        chat_server.fault = inject(b"<html>gateway</html>")
         with pytest.raises(ProviderFailure, match="non-JSON"):
-            provider.complete(self.request())
+            self.make(chat_server).complete(self.request())
 
-    def test_deeply_nested_body_is_provider_failure(self, monkeypatch):
-        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: HttpResponse(200, b"[" * 100_000))
-        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k")
+    @needs_loopback
+    def test_deeply_nested_body_is_provider_failure(self, chat_server):
+        chat_server.fault = inject(b"[" * 100_000)
         with pytest.raises(ProviderFailure, match="non-JSON body: maximum recursion depth"):
-            provider.complete(self.request())
+            self.make(chat_server).complete(self.request())
 
-    def test_exhausted_retries_raise(self):
-        transport = FlakyTransport(5, chat_body("x"))
+    @needs_loopback
+    def test_exhausted_retries_raise(self, chat_server):
+        chat_server.fault = inject(503)
         with pytest.raises(TransportError):
-            self.make(transport).complete(self.request())
-        assert transport.calls == 3
+            self.make(chat_server).complete(self.request())
+        assert len(chat_server.posts) == 3
 
     @pytest.mark.parametrize(
         "options", [{"timeout_s": "60"}, {"backoff_s": True}], ids=["timeout-string", "backoff-bool"]
@@ -498,74 +442,60 @@ class TestLiveProvider:
         with pytest.raises(ValueError, match="must be numbers"):
             LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", **options)
 
-    def test_zero_transport_retries_rejected_when_built(self):
-        transport = FlakyTransport(0, chat_body("x"))
+    @needs_loopback
+    def test_zero_transport_retries_rejected_when_built(self, chat_server):
         for retries in (0, 2.5, True):  # a float or a bool would reach range() in complete
             with pytest.raises(ValueError, match="1 <= transport_retries"):
-                self.make(transport, retries=retries)
-        assert transport.calls == 0
+                self.make(chat_server, retries=retries)
+        assert chat_server.posts == []
 
+    @needs_loopback
     @pytest.mark.parametrize(
         "fault, message",
         [
-            (TimeoutError("read timed out"), "read timed out"),
-            (urllib.error.URLError("connection refused"), "connection refused"),
-            (HttpResponse(429), "rate limited by provider"),
-            (HttpResponse(503), "server error 503"),
-            (HttpResponse(200, http.client.IncompleteRead(b"")), "IncompleteRead"),
+            ("slow", "timed out"),
+            ("close", "closed connection without response"),
+            (429, "rate limited by provider"),
+            (503, "server error 503"),
+            ("truncate", "IncompleteRead"),
         ],
         ids=["timeout", "connection-error", "http-429", "http-503", "incomplete-read"],
     )
-    def test_http_faults_are_retried_transport_errors(self, fault, message, monkeypatch):
-        posts = []
-
-        def urlopen(request, timeout):
-            posts.append(request)
-            if len(posts) < 3:
-                if isinstance(fault, Exception):
-                    raise fault
-                return fault.opened()
-            return HttpResponse(200, chat_body(json_doc({"membership": "H"})))
-
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
+    def test_http_faults_are_retried_transport_errors(self, fault, message, chat_server):
+        chat_server.fault = inject(fault, tries=(1, 2))
+        provider = self.make(chat_server, retries=2, timeout_s=0.1)
         with pytest.raises(TransportError, match=message):
-            provider._http_post("http://example.test/v1/chat/completions", {}, {}, 1.0)
-        posts.clear()
-        assert provider.complete(self.request()).raw_text == json_doc({"membership": "H"})
-        assert len(posts) == 3
-
-    def test_http_400_is_not_retried(self, monkeypatch):
-        posts = []
-        monkeypatch.setattr(
-            urllib.request, "urlopen", lambda *a, **k: posts.append(k) or HttpResponse(400).opened()
-        )
-        provider = LiveProvider(base_url="http://example.test/v1", model="m", api_key="k", backoff_s=0.0)
-        with pytest.raises(ProviderFailure, match="provider returned 400") as err:
             provider.complete(self.request())
+        assert len(chat_server.posts) == 2
+        assert provider.complete(self.request()).raw_text == json_doc({"membership": "H"})
+        assert len(chat_server.posts) == 3
+
+    @needs_loopback
+    def test_http_400_is_not_retried(self, chat_server):
+        chat_server.fault = inject(400)
+        with pytest.raises(ProviderFailure, match="provider returned 400") as err:
+            self.make(chat_server).complete(self.request())
         assert not isinstance(err.value, TransportError)
-        assert len(posts) == 1
+        assert len(chat_server.posts) == 1
 
-    def test_post_carries_model_prompt_key_and_timeout(self, monkeypatch):
-        posts = []
+    @needs_loopback
+    def test_post_carries_model_prompt_key_and_timeout(self, chat_server, monkeypatch):
+        timeouts = []
+        urlopen = urllib.request.urlopen
 
-        def urlopen(request, timeout):
-            posts.append((request, timeout))
-            return HttpResponse(200, chat_body(json_doc({"membership": "H"})))
+        def spy(request, timeout):
+            timeouts.append(timeout)
+            return urlopen(request, timeout=timeout)
 
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        provider = LiveProvider(base_url="http://example.test/v1/", model="m", api_key="k", timeout_s=9.0)
+        monkeypatch.setattr(urllib.request, "urlopen", spy)
+        provider = LiveProvider(base_url=chat_server.url + "/", model="m", api_key="k", timeout_s=9.0)
         provider.complete(self.request())
-        [(request, timeout)] = posts
-        assert (request.get_method(), request.full_url, timeout) == (
-            "POST",
-            "http://example.test/v1/chat/completions",
-            9.0,
-        )
-        assert request.get_header("Authorization") == "Bearer k"
-        assert json.loads(request.data) == {
+        [(path, headers, body)] = chat_server.posts
+        assert (path, timeouts) == ("/v1/chat/completions", [9.0])
+        assert headers["Authorization"] == "Bearer k"
+        assert body == {
             "model": "m",
-            "messages": [{"role": "user", "content": "p"}],
+            "messages": [{"role": "user", "content": self.request().rendered_prompt}],
             "temperature": 0.0,
         }
 
@@ -675,10 +605,10 @@ class TestNodeSession:
         ],
         ids=["null-content", "non-integer-usage"],
     )
-    def test_malformed_live_body_fails_the_call(self, body):
-        provider = LiveProvider(
-            base_url="http://example.test/v1", model="m", api_key="k", transport=lambda *args: body
-        )
+    @needs_loopback
+    def test_malformed_live_body_fails_the_call(self, body, chat_server):
+        chat_server.fault = inject(body)
+        provider = LiveProvider(base_url=chat_server.url, model="m", api_key="k")
         session = NodeSession(run_id="run-0", node_id="T1", provider=provider)
         with pytest.raises(ProviderFailure, match="malformed completion body"):
             session.call("execute", SLOTS["execute"], whole)

@@ -23,6 +23,7 @@ from helpers import (
 )
 from rulegraph.agents import MockProvider
 from rulegraph.cli import load_config
+from rulegraph.graph import TaskGraph
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -70,6 +71,8 @@ def test_every_wrapped_name_is_reached():
         # seed 11's fates remove one node and splice another
         outcome = engine.execute_task("t", engine.RunConfig(provider=FateProvider(11), deterministic=True))
         engine.write_trace(outcome, io.StringIO())
+        # a run validates no graph it builds; reading one back, as export-dot does, validates it
+        TaskGraph.from_payload(outcome.graph_final.to_payload())
         config = load_config(os.path.join(REPO, "fixtures", "config.bench.json"))
         dataset = bench.load_dataset(os.path.join(REPO, "fixtures", "trivia5.jsonl"))
         bench.run_benchmark(dataset, config)

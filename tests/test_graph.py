@@ -65,6 +65,15 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="subtask id 'T' is reserved"):
             build_graph(make_plan(["T", "T1"]))
 
+    @pytest.mark.parametrize(
+        "task, subtasks, node",
+        [("", [("T1", "do it")], ROOT_ID), ("the task", [("T1", "do it"), ("T2", "")], "T2")],
+        ids=["task", "subtask"],
+    )
+    def test_empty_statement_rejected_when_planned(self, task, subtasks, node):
+        with pytest.raises(GraphError, match=f"node {node} has an empty statement"):
+            make_plan(subtasks, task=task)
+
     def test_random_plans_satisfy_invariants(self):
         rng = random.Random(11)
         for _ in range(200):
