@@ -13,7 +13,9 @@ order. So the trace is a total order that does not depend on scheduling.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
-after which a still-failing node is force-removed.
+after which a still-failing node is force-removed. Each commit checks the
+run's provider calls against call_budget, and the first commit past it
+ends the run.
 """
 
 from __future__ import annotations
@@ -184,10 +186,16 @@ class RunOutcome:
 
 
 class _Tracer:
-    """Single-owner trace assembly: assigns seq numbers and totals usage."""
+    """Single-owner trace assembly: assigns seq numbers, totals usage and bounds calls.
+
+    A flush that takes provider_calls past budget raises EngineError once
+    its events are in the trace. Flushes come in commit order, so the
+    flush that raises does not depend on the schedule.
+    """
 
     def __init__(self, deterministic: bool):
         self.deterministic = deterministic
+        self.budget: float = math.inf  # execute_task sets call_budget once the plan is known
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
         self.token_usage = {"prompt_tokens": 0, "completion_tokens": 0}
@@ -207,6 +215,10 @@ class _Tracer:
                 totals["prompt_tokens"] += usage.get("prompt_tokens", 0)
                 totals["completion_tokens"] += usage.get("completion_tokens", 0)
         buffered.clear()
+        if self.provider_calls > self.budget:
+            raise EngineError(
+                f"provider calls {self.provider_calls} exceeded the termination budget {self.budget}"
+            )
 
 
 def call_budget(config: RunConfig, n_subtasks: int) -> int:
@@ -440,10 +452,7 @@ def apply_repair(
         numbered = (f"{node.id}.{i}" for i in itertools.count(1))
         ids = list(itertools.islice((sid for sid in numbered if sid not in used_ids), len(ids)))
 
-    chain = [
-        g.TaskNode(new_id, g.NodeKind.SUBTASK, statement)
-        for new_id, (_, statement) in zip(ids, repair.chain)
-    ]
+    chain = [g.TaskNode(new_id, statement) for new_id, (_, statement) in zip(ids, repair.chain)]
     graph = g.splice_chain(graph, node.id, chain)
     used_ids.update(ids)
     session.emit(
@@ -616,19 +625,18 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         )
         tracer.flush(root_session.events)
 
-        budget = call_budget(config, len(the_plan.subtasks))
+        tracer.budget = call_budget(config, len(the_plan.subtasks))
         if config.concurrency == 1:
             graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
         else:
             from concurrent.futures import ThreadPoolExecutor  # only a pooled run needs threads
 
-            # At most `concurrency` nodes are in flight and each waits on at most K
-            # expert calls, so at most concurrency x K provider calls are in flight.
-            with ThreadPoolExecutor(config.concurrency) as nodes, ThreadPoolExecutor(
-                config.concurrency * config.k_rules
-            ) as experts:
+            # At most `concurrency` node jobs are in flight and each waits on at most K
+            # expert jobs, so one pool of concurrency x (K + 1) threads runs every job
+            # at once and at most concurrency x K provider calls are in flight.
+            with ThreadPoolExecutor(config.concurrency * (config.k_rules + 1)) as pool:
                 graph, results = _Scheduler(
-                    graph, config, tracer, partial(new_session, pool=experts), nodes
+                    graph, config, tracer, partial(new_session, pool=pool), pool
                 ).run()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
@@ -648,11 +656,6 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             },
         )
         tracer.flush(fusion_session.events)
-
-        if tracer.provider_calls > budget:
-            raise EngineError(
-                f"provider calls {tracer.provider_calls} exceeded the termination budget {budget}"
-            )
     except EngineError as exc:
         exc.trace, exc.provider_calls = tracer.events, tracer.provider_calls
         exc.token_usage = tracer.token_usage

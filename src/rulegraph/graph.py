@@ -1,9 +1,11 @@
 """Task-processing graph: structure, validation, traversal and failure repairs.
 
 A run's graph is a DAG with exactly one original task node at the root,
-N subtask nodes in the middle, and one fusion node at the sink. Edges are
-unweighted and encode dependency only. Two repair edits exist for failing
-subtasks: removal (with predecessor-to-successor bridging) and splicing a
+N subtask nodes in the middle, and one fusion node at the sink. A node's
+id decides its role (kind_of): the reserved id T is the original node, F
+the fusion node, and every other id a subtask. Edges are unweighted and
+encode dependency only. Two repair edits exist for failing subtasks:
+removal (with predecessor-to-successor bridging) and splicing a
 planner-generated chain of simpler subtasks in place of the failed node.
 
 Graphs are immutable values; every edit returns a new graph. Each value
@@ -29,7 +31,6 @@ request:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,33 +47,31 @@ class GraphError(Exception):
     """A plan cannot form a run graph, an edit is invalid, or a structural invariant failed."""
 
 
-class NodeKind(Enum):
-    ORIGINAL = "original"
-    SUBTASK = "subtask"
-    FUSION = "fusion"
+def kind_of(node_id: str) -> str:
+    """The role a node id decides: "original" for T, "fusion" for F, else "subtask"."""
+    return "original" if node_id == ROOT_ID else "fusion" if node_id == FUSION_ID else "subtask"
 
 
 @dataclass(frozen=True)
 class TaskNode:
-    """One node of the graph.
+    """One node of the graph; its id decides its role (kind_of).
 
     depth is 0 for planner-created nodes and increments once per repair
     splice; the engine uses it to bound reconstruction recursion.
     """
 
     id: str
-    kind: NodeKind
     statement: str
     depth: int = 0
 
 
 @dataclass(frozen=True)
 class TaskGraph:
-    """Immutable dependency graph over task nodes.
+    """Immutable dependency graph over task nodes, keyed by id.
 
-    Invariants (checked by validate): acyclic; exactly one original node
-    with in-degree 0 and one fusion node with out-degree 0; every subtask
-    node lies on a root-to-fusion path; no self or duplicate edges.
+    Invariants (checked by validate): acyclic; the original node T with
+    in-degree 0 and the fusion node F with out-degree 0; every other node,
+    a subtask by its id, lies on a T-to-F path; no self or duplicate edges.
     """
 
     nodes: Mapping[str, TaskNode]
@@ -102,7 +101,7 @@ class TaskGraph:
         """Serialized node/edge lists with canonical field names, stable order."""
         return {
             "nodes": [
-                {"id": n.id, "kind": n.kind._value_, "statement": n.statement, "depth": n.depth}
+                {"id": n.id, "kind": kind_of(n.id), "statement": n.statement, "depth": n.depth}
                 for n in sorted(self.nodes.values(), key=lambda n: n.id)
             ],
             "edges": [list(e) for e in sorted(self.edges)],
@@ -110,10 +109,12 @@ class TaskGraph:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "TaskGraph":
-        nodes = {
-            n["id"]: TaskNode(n["id"], NodeKind(n["kind"]), n["statement"], n.get("depth", 0))
-            for n in payload["nodes"]
-        }
+        """Read and validate a to_payload graph; each node's kind must follow from its id."""
+        nodes = {}
+        for n in payload["nodes"]:
+            if n["kind"] != kind_of(n["id"]):
+                raise GraphError(f"node {n['id']} has kind {n['kind']!r}, not {kind_of(n['id'])!r}")
+            nodes[n["id"]] = TaskNode(n["id"], n["statement"], n.get("depth", 0))
         edges = frozenset((a, b) for a, b in payload["edges"])
         graph = cls(nodes=nodes, edges=edges, global_goal="")
         validate(graph)
@@ -140,34 +141,32 @@ def _acyclic(ids: Iterable[str], edges: Iterable[Sequence[str]]) -> bool:
 
 def validate(graph: TaskGraph) -> None:
     """Check every structural invariant; raise GraphError otherwise."""
-    originals = [n for n in graph.nodes.values() if n.kind is NodeKind.ORIGINAL]
-    fusions = [n for n in graph.nodes.values() if n.kind is NodeKind.FUSION]
-    if len(originals) != 1 or len(fusions) != 1:
-        raise GraphError("graph must have exactly one original and one fusion node")
-    root, fusion = originals[0], fusions[0]
+    if ROOT_ID not in graph.nodes or FUSION_ID not in graph.nodes:
+        raise GraphError("graph must have the original node T and the fusion node F")
     for node in graph.nodes.values():
-        if node.kind in (NodeKind.ORIGINAL, NodeKind.SUBTASK) and not node.statement:
+        if node.id != FUSION_ID and not node.statement:
             raise GraphError(f"node {node.id} has an empty statement")
     for a, b in graph.edges:
         if a == b:
             raise GraphError(f"self edge on {a}")
         if a not in graph.nodes or b not in graph.nodes:
             raise GraphError(f"edge ({a}, {b}) references an unknown node")
-    if graph.predecessors(root.id):
+    if graph.predecessors(ROOT_ID):
         raise GraphError("original node must have in-degree 0")
-    if graph.successors(fusion.id):
+    if graph.successors(FUSION_ID):
         raise GraphError("fusion node must have out-degree 0")
     if not _acyclic(graph.nodes, graph.edges):
         raise GraphError("graph contains a cycle")
 
-    reachable_from_root = _reach(graph, root.id, forward=True)
-    reaches_fusion = _reach(graph, fusion.id, forward=False)
-    for node in graph.nodes.values():
-        if node.kind is NodeKind.SUBTASK:
-            if node.id not in reachable_from_root:
-                raise GraphError(f"subtask {node.id} unreachable from the original node")
-            if node.id not in reaches_fusion:
-                raise GraphError(f"subtask {node.id} cannot reach the fusion node")
+    reachable_from_root = _reach(graph, ROOT_ID, forward=True)
+    reaches_fusion = _reach(graph, FUSION_ID, forward=False)
+    for node_id in graph.nodes:
+        if node_id in RESERVED_IDS:
+            continue
+        if node_id not in reachable_from_root:
+            raise GraphError(f"subtask {node_id} unreachable from the original node")
+        if node_id not in reaches_fusion:
+            raise GraphError(f"subtask {node_id} cannot reach the fusion node")
 
 
 def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
@@ -215,12 +214,9 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
     fusion node, and all plan edges are preserved. A PlannerPlan is valid
     by construction, so the graph is not validated again.
     """
-    nodes: dict[str, TaskNode] = {
-        ROOT_ID: TaskNode(ROOT_ID, NodeKind.ORIGINAL, plan.task),
-        FUSION_ID: TaskNode(FUSION_ID, NodeKind.FUSION, ""),
-    }
+    nodes = {ROOT_ID: TaskNode(ROOT_ID, plan.task), FUSION_ID: TaskNode(FUSION_ID, "")}
     for sid, statement in plan.subtasks:
-        nodes[sid] = TaskNode(sid, NodeKind.SUBTASK, statement)
+        nodes[sid] = TaskNode(sid, statement)
 
     edges = {(a, b) for a, b in plan.edges}
     has_pred = {b for _, b in plan.edges}
@@ -241,11 +237,7 @@ def ready_nodes(graph: TaskGraph, completed: Iterable[str]) -> set[str]:
     """
     done = {ROOT_ID, *completed}
     preds = graph.predecessors
-    return {
-        node_id
-        for node_id, node in graph.nodes.items()
-        if node_id not in done and node.kind is not NodeKind.ORIGINAL and preds(node_id) <= done
-    }
+    return {node_id for node_id in graph.nodes if node_id not in done and preds(node_id) <= done}
 
 
 def predecessor_results(
@@ -313,7 +305,7 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
 
     nodes = {nid: n for nid, n in graph.nodes.items() if nid != failed_id}
     for member in chain:
-        nodes[member.id] = replace(member, kind=NodeKind.SUBTASK, depth=depth)
+        nodes[member.id] = replace(member, depth=depth)
 
     edges = {(a, b) for a, b in graph.edges if failed_id not in (a, b)}
     edges.update(zip(chain_ids, chain_ids[1:]))
@@ -333,7 +325,7 @@ def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = 
     lines = ["digraph taskgraph {"]
     for node in sorted(graph.nodes.values(), key=lambda n: n.id):
         escaped = _dot_escape(node.id)
-        label = f"{escaped}\\n{node.kind._value_}"
+        label = f"{escaped}\\n{kind_of(node.id)}"
         membership = (labels or {}).get(node.id)
         if membership is not None:
             label += f"\\n{membership.token}"
@@ -351,5 +343,5 @@ def _dot_escape(text: str) -> str:
 def _require_subtask(graph: TaskGraph, node_id: str) -> None:
     if node_id not in graph.nodes:
         raise GraphError(f"unknown node {node_id}")
-    if graph.node(node_id).kind is not NodeKind.SUBTASK:
+    if node_id in RESERVED_IDS:
         raise GraphError(f"{node_id} is not a subtask node")

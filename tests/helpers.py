@@ -12,8 +12,8 @@ import time
 from collections import Counter
 
 from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
-from rulegraph.engine import EngineError, RunConfig, execute_task, write_trace_events
-from rulegraph.graph import ROOT_ID, NodeKind, TaskGraph, build_graph
+from rulegraph.engine import EngineError, RunConfig, call_budget, execute_task, write_trace_events
+from rulegraph.graph import RESERVED_IDS, ROOT_ID, TaskGraph, build_graph
 from rulegraph.rules import DEFAULT_DOMAINS
 
 
@@ -100,7 +100,7 @@ def random_plan(rng: random.Random, max_subtasks: int = 10) -> PlannerPlan:
 
 
 def subtask_ids(graph: TaskGraph) -> list[str]:
-    return sorted(n for n, node in graph.nodes.items() if node.kind is NodeKind.SUBTASK)
+    return sorted(graph.nodes.keys() - RESERVED_IDS)
 
 
 def random_graph(rng: random.Random, max_subtasks: int = 10) -> TaskGraph:
@@ -232,6 +232,20 @@ def run_scenario(provider_cls, seed: int, concurrency: int, jitter: bool = False
     sink = io.StringIO()
     write_trace_events(events, sink)
     return name, sink.getvalue(), events
+
+
+def check_trace(events, n_subtasks: int) -> None:
+    """Run-wide checks on a trace from a plan of n_subtasks under the default config.
+
+    Context keys are unique, provider calls stay within call_budget, and
+    every plan and final graph reads back with TaskGraph.from_payload.
+    """
+    keys = [tuple(e.payload["context"].values()) for e in events if e.kind == "provider_call"]
+    assert len(keys) == len(set(keys))
+    assert len(keys) <= call_budget(RunConfig(provider=None), n_subtasks)
+    for event in events:
+        if event.kind in ("plan", "final"):
+            TaskGraph.from_payload(event.payload["graph"])  # raises unless the graph is valid
 
 
 def scenario_digest(provider_cls, seeds) -> str:

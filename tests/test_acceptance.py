@@ -26,7 +26,7 @@ from rulegraph.agents import LiveProvider, MockProvider
 from rulegraph.bench import Sample, load_dataset, run_benchmark, score_sample
 from rulegraph.engine import AllPathsFailed, RunConfig, call_budget, execute_task, write_trace
 from rulegraph.fusion import cluster_candidates, resolve_conflict
-from rulegraph.graph import NodeKind, TaskNode, build_graph, remove_node, splice_chain, validate
+from rulegraph.graph import TaskNode, build_graph, remove_node, splice_chain, validate
 from rulegraph.membership import MembershipLabel, parse_label
 from rulegraph.rules import CandidateResult
 
@@ -80,7 +80,7 @@ def test_criterion_2_graph_properties():
         target = rng.choice(subtask_ids(graph))
         validate(remove_node(graph, target))
         chain = [
-            TaskNode(f"fresh{i}_{j}", NodeKind.SUBTASK, f"step {j}")
+            TaskNode(f"fresh{i}_{j}", f"step {j}")
             for j in range(rng.randint(1, 4))
         ]
         validate(splice_chain(graph, target, chain))

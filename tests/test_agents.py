@@ -37,7 +37,7 @@ from rulegraph.agents import (
 )
 from rulegraph.engine import RunConfig, handle_failure
 from rulegraph.fusion import cluster_candidates, fuse_final
-from rulegraph.graph import NodeKind, TaskNode, build_graph
+from rulegraph.graph import TaskNode, build_graph
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import CandidateResult, construct_rules, run_global_rule
 
@@ -189,7 +189,7 @@ class TestParseStructured:
         bad = {"rules": [{"domain": "History", "antecedent": "a", "membership": "H"}]}
         session = answering("DAA", json_doc(bad))
         with pytest.raises(ProviderFailure, match="missing required field 'expert_prompt'"):
-            construct_rules(TaskNode("T1", NodeKind.SUBTASK, "s"), ("History",), 1, session=session)
+            construct_rules(TaskNode("T1", "s"), ("History",), 1, session=session)
         assert first_call(session) == ("parse_error", "missing required field 'expert_prompt'")
 
     def test_fusion_needs_answer_or_assignments(self):

@@ -556,6 +556,12 @@ class TestBenchCommand:
         assert "bench setup error" in captured.err and captured.out == ""
 
 
+def plan_record(nodes, edges):
+    """One trace line: a plan record whose graph has the (id, kind, statement) nodes."""
+    graph = {"nodes": [{"id": i, "kind": k, "statement": st} for i, k, st in nodes], "edges": edges}
+    return json.dumps({"kind": "plan", "seq": 1, "payload": {"graph": graph}}).encode() + b"\n"
+
+
 class TestExportDot:
     def test_rerenders_final_graph_from_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -588,8 +594,13 @@ class TestExportDot:
             (b'{"kind": "plan", "seq": 1, "payload": {"goal": "g", "graph": {"nodes": [], "edges": []}}}\n',
              "GraphError"),
             (b'{"kind": "plan", "seq": 1}\n', "KeyError"),
+            (plan_record([("T", "original", "t"), ("s1", "fusion", "x"), ("F", "fusion", "")],
+                         [("T", "s1"), ("s1", "F")]), "GraphError: node s1 has kind 'fusion'"),
+            (plan_record([("X", "original", "t"), ("F", "fusion", "")], [("X", "F")]),
+             "GraphError: node X has kind 'original'"),
         ],
-        ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload"],
+        ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload",
+             "kind-disagrees-with-id", "original-not-T"],
     )
     def test_unreadable_trace_exits_3(self, content, error, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -598,6 +609,7 @@ class TestExportDot:
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert f"cannot read trace {trace}: {error}" in captured.err and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -293,13 +293,19 @@ class TestProviderFaults:
         assert err.value.provider_calls == 3
 
     def test_budget_failure_carries_partial_trace(self, monkeypatch):
+        # The budget is checked at the flush that counts the calls, so a run that
+        # would end in AllPathsFailed stops at its first commit past the budget.
         import rulegraph.engine as engine
 
-        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: 0)
-        with pytest.raises(EngineError, match="exceeded the termination budget") as err:
-            execute_task("task", mk_config(SINGLE))
-        assert err.value.trace
-        assert err.value.provider_calls == len(events_of(err.value.trace, "provider_call"))
+        cases = [("task", SINGLE, 0, 6, 15), (ADVERSARIAL_TASK, adversarial_script(), 20, 33, 77)]
+        for task, script, budget, calls, events in cases:
+            monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks, budget=budget: budget)
+            message = f"provider calls {calls} exceeded the termination budget {budget}"
+            with pytest.raises(EngineError, match=message) as err:
+                execute_task(task, mk_config(script))
+            assert type(err.value) is EngineError
+            assert len(err.value.trace) == events
+            assert err.value.provider_calls == len(events_of(err.value.trace, "provider_call")) == calls
 
 
 class TestTermination:

@@ -15,10 +15,9 @@ import random
 
 import pytest
 
-from helpers import FateProvider, run_scenario, scenario_digest
+from helpers import FateProvider, check_trace, run_scenario, scenario_digest
 import rulegraph.cli as cli
 from rulegraph.agents import ProviderFailure, ProviderResponse, TransportError
-from rulegraph.engine import RunConfig, call_budget
 
 SEEDS = range(20)
 FAULT_RATE = 0.04  # per fault kind
@@ -56,9 +55,7 @@ def test_faults_keep_trace_schedule_independent_and_bounded(seed):
     name, text, events = run(seed, 1)
     assert name in EXIT_CODES
     assert run(seed, 4, jitter=True)[1] == text
-    calls = [e for e in events if e.kind == "provider_call"]
-    n_subtasks = len(FaultProvider(seed).plan.subtasks)
-    assert len(calls) <= call_budget(RunConfig(provider=None), n_subtasks)
+    check_trace(events, len(FaultProvider(seed).plan.subtasks))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

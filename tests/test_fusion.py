@@ -14,13 +14,13 @@ from rulegraph.fusion import (
     lexical_key,
     resolve_conflict,
 )
-from rulegraph.graph import NodeKind, TaskNode
+from rulegraph.graph import TaskNode
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import CandidateResult
 
 MOVIE_A = "Guess Who's Coming to Dinner (1967)"
 MOVIE_B = "The Lion in Winter (1968)"
-T1 = TaskNode("T1", NodeKind.SUBTASK, "Which movie won the second award?")
+T1 = TaskNode("T1", "Which movie won the second award?")
 
 H, SH, M, ML, LR, L = (
     MembershipLabel.H,

@@ -12,10 +12,11 @@ from rulegraph.graph import (
     FUSION_ID,
     ROOT_ID,
     GraphError,
-    NodeKind,
+    TaskGraph,
     TaskNode,
     build_graph,
     export_dot,
+    kind_of,
     predecessor_results,
     ready_nodes,
     remove_node,
@@ -36,8 +37,8 @@ class TestBuildGraph:
         assert graph.edges == frozenset(
             {(ROOT_ID, s) for s in STAR} | {(s, FUSION_ID) for s in STAR}
         )
-        assert graph.node(ROOT_ID).kind is NodeKind.ORIGINAL
-        assert graph.node(FUSION_ID).kind is NodeKind.FUSION
+        kinds = {n["id"]: n["kind"] for n in graph.to_payload()["nodes"]}
+        assert kinds == {ROOT_ID: "original", FUSION_ID: "fusion", **dict.fromkeys(STAR, "subtask")}
 
     def test_minimal_single_subtask(self):
         graph = build_graph(make_plan(["T1"]))
@@ -193,7 +194,7 @@ class TestRemoveNode:
 
 class TestSpliceChain:
     def chain_nodes(self, ids):
-        return [TaskNode(i, NodeKind.SUBTASK, f"do {i}") for i in ids]
+        return [TaskNode(i, f"do {i}") for i in ids]
 
     def test_star_splice_wires_linear_chain(self):
         graph = splice_chain(star_graph(), "T3", self.chain_nodes(["T3a", "T3b", "T3c"]))
@@ -249,7 +250,7 @@ class TestSpliceChain:
         ids=["duplicate", "stale", "reserved", "empty-statement"],
     )
     def test_invalid_chain_rejected(self, ids, statement, message):
-        chain = [TaskNode(i, NodeKind.SUBTASK, statement) for i in ids]
+        chain = [TaskNode(i, statement) for i in ids]
         with pytest.raises(GraphError, match=message):
             splice_chain(star_graph(), "T1", chain)
 
@@ -281,7 +282,7 @@ class GraphEdits(RuleBasedStateMachine):
     def splice(self, data, length):
         ids = [f"x{self.fresh + i}" for i in range(length)]
         self.fresh += length
-        chain = [TaskNode(i, NodeKind.SUBTASK, f"do {i}") for i in ids]
+        chain = [TaskNode(i, f"do {i}") for i in ids]
         self.graph = splice_chain(self.graph, self.pick_subtask(data), chain)
 
     @precondition(lambda self: not subtask_ids(self.graph))
@@ -297,6 +298,26 @@ class GraphEdits(RuleBasedStateMachine):
 
 TestGraphEdits = GraphEdits.TestCase
 TestGraphEdits.settings = settings(max_examples=25, stateful_step_count=12)
+
+
+class TestFromPayload:
+    def test_round_trip_keeps_depth(self):
+        graph = splice_chain(star_graph(), "T1", [TaskNode("x", "do x")])
+        read = TaskGraph.from_payload(graph.to_payload())
+        assert read.nodes == graph.nodes and read.edges == graph.edges
+        assert read.node("x").depth == 1
+
+    @pytest.mark.parametrize(
+        "node, kind",
+        [(ROOT_ID, "subtask"), (FUSION_ID, "original"), ("T1", "original"), ("T1", "fusion"), ("T1", "leaf")],
+    )
+    def test_kind_must_follow_from_id(self, node, kind):
+        payload = star_graph().to_payload()
+        for entry in payload["nodes"]:
+            if entry["id"] == node:
+                entry["kind"] = kind
+        with pytest.raises(GraphError, match=f"node {node} has kind '{kind}', not '{kind_of(node)}'"):
+            TaskGraph.from_payload(payload)
 
 
 class TestExportDot:

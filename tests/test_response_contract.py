@@ -14,11 +14,11 @@ from helpers import assignments_response, json_doc, make_plan
 from rulegraph.agents import MockProvider, NodeSession, ProviderFailure, RoleKind, plan
 from rulegraph.engine import RunConfig, handle_failure
 from rulegraph.fusion import cluster_candidates, fuse_final, fuse_subtask
-from rulegraph.graph import NodeKind, TaskNode, build_graph
+from rulegraph.graph import TaskNode, build_graph
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import CandidateResult, DomainRule, construct_rules, run_global_rule, run_rules
 
-NODE = TaskNode("T1", NodeKind.SUBTASK, "Which movie won?")
+NODE = TaskNode("T1", "Which movie won?")
 CATALOG = ("History", "Biology", "Law")
 CANDIDATES = [
     CandidateResult(1, "History", MembershipLabel.H, "answer a"),

@@ -10,7 +10,7 @@ from rulegraph.agents import (
     ProviderFailure,
     TransportError,
 )
-from rulegraph.graph import NodeKind, TaskNode
+from rulegraph.graph import TaskNode
 from rulegraph.membership import MembershipLabel
 from rulegraph.rules import (
     DEFAULT_DOMAINS,
@@ -19,7 +19,7 @@ from rulegraph.rules import (
     run_rules,
 )
 
-T1 = TaskNode("T1", NodeKind.SUBTASK, "For which movie did the actress win her second award?")
+T1 = TaskNode("T1", "For which movie did the actress win her second award?")
 GOAL = "discuss the actress's experience and craft"
 
 

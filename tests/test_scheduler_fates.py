@@ -11,9 +11,7 @@ import functools
 
 import pytest
 
-from helpers import FateProvider, run_scenario, scenario_digest
-from rulegraph.engine import RunConfig, call_budget
-from rulegraph.graph import TaskGraph
+from helpers import FateProvider, check_trace, run_scenario, scenario_digest
 
 SEEDS = range(30)
 GOLDEN = "a5cde5a2f1228997a0dc7c5ceb561fc88d8ebf4011666a7a097534ac3a38f8e2"
@@ -25,15 +23,7 @@ def test_trace_is_schedule_independent_and_bounded(seed):
     name, text, events = run(seed, 1)
     assert run(seed, 2)[1] == text
     assert run(seed, 8, jitter=True)[1] == text
-
-    calls = [e.payload["context"] for e in events if e.kind == "provider_call"]
-    keys = [tuple(c.values()) for c in calls]
-    assert len(keys) == len(set(keys))
-    n_subtasks = len(FateProvider(seed).plan.subtasks)
-    assert len(calls) <= call_budget(RunConfig(provider=None), n_subtasks)
-    for event in events:
-        if event.kind in ("plan", "final"):
-            TaskGraph.from_payload(event.payload["graph"])  # raises unless the graph is valid
+    check_trace(events, len(FateProvider(seed).plan.subtasks))
     assert name == "RunOutcome" or not any(e.kind == "final" for e in events)
 
 
