@@ -5,11 +5,19 @@ Every state change emits a trace event. A node starts as soon as each of
 its predecessors has a result, with up to a configured cap of nodes in
 flight. Each node buffers its events locally, and a failed node's worker
 decides its repair (classification and replan calls) straight away. The
-single-owner run loop commits buffers, results and repair edits in the
-order a barrier engine running the graph in waves would have used. A wave
-is the set of nodes ready on the graph as the last commit left it; it
-commits its node buffers in node-id order, then its repairs in node-id
-order. So the trace is a total order that does not depend on scheduling.
+single-owner run loop commits buffers and results in the order a barrier
+engine running the graph in waves would have used. A wave is the set of
+nodes ready on the graph as the last commit left it; it commits its node
+buffers in node-id order, then its repair buffers in node-id order. So
+the trace is a total order that does not depend on scheduling.
+
+Repair edits keep that commit order but do not wait for the commit: the
+run loop applies a failed node's repair as soon as every member of its
+wave with a lower id has finished without an error, so a replanned
+chain can start while the rest of its wave runs. Chain ids come out the
+same because the repairs reach the graph in the same order. No started
+node loses its inputs: a repair rewires only the successors of its own
+failed node, which has no result, so none of them has started.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -340,7 +348,7 @@ def process_node(
 
 @dataclass(frozen=True)
 class Repair:
-    """A failed node's repair, decided by its worker and applied at commit time.
+    """A failed node's repair, decided by its worker and applied by the run loop in commit order.
 
     An empty chain means removal for `reason`; otherwise the chain's
     (planner id, statement) entries replace the node, in order.
@@ -364,8 +372,8 @@ def handle_failure(
     the depth cap is replanned into a chain of at most M_max simpler
     subtasks. At the depth cap, and whenever classification or replanning
     itself fails, removal is forced with a warning so the run always
-    terminates. The graph is left untouched: apply_repair edits it at the
-    node's commit slot.
+    terminates. The graph is left untouched: the run loop edits it with
+    apply_repair, in commit order.
     """
     reason = "irrelevant"
     try:
@@ -485,7 +493,7 @@ def _run_node(
     """Worker: process one node and, if it fails, decide its repair.
 
     Exceptions are kept, not raised, so that the run loop re-raises them
-    at the node's commit slot.
+    in commit order.
     """
     session = new_session(node.id)
     done = _Finished(session, session.events)
@@ -505,12 +513,21 @@ class _Scheduler:
     Readiness is read off the graph with g.ready_nodes each time it is
     needed. Nodes whose predecessors all have results start in id order
     while fewer than `concurrency` are in flight. The wave is the set of
-    nodes ready on the committed graph: the graph after the last commit's
-    repairs, counting only results of nodes already committed. A wave
-    commits once all of its nodes have finished, and the next wave is read
-    off the graph right after. A node that starts before its wave commits
-    keeps its inputs: only a failed predecessor's repair rewires a node, and
-    each of its predecessors has a result.
+    nodes ready on the committed graph: the graph after the last commit,
+    counting only results of nodes already committed.
+
+    Repairs are applied in commit order, as early as that order allows: a
+    failed wave member's repair edits the graph once every member with a
+    lower id has finished without an error. So used_ids sees the same
+    repairs in the same order as at concurrency 1, and a chain's nodes can
+    start while the rest of its wave still runs. A wave commits once all of
+    its nodes have finished, and the next wave is read off the graph right
+    after.
+
+    A node that starts before its wave commits keeps its inputs. Only a
+    failed predecessor's repair rewires a node. A node starts only once
+    each of its predecessors has a result, and a failed node has none, so
+    a repair never rewires a node that has started.
     """
 
     def __init__(
@@ -531,9 +548,11 @@ class _Scheduler:
         self.started: set[str] = set()
         self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
         self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.wave: list[str] = []  # in node-id order
+        self.walked = 0  # length of the wave's prefix whose repairs are applied
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
-        wave = self._next_wave()
+        self._next_wave()
         in_flight = 0
         while True:
             if in_flight < self.config.concurrency:
@@ -550,13 +569,34 @@ class _Scheduler:
             self.finished[nid] = done
             if done.result is not None:
                 self.results[nid] = done.result
-            while wave and wave <= self.finished.keys():
-                self._commit(wave)
-                wave = self._next_wave()
+            self._advance()
 
-    def _next_wave(self) -> set[str]:
+    def _next_wave(self) -> None:
         committed = self.results.keys() - self.finished.keys()
-        return g.ready_nodes(self.graph, committed) - {g.FUSION_ID}
+        self.wave = sorted(g.ready_nodes(self.graph, committed) - {g.FUSION_ID})
+        self.walked = 0
+
+    def _advance(self) -> None:
+        """Apply each repair the commit order allows, and commit each wave that has finished.
+
+        The walk stops at the first unfinished member. A worker's error is
+        raised when the walk reaches it, so the first error in commit order
+        is the one raised.
+        """
+        while True:
+            for nid in self.wave[self.walked :]:
+                done = self.finished.get(nid)
+                if done is None:
+                    return
+                if done.error is not None:
+                    raise done.error
+                if done.result is None:
+                    self.graph = apply_repair(done.repair, self.graph, done.session, self.used_ids)
+                self.walked += 1
+            if not self.wave:
+                return
+            self._commit()
+            self._next_wave()
 
     def _start(self, nid: str) -> None:
         self.started.add(nid)
@@ -567,17 +607,13 @@ class _Scheduler:
             future = self.pool.submit(_run_node, *args)
             future.add_done_callback(lambda future: self.done.put((nid, future)))
 
-    def _commit(self, wave: set[str]) -> None:
-        """Flush a finished wave's buffers in node-id order, then apply its repairs."""
-        done = [self.finished.pop(nid) for nid in sorted(wave)]
-        for item in done:
-            if item.error is not None:
-                raise item.error
+    def _commit(self) -> None:
+        """Flush the finished wave: node buffers in node-id order, then repair buffers."""
+        done = [self.finished.pop(nid) for nid in self.wave]
         for item in done:
             self.tracer.flush(item.events)
         for item in done:
             if item.result is None:
-                self.graph = apply_repair(item.repair, self.graph, item.session, self.used_ids)
                 self.tracer.flush(item.session.events)
         if not self.graph.predecessors(g.FUSION_ID):
             raise AllPathsFailed("every root-to-fusion path failed and was removed")

@@ -602,8 +602,10 @@ class TestNodeSession:
         [
             {"choices": [{"message": {"content": None}}]},
             {"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "n/a"}},
+            {},
+            {"choices": []},
         ],
-        ids=["null-content", "non-integer-usage"],
+        ids=["null-content", "non-integer-usage", "no-choices", "empty-choices"],
     )
     @needs_loopback
     def test_malformed_live_body_fails_the_call(self, body, chat_server):

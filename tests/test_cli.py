@@ -9,6 +9,7 @@ from scenarios import FINAL_EMAIL
 import rulegraph.cli as cli
 from rulegraph.cli import (
     EXIT_CONFIG,
+    EXIT_FAILURE,
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PLANNING,
@@ -376,6 +377,24 @@ class TestRunCommand:
         kinds = [json.loads(line)["kind"] for line in trace.read_text().splitlines()]
         assert kinds.count("provider_call") == 3 and kinds[-1] == "warning"
 
+    def test_budget_overrun_exits_1_with_the_committed_prefix(self, tmp_path, capsys, monkeypatch):
+        import rulegraph.engine as engine
+
+        full, partial = tmp_path / "full.jsonl", tmp_path / "partial.jsonl"
+        assert main(["run", "--task", "reply", "--config", DEMO_CONFIG, "--trace", str(full)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: 5)
+        code = main(["run", "--task", "reply", "--config", DEMO_CONFIG, "--trace", str(partial)])
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILURE and captured.out == ""
+        assert captured.err.startswith("run failed: provider calls ")
+        assert captured.err.endswith(" exceeded the termination budget 5\n")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        text = partial.read_text(encoding="utf-8")
+        assert full.read_text(encoding="utf-8").startswith(text)
+        calls = [line for line in text.splitlines() if json.loads(line)["kind"] == "provider_call"]
+        assert f"provider calls {len(calls)} exceeded" in captured.err
+
     def test_unwritable_trace_fails_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
         from rulegraph.agents import MockProvider
 
@@ -556,10 +575,16 @@ class TestBenchCommand:
         assert "bench setup error" in captured.err and captured.out == ""
 
 
-def plan_record(nodes, edges):
-    """One trace line: a plan record whose graph has the (id, kind, statement) nodes."""
+def graph_record(nodes, edges, kind="plan"):
+    """One trace line: a plan or final record whose graph has the (id, kind, statement) nodes."""
     graph = {"nodes": [{"id": i, "kind": k, "statement": st} for i, k, st in nodes], "edges": edges}
-    return json.dumps({"kind": "plan", "seq": 1, "payload": {"graph": graph}}).encode() + b"\n"
+    return json.dumps({"kind": kind, "seq": 1, "payload": {"graph": graph}}).encode() + b"\n"
+
+
+def final_record(subtasks, edges):
+    """A final record over T, F and the given subtask ids, each with a statement."""
+    nodes = [("T", "original", "t"), ("F", "fusion", ""), *((i, "subtask", f"do {i}") for i in subtasks)]
+    return graph_record(nodes, edges, kind="final")
 
 
 class TestExportDot:
@@ -594,13 +619,32 @@ class TestExportDot:
             (b'{"kind": "plan", "seq": 1, "payload": {"goal": "g", "graph": {"nodes": [], "edges": []}}}\n',
              "GraphError"),
             (b'{"kind": "plan", "seq": 1}\n', "KeyError"),
-            (plan_record([("T", "original", "t"), ("s1", "fusion", "x"), ("F", "fusion", "")],
-                         [("T", "s1"), ("s1", "F")]), "GraphError: node s1 has kind 'fusion'"),
-            (plan_record([("X", "original", "t"), ("F", "fusion", "")], [("X", "F")]),
+            (graph_record([("T", "original", "t"), ("s1", "fusion", "x"), ("F", "fusion", "")],
+                          [("T", "s1"), ("s1", "F")]), "GraphError: node s1 has kind 'fusion'"),
+            (graph_record([("X", "original", "t"), ("F", "fusion", "")], [("X", "F")]),
              "GraphError: node X has kind 'original'"),
+            (graph_record([("T", "original", "t"), ("s1", "subtask", ""), ("F", "fusion", "")],
+                          [("T", "s1"), ("s1", "F")], kind="final"),
+             "GraphError: node s1 has an empty statement"),
+            (final_record(["s1"], [("T", "s1"), ("s1", "s1"), ("s1", "F")]),
+             "GraphError: self edge on s1"),
+            (final_record(["s1"], [("T", "s1"), ("s1", "F"), ("s1", "s9")]),
+             "GraphError: edge (s1, s9) references an unknown node"),
+            (final_record(["s1"], [("T", "s1"), ("s1", "F"), ("s1", "T")]),
+             "GraphError: original node must have in-degree 0"),
+            (final_record(["s1"], [("T", "s1"), ("s1", "F"), ("F", "s1")]),
+             "GraphError: fusion node must have out-degree 0"),
+            (final_record(["s1", "s2"], [("T", "s1"), ("s1", "s2"), ("s2", "s1"), ("s2", "F")]),
+             "GraphError: graph contains a cycle"),
+            (final_record(["s1", "s2"], [("T", "s1"), ("s1", "F"), ("s2", "F")]),
+             "GraphError: subtask s2 unreachable from the original node"),
+            (final_record(["s1", "s2"], [("T", "s1"), ("s1", "F"), ("T", "s2")]),
+             "GraphError: subtask s2 cannot reach the fusion node"),
         ],
         ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload",
-             "kind-disagrees-with-id", "original-not-T"],
+             "kind-disagrees-with-id", "original-not-T", "empty-statement", "self-edge",
+             "unknown-node", "original-in-degree", "fusion-out-degree", "cycle",
+             "unreachable-from-T", "cannot-reach-F"],
     )
     def test_unreadable_trace_exits_3(self, content, error, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

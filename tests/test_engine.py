@@ -515,6 +515,26 @@ class Staggered(FaultInjector):
         return super().complete(request)
 
 
+class Handoff(MockProvider):
+    """Holds the first call whose context key `holds` matches until a call for node `release` arrives.
+
+    waited is True when the release came within 5 s, False when the wait timed out.
+    """
+
+    def __init__(self, script, holds, release):
+        super().__init__(script)
+        self.holds, self.release = holds, release
+        self.released = threading.Event()
+        self.waited: bool | None = None
+
+    def complete(self, request):
+        if request.context_key[1] == self.release:
+            self.released.set()
+        elif self.waited is None and self.holds(request.context_key):
+            self.waited = self.released.wait(timeout=5)
+        return super().complete(request)
+
+
 class TestScheduler:
     def run(self, provider, **overrides):
         return execute_task("task", RunConfig(provider=provider, deterministic=True, **overrides))
@@ -563,6 +583,44 @@ class TestScheduler:
         outcome = self.run(provider, concurrency=2)
         assert not provider.timed_out
         assert outcome.final.contributing_nodes == ("a", "c")
+
+    @staticmethod
+    def splice_script(failing, others):
+        """Each failing node fails every attempt and is replanned into c1 -> c2; the others pass."""
+        script = dict(SINGLE)
+        script[("PA", 1)] = plan_response("a goal", [(n, f"do {n}") for n in sorted(failing + others)])
+        for attempt in range(1, 10):
+            script[("DAA", attempt)] = SINGLE[("DAA", 1)]
+            script[("DEA", attempt)] = SINGLE[("DEA", 1)]
+        for nid in failing:
+            for attempt in (1, 2, 3):
+                script[("run-0", nid, "GEA", attempt)] = assessment_response("L", "off goal")
+            script[("run-0", nid, "PA", 1)] = classification_response("too_complex")
+            script[("run-0", nid, "PA", 2)] = plan_response(
+                "sub-goal", [("c1", f"{nid} step 1"), ("c2", f"{nid} step 2")], [("c1", "c2")]
+            )
+        return script
+
+    def test_chain_starts_while_its_wave_still_runs(self):
+        # a and z form one wave; a is spliced into c1 -> c2, and z's first call waits for c1
+        script = self.splice_script(["a"], ["z"])
+        reference = trace_text(self.run(MockProvider(script)))
+        provider = Handoff(script, holds=lambda key: key[1] == "z", release="c1")
+        outcome = self.run(provider, concurrency=2)
+        assert provider.waited  # a commit-time repair would hold c1 until z is done
+        assert trace_text(outcome) == reference
+        assert outcome.final.contributing_nodes == ("c2", "z")
+
+    def test_same_wave_repairs_keep_commit_order_ids(self):
+        # a and b both replan into c1 -> c2; a's replan waits for x, so b finishes first
+        script = self.splice_script(["a", "b"], ["x"])
+        reference = trace_text(self.run(MockProvider(script)))
+        provider = Handoff(script, holds=lambda key: key[1:] == ("a", "PA", 2), release="x")
+        outcome = self.run(provider, concurrency=2)
+        assert provider.waited
+        assert trace_text(outcome) == reference
+        chains = {e.payload["node"]: e.payload["chain"] for e in events_of(outcome.trace, "node_spliced")}
+        assert chains == {"a": ["c1", "c2"], "b": ["b.c1", "b.c2"]}
 
     def test_concurrency_one_stays_on_the_calling_thread(self):
         threads_before = threading.active_count()
