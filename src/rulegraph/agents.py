@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
@@ -72,8 +71,7 @@ class RoleKind(Enum):
     GEA = "GEA"
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     kind: RoleKind
     schema: str  # names the response shape in each provider_call record
     template: str  # printf-style: %(name)s is a slot, and a literal % must be written %%
@@ -460,7 +458,6 @@ class LiveProvider:
 # call context and the node session
 
 
-@dataclass
 class NodeSession:
     """Provider access bound to one node of one run.
 
@@ -476,13 +473,20 @@ class NodeSession:
     re-ask under a fresh attempt number.
     """
 
-    run_id: str
-    node_id: str
-    provider: object
-    temperatures: Mapping[RoleKind, float] = field(default_factory=lambda: DEFAULT_TEMPERATURES)
-    events: list[tuple[str, dict]] = field(default_factory=list)
-    pool: Executor | None = None
-    _attempts: dict[RoleKind, int] = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("run_id", "node_id", "provider", "temperatures", "pool", "events", "_attempts")
+
+    def __init__(
+        self,
+        run_id: str,
+        node_id: str,
+        provider: object,
+        temperatures: Mapping[RoleKind, float] = DEFAULT_TEMPERATURES,
+        pool: Executor | None = None,
+    ) -> None:
+        self.run_id, self.node_id, self.provider = run_id, node_id, provider
+        self.temperatures, self.pool = temperatures, pool
+        self.events: list[tuple[str, dict]] = []
+        self._attempts: dict[RoleKind, int] = {}
 
     def emit(self, kind: str, payload: dict) -> None:
         self.events.append((kind, payload))
@@ -618,7 +622,6 @@ class NodeSession:
 # planner role
 
 
-@dataclass(frozen=True)
 class PlannerPlan:
     """A plan that forms a run graph: subtasks, dependency edges and the global goal.
 
@@ -627,12 +630,16 @@ class PlannerPlan:
     GraphError when built.
     """
 
-    task: str
-    global_goal: str
-    subtasks: tuple[tuple[str, str], ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("task", "global_goal", "subtasks", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        task: str,
+        global_goal: str,
+        subtasks: tuple[tuple[str, str], ...],
+        edges: tuple[tuple[str, str], ...],
+    ) -> None:
+        self.task, self.global_goal, self.subtasks, self.edges = task, global_goal, subtasks, edges
         graph_mod.check_plan(self)
 
 

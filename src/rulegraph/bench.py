@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import EngineError, RunConfig, execute_task
 
@@ -21,24 +21,21 @@ class DatasetError(Exception):
     """A dataset is empty or a record is malformed; record errors start with 'line N: '."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     id: str
     task_text: str
     questions: tuple[str, ...]
     targets: tuple[tuple[str, ...], ...]  # acceptable answers, one tuple per question
 
 
-@dataclass(frozen=True)
-class SampleScore:
+class SampleScore(NamedTuple):
     id: str
     correct: int
     score: float
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     dataset_name: str
     per_sample: tuple[SampleScore, ...]
     aggregate: float

@@ -184,8 +184,7 @@ TRACE_KINDS: dict[str, tuple[str, ...]] = {
 _REQUIRED = {kind: frozenset(names) for kind, names in TRACE_KINDS.items()}
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     final: FinalResult
     graph_final: g.TaskGraph
     trace: list[TraceEvent]
@@ -346,8 +345,7 @@ def process_node(
     return None
 
 
-@dataclass(frozen=True)
-class Repair:
+class Repair(NamedTuple):
     """A failed node's repair, decided by its worker and applied by the run loop in commit order.
 
     An empty chain means removal for `reason`; otherwise the chain's
@@ -469,18 +467,19 @@ def apply_repair(
     return graph
 
 
-@dataclass
 class _Finished:
     """A node worker's output, held until the node's commit slot.
 
     A failed node's session buffers its repair events apart from `events`.
     """
 
-    session: NodeSession
-    events: list[tuple[str, dict]]
-    result: str | None = None
-    repair: Repair | None = None
-    error: Exception | None = None  # raised while processing the node or deciding its repair
+    __slots__ = ("session", "events", "result", "repair", "error")
+
+    def __init__(self, session: NodeSession, events: list[tuple[str, dict]]) -> None:
+        self.session, self.events = session, events
+        self.result: str | None = None
+        self.repair: Repair | None = None
+        self.error: Exception | None = None  # raised while processing the node or deciding its repair
 
 
 def _run_node(

@@ -10,20 +10,18 @@ the answer to the original task.
 
 from __future__ import annotations
 
-import string as _string
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .agents import NodeSession, ParseError, ProviderFailure, ResponseViolation
 from .graph import TaskNode
 from .membership import MembershipLabel
 from .rules import CandidateResult
 
-_PUNCT_TABLE = str.maketrans("", "", _string.punctuation)
+# string.punctuation, spelled out so that importing this module does not import string
+_PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
 
-@dataclass(frozen=True)
-class SemanticCluster:
+class SemanticCluster(NamedTuple):
     key: str
     members: tuple[CandidateResult, ...]
 
@@ -40,8 +38,7 @@ class SemanticCluster:
         return min(m.rule_index for m in self.members)
 
 
-@dataclass(frozen=True)
-class FinalResult:
+class FinalResult(NamedTuple):
     answer_text: str
     contributing_nodes: tuple[str, ...]
 

@@ -30,8 +30,7 @@ request:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import PlannerPlan
@@ -52,8 +51,7 @@ def kind_of(node_id: str) -> str:
     return "original" if node_id == ROOT_ID else "fusion" if node_id == FUSION_ID else "subtask"
 
 
-@dataclass(frozen=True)
-class TaskNode:
+class TaskNode(NamedTuple):
     """One node of the graph; its id decides its role (kind_of).
 
     depth is 0 for planner-created nodes and increments once per repair
@@ -65,7 +63,6 @@ class TaskNode:
     depth: int = 0
 
 
-@dataclass(frozen=True)
 class TaskGraph:
     """Immutable dependency graph over task nodes, keyed by id.
 
@@ -74,19 +71,20 @@ class TaskGraph:
     a subtask by its id, lies on a T-to-F path; no self or duplicate edges.
     """
 
-    nodes: Mapping[str, TaskNode]
-    edges: frozenset[tuple[str, str]]
-    global_goal: str
+    __slots__ = ("nodes", "edges", "global_goal", "_preds", "_succs")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, nodes: Mapping[str, TaskNode], edges: frozenset[tuple[str, str]], global_goal: str
+    ) -> None:
+        self.nodes, self.edges, self.global_goal = nodes, edges, global_goal
         # Predecessor and successor index, built once per graph value.
         preds: dict[str, list[str]] = {}
         succs: dict[str, list[str]] = {}
-        for a, b in self.edges:
+        for a, b in edges:
             succs.setdefault(a, []).append(b)
             preds.setdefault(b, []).append(a)
-        object.__setattr__(self, "_preds", {n: frozenset(p) for n, p in preds.items()})
-        object.__setattr__(self, "_succs", {n: frozenset(s) for n, s in succs.items()})
+        self._preds = {n: frozenset(p) for n, p in preds.items()}
+        self._succs = {n: frozenset(s) for n, s in succs.items()}
 
     def node(self, node_id: str) -> TaskNode:
         return self.nodes[node_id]
@@ -277,7 +275,7 @@ def remove_node(graph: TaskGraph, node_id: str) -> TaskGraph:
                 continue
             edges.add((p, s))
     nodes = {nid: n for nid, n in graph.nodes.items() if nid != node_id}
-    return replace(graph, nodes=nodes, edges=frozenset(edges))
+    return TaskGraph(nodes, frozenset(edges), graph.global_goal)
 
 
 def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) -> TaskGraph:
@@ -305,14 +303,14 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
 
     nodes = {nid: n for nid, n in graph.nodes.items() if nid != failed_id}
     for member in chain:
-        nodes[member.id] = replace(member, depth=depth)
+        nodes[member.id] = member._replace(depth=depth)
 
     edges = {(a, b) for a, b in graph.edges if failed_id not in (a, b)}
     edges.update(zip(chain_ids, chain_ids[1:]))
     edges.update((p, chain_ids[0]) for p in preds)
     edges.update((chain_ids[-1], s) for s in succs)
 
-    return replace(graph, nodes=nodes, edges=frozenset(edges))
+    return TaskGraph(nodes, frozenset(edges), graph.global_goal)
 
 
 def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = None) -> str:

@@ -12,7 +12,7 @@ deviation so the rule set can be regenerated with feedback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agents import (
     NodeSession,
@@ -50,8 +50,7 @@ DEFAULT_DOMAINS = (
 )
 
 
-@dataclass(frozen=True)
-class DomainRule:
+class DomainRule(NamedTuple):
     index: int
     domain_name: str
     antecedent: str
@@ -59,16 +58,14 @@ class DomainRule:
     consequent_prompt: str
 
 
-@dataclass(frozen=True)
-class CandidateResult:
+class CandidateResult(NamedTuple):
     rule_index: int
     domain_name: str
     membership: MembershipLabel
     answer_text: str
 
 
-@dataclass(frozen=True)
-class GlobalAssessment:
+class GlobalAssessment(NamedTuple):
     membership: MembershipLabel
     diff_text: str
     passed: bool  # membership meets the threshold; equal passes

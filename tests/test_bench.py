@@ -65,6 +65,28 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="^line 1: invalid JSON: "):
             load_dataset(str(path))
 
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        record = '{"id": "a", "task": "t", "questions": ["q"], "targets": [["x"]]}\n'
+        path.write_text(record + "  \n" + record.replace('"a"', '"b"'), encoding="utf-8")
+        assert [s.id for s in load_dataset(str(path))] == ["a", "b"]
+
+    def test_record_must_be_an_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("[1,2]\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="^line 1: record must be an object$"):
+            load_dataset(str(path))
+
+    def test_empty_target_list_names_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id": "a", "task": "t", "questions": ["q"], "targets": [["x"]]}\n'
+            '{"id": "b", "task": "t", "questions": ["q1", "q2"], "targets": [["x"], []]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match="^line 2: every question needs at least one target string$"):
+            load_dataset(str(path))
+
     def test_targets_must_align_with_questions(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(

@@ -120,6 +120,12 @@ def mock_config(tmp_path, script) -> str:
         {"temperatures": {"PA": "hot"}},
         {"temperatures": {"PA": float("nan")}},  # json.load reads NaN; a request body cannot carry it
         {"temperatures": {"DEA": -float("inf")}},
+        {"threshold": 3},
+        {"temperatures": ["PA"]},
+        {"catalog_path": 5},
+        {"provider": {"type": "mock", "script": 5}},
+        {"provider": {**LIVE, "model": 5}},
+        {"provider": {**LIVE, "api_key_env": 5}},
     ],
     ids=[
         "k_rules-string",
@@ -143,20 +149,56 @@ def mock_config(tmp_path, script) -> str:
         "temperature-string",
         "temperature-nan",
         "temperature-minus-infinity",
+        "threshold-number",
+        "temperatures-list",
+        "catalog-path-number",
+        "mock-script-number",
+        "live-model-number",
+        "live-key-env-number",
     ],
 )
 def test_mistyped_config_value_exits_3(settings, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RULEGRAPH_API_KEY", "secret")
+    for name in ("RULEGRAPH_BASE_URL", "RULEGRAPH_MODEL"):  # either would win over the file's value
+        monkeypatch.delenv(name, raising=False)
     path = tmp_path / "config.json"
     path.write_text(
         json.dumps({"provider": {"type": "mock", "script": MOCK_SCRIPT}, **settings}), encoding="utf-8"
     )
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be" in err and err.count("\n") == 1
     trace = tmp_path / "trace.jsonl"
     assert main(["run", "--task", "t", "--config", str(path), "--trace", str(trace)]) == EXIT_CONFIG
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be" in err and err.count("\n") == 1
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({}, "config needs a provider object"),
+        ({"provider": [{"type": "mock"}]}, "config needs a provider object"),
+        ({"provider": {"type": "mock", "script": MOCK_SCRIPT}, "threshold": "XX"}, "bad threshold"),
+        (
+            {"provider": {"type": "mock", "script": MOCK_SCRIPT}, "temperatures": {"XYZ": 0.5}},
+            "bad temperature for role",
+        ),
+        ({"provider": {"type": "mock"}}, "needs a 'script' path"),
+        ({"provider": {"type": "live", "model": "m"}}, "needs base_url and model"),
+    ],
+    ids=["no-provider", "provider-list", "threshold", "temperature-role", "mock-no-script", "live-no-base-url"],
+)
+def test_config_refusal_exits_3_with_one_line(config, message, verb, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RULEGRAPH_API_KEY", "secret")
+    monkeypatch.delenv("RULEGRAPH_BASE_URL", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verb", ["validate-config", "run"])
@@ -212,14 +254,19 @@ def test_repeated_catalog_domains_exit_3(verb, tmp_path, capsys):
     assert "k_rules exceeds the number of distinct catalog domains" in capsys.readouterr().err
 
 
-def loaded_in_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
-    """Run code in a new interpreter; returns those of modules it left in sys.modules."""
-    code += f"; import json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+def in_fresh_interpreter(code: str, result: str):
+    """Run code in a new interpreter, then the expression result; returns its value through JSON."""
+    code += f"; import json, sys; print(json.dumps({result}))"
     paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout)
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def loaded_in_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Run code in a new interpreter; returns those of modules it left in sys.modules."""
+    return in_fresh_interpreter(code, f"[m for m in {modules!r} if m in sys.modules]")
 
 
 def test_cli_import_loads_no_http_stack():
@@ -233,6 +280,17 @@ def test_config_load_imports_no_pool_parser_or_bench():
     code = f"from rulegraph.cli import load_config; load_config({DEMO_CONFIG!r})"
     modules = ("concurrent.futures", "uuid", "argparse", "rulegraph.bench")
     assert loaded_in_fresh_interpreter(code, modules) == []
+
+
+def test_config_load_builds_one_dataclass():
+    # Each @dataclass generates and compiles its methods at import, a cold-start cost;
+    # RunConfig keeps it because dataclasses.replace is its documented copy path.
+    code = f"from rulegraph.cli import load_config; load_config({DEMO_CONFIG!r})"
+    dataclasses = (
+        "sorted({c.__qualname__ for name, m in list(sys.modules.items()) if name.split('.')[0] == 'rulegraph'"
+        " for c in vars(m).values() if isinstance(c, type) and '__dataclass_fields__' in vars(c)})"
+    )
+    assert in_fresh_interpreter(code, dataclasses) == ["RunConfig"]
 
 
 def verb_argv(verb, config, tmp_path):
@@ -359,6 +417,12 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "cannot read task file" in captured.err and captured.out == ""
         assert not trace.exists()
+
+    def test_blank_task_exits_3_with_one_line(self, tmp_path, capsys):
+        code = main(["run", "--task", "   ", "--config", DEMO_CONFIG, "--trace", str(tmp_path / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "run failed: task must be non-empty\n" and captured.out == ""
 
     def test_planning_failure_exit_code_and_partial_trace(self, tmp_path, capsys):
         script = {"entries": [{"role": "PA", "attempt": n, "response": "junk"} for n in (1, 2, 3)]}
@@ -574,6 +638,26 @@ class TestBenchCommand:
         assert code == EXIT_CONFIG
         assert "bench setup error" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ([1, 2], "line 1: record must be an object"),
+            (
+                {"id": "a", "task": "t", "questions": ["q"], "targets": [[]]},
+                "line 1: every question needs at least one target string",
+            ),
+        ],
+        ids=["not-an-object", "empty-targets"],
+    )
+    def test_bad_dataset_record_exits_3_with_one_line(self, record, error, tmp_path, capsys):
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        report = tmp_path / "r.json"
+        code = main(["bench", "--dataset", str(dataset), "--config", BENCH_CONFIG, "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == f"bench setup error: {error}\n" and captured.out == ""
+
 
 def graph_record(nodes, edges, kind="plan"):
     """One trace line: a plan or final record whose graph has the (id, kind, statement) nodes."""
@@ -654,6 +738,14 @@ class TestExportDot:
         assert code == EXIT_CONFIG
         assert f"cannot read trace {trace}: {error}" in captured.err and captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_trace_without_graph_snapshot_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"kind": "node_start", "seq": 1, "payload": {}}) + "\n", encoding="utf-8")
+        code = main(["export-dot", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "trace contains no graph snapshot\n" and captured.out == ""
 
     def test_unwritable_out_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

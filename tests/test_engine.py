@@ -37,6 +37,7 @@ from rulegraph.engine import (
     PlanningFailure,
     Repair,
     RunConfig,
+    _Tracer,
     apply_repair,
     call_budget,
     execute_task,
@@ -716,6 +717,12 @@ class TestTraceWriting:
         lines = sink.getvalue().splitlines()
         assert len(lines) == len(events)
         assert all("timestamp" in json.loads(line) for line in lines)
+
+    def test_event_missing_a_field_is_refused(self):
+        tracer = _Tracer(deterministic=True)
+        with pytest.raises(ValueError, match=r"^trace event 'node_start' missing fields \['depth'\]$"):
+            tracer.flush([("node_start", {"node": "T1", "statement": "s"})])
+        assert tracer.events == []
 
     def test_run_id_outside_deterministic_mode_is_fresh_hex(self):
         config = RunConfig(provider=MockProvider(SINGLE), deterministic=False)

@@ -1,4 +1,5 @@
 import random
+import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import assignments_response, fusion_answer, json_doc
 from rulegraph.agents import MockProvider, NodeSession, ProviderResponse
 from rulegraph.fusion import (
+    _PUNCT_TABLE,
     FinalResult,
     SemanticCluster,
     cluster_candidates,
@@ -70,6 +72,9 @@ class TestLexicalKey:
 
     def test_punctuation_and_whitespace_collapse(self):
         assert lexical_key("Guess Who's   Coming, to Dinner!") == "guess whos coming to dinner"
+
+    def test_punctuation_table_strips_string_punctuation(self):
+        assert _PUNCT_TABLE == str.maketrans("", "", string.punctuation)
 
 
 class TestClusterCandidates:
