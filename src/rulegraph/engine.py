@@ -3,8 +3,10 @@ loop, repair failures by removal or chain splicing, and fuse the final answer.
 
 Every state change emits a trace event. A node starts as soon as each of
 its predecessors has a result, with up to a configured cap of nodes in
-flight. Each node buffers its events locally, and a failed node's worker
-decides its repair (classification and replan calls) straight away. The
+flight. Its job is handed its node, the goal, its predecessors' answers
+and its session when it starts, and reads no graph and no shared results.
+Each node buffers its events locally, and a failed node's worker decides
+its repair (classification and replan calls) straight away. The
 single-owner run loop commits buffers and results in the order a barrier
 engine running the graph in waves would have used. A wave is the set of
 nodes ready on the graph as the last commit left it; it commits its node
@@ -252,25 +254,21 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
 
 
 def process_node(
-    node: g.TaskNode,
-    graph: g.TaskGraph,
-    results: Mapping[str, str],
-    config: RunConfig,
-    session: NodeSession,
+    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession
 ) -> str | None:
     """Run the reprocessing loop for one subtask node.
 
     Up to R attempts of construct rules (with deviation feedback after the
-    first), execute them, fuse, and gate against the global goal. Returns
-    the accepted result, or None when the node still fails after R attempts
-    and needs repair. Provider failures mark the attempt failed instead of
-    aborting the run.
+    first), execute them over preds (its predecessors' answers in id
+    order), fuse, and gate against the plan's goal. Reads no graph and no
+    shared results. Returns the accepted result, or None when the node
+    still fails after R attempts and needs repair. Provider failures mark
+    the attempt failed instead of aborting the run.
     """
     session.emit(
         "node_start",
         {"node": node.id, "statement": node.statement, "depth": node.depth},
     )
-    preds = g.predecessor_results(graph, node.id, results)
     feedback: str | None = None
 
     for attempt in range(1, config.max_reprocess + 1):
@@ -308,7 +306,7 @@ def process_node(
             fused = fuse_subtask(
                 candidates, node, mode=config.cluster_mode, session=session, attempt=attempt
             )
-            assessment = run_global_rule(graph.global_goal, config.threshold, fused, session=session)
+            assessment = run_global_rule(goal, config.threshold, fused, session=session)
             session.emit(
                 "assessment",
                 {
@@ -357,12 +355,7 @@ class Repair(NamedTuple):
     chain: tuple[tuple[str, str], ...] = ()
 
 
-def handle_failure(
-    node: g.TaskNode,
-    graph: g.TaskGraph,
-    config: RunConfig,
-    session: NodeSession,
-) -> Repair:
+def handle_failure(node: g.TaskNode, goal: str, config: RunConfig, session: NodeSession) -> Repair:
     """Decide the repair of a node that exhausted its reprocessing budget.
 
     A planner classification picks the scenario: an irrelevant node is
@@ -379,7 +372,7 @@ def handle_failure(
             "classify",
             {
                 "statement": node.statement,
-                "goal": graph.global_goal,
+                "goal": goal,
                 "attempts": config.max_reprocess,
             },
             _read_scenario,
@@ -483,24 +476,20 @@ class _Finished:
 
 
 def _run_node(
-    node: g.TaskNode,
-    graph: g.TaskGraph,
-    results: Mapping[str, str],
-    config: RunConfig,
-    new_session: Callable[[str], NodeSession],
+    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession
 ) -> _Finished:
     """Worker: process one node and, if it fails, decide its repair.
 
+    A function of its arguments: it reads no graph and no shared results.
     Exceptions are kept, not raised, so that the run loop re-raises them
     in commit order.
     """
-    session = new_session(node.id)
     done = _Finished(session, session.events)
     try:
-        done.result = process_node(node, graph, results, config, session)
+        done.result = process_node(node, goal, preds, config, session)
         if done.result is None:
             session.events = []
-            done.repair = handle_failure(node, graph, config, session)
+            done.repair = handle_failure(node, goal, config, session)
     except Exception as exc:
         done.error = exc
     return done
@@ -511,9 +500,12 @@ class _Scheduler:
 
     Readiness is read off the graph with g.ready_nodes each time it is
     needed. Nodes whose predecessors all have results start in id order
-    while fewer than `concurrency` are in flight. The wave is the set of
-    nodes ready on the committed graph: the graph after the last commit,
-    counting only results of nodes already committed.
+    while fewer than `concurrency` are in flight. A node's job is handed
+    its node, the goal, its predecessors' answers and its session when it
+    starts, all read here on the run-loop thread, and reads no graph and no
+    shared results. The wave is the set of nodes ready on the committed
+    graph: the graph after the last commit, counting only results of nodes
+    already committed.
 
     Repairs are applied in commit order, as early as that order allows: a
     failed wave member's repair edits the graph once every member with a
@@ -532,12 +524,14 @@ class _Scheduler:
     def __init__(
         self,
         graph: g.TaskGraph,
+        goal: str,
         config: RunConfig,
         tracer: _Tracer,
         new_session: Callable[[str], NodeSession],
         pool: Executor | None,
     ):
         self.graph = graph
+        self.goal = goal
         self.config = config
         self.tracer = tracer
         self.new_session = new_session
@@ -599,7 +593,8 @@ class _Scheduler:
 
     def _start(self, nid: str) -> None:
         self.started.add(nid)
-        args = (self.graph.node(nid), self.graph, self.results, self.config, self.new_session)
+        preds = g.predecessor_results(self.graph, nid, self.results)
+        args = (self.graph.nodes[nid], self.goal, preds, self.config, self.new_session(nid))
         if self.pool is None:
             self.done.put((nid, _run_node(*args)))
         else:
@@ -662,7 +657,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
 
         tracer.budget = call_budget(config, len(the_plan.subtasks))
         if config.concurrency == 1:
-            graph, results = _Scheduler(graph, config, tracer, new_session, None).run()
+            graph, results = _Scheduler(graph, the_plan.global_goal, config, tracer, new_session, None).run()
         else:
             from concurrent.futures import ThreadPoolExecutor  # only a pooled run needs threads
 
@@ -671,7 +666,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             # at once and at most concurrency x K provider calls are in flight.
             with ThreadPoolExecutor(config.concurrency * (config.k_rules + 1)) as pool:
                 graph, results = _Scheduler(
-                    graph, config, tracer, partial(new_session, pool=pool), pool
+                    graph, the_plan.global_goal, config, tracer, partial(new_session, pool=pool), pool
                 ).run()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}

@@ -71,12 +71,10 @@ class TaskGraph:
     a subtask by its id, lies on a T-to-F path; no self or duplicate edges.
     """
 
-    __slots__ = ("nodes", "edges", "global_goal", "_preds", "_succs")
+    __slots__ = ("nodes", "edges", "_preds", "_succs")
 
-    def __init__(
-        self, nodes: Mapping[str, TaskNode], edges: frozenset[tuple[str, str]], global_goal: str
-    ) -> None:
-        self.nodes, self.edges, self.global_goal = nodes, edges, global_goal
+    def __init__(self, nodes: Mapping[str, TaskNode], edges: frozenset[tuple[str, str]]) -> None:
+        self.nodes, self.edges = nodes, edges
         # Predecessor and successor index, built once per graph value.
         preds: dict[str, list[str]] = {}
         succs: dict[str, list[str]] = {}
@@ -85,9 +83,6 @@ class TaskGraph:
             preds.setdefault(b, []).append(a)
         self._preds = {n: frozenset(p) for n, p in preds.items()}
         self._succs = {n: frozenset(s) for n, s in succs.items()}
-
-    def node(self, node_id: str) -> TaskNode:
-        return self.nodes[node_id]
 
     def predecessors(self, node_id: str) -> frozenset[str]:
         return self._preds.get(node_id, _NONE)
@@ -114,7 +109,7 @@ class TaskGraph:
                 raise GraphError(f"node {n['id']} has kind {n['kind']!r}, not {kind_of(n['id'])!r}")
             nodes[n["id"]] = TaskNode(n["id"], n["statement"], n.get("depth", 0))
         edges = frozenset((a, b) for a, b in payload["edges"])
-        graph = cls(nodes=nodes, edges=edges, global_goal="")
+        graph = cls(nodes, edges)
         validate(graph)
         return graph
 
@@ -225,7 +220,7 @@ def build_graph(plan: "PlannerPlan") -> TaskGraph:
         if sid not in has_succ:
             edges.add((sid, FUSION_ID))
 
-    return TaskGraph(nodes=nodes, edges=frozenset(edges), global_goal=plan.global_goal)
+    return TaskGraph(nodes, frozenset(edges))
 
 
 def ready_nodes(graph: TaskGraph, completed: Iterable[str]) -> set[str]:
@@ -249,7 +244,7 @@ def predecessor_results(
     ordered = []
     for pred in sorted(graph.predecessors(node_id)):
         if pred == ROOT_ID:
-            ordered.append(graph.node(ROOT_ID).statement)
+            ordered.append(graph.nodes[ROOT_ID].statement)
         elif pred in results:
             ordered.append(results[pred])
         else:
@@ -275,7 +270,7 @@ def remove_node(graph: TaskGraph, node_id: str) -> TaskGraph:
                 continue
             edges.add((p, s))
     nodes = {nid: n for nid, n in graph.nodes.items() if nid != node_id}
-    return TaskGraph(nodes, frozenset(edges), graph.global_goal)
+    return TaskGraph(nodes, frozenset(edges))
 
 
 def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) -> TaskGraph:
@@ -296,7 +291,7 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
         if not member.statement:
             raise GraphError(f"chain node {member.id} has an empty statement")
 
-    failed = graph.node(failed_id)
+    failed = graph.nodes[failed_id]
     preds = graph.predecessors(failed_id)
     succs = graph.successors(failed_id)
     depth = failed.depth + 1
@@ -310,7 +305,7 @@ def splice_chain(graph: TaskGraph, failed_id: str, chain: Sequence[TaskNode]) ->
     edges.update((p, chain_ids[0]) for p in preds)
     edges.update((chain_ids[-1], s) for s in succs)
 
-    return TaskGraph(nodes, frozenset(edges), graph.global_goal)
+    return TaskGraph(nodes, frozenset(edges))
 
 
 def export_dot(graph: TaskGraph, labels: Mapping[str, MembershipLabel] | None = None) -> str:

@@ -1,16 +1,20 @@
-"""Shared test helpers: plan/graph generators, mock-script response builders and seeded scenarios."""
+"""Shared test helpers: plan/graph generators, mock-script response builders, seeded
+scenarios, and schedulers that decide the order in which node jobs finish."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 
+from rulegraph import engine
 from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
 from rulegraph.engine import EngineError, RunConfig, call_budget, execute_task, write_trace_events
 from rulegraph.graph import RESERVED_IDS, ROOT_ID, TaskGraph, build_graph
@@ -223,8 +227,13 @@ def run_scenario(provider_cls, seed: int, concurrency: int, jitter: bool = False
     config = RunConfig(
         provider=provider_cls(seed, jitter), deterministic=True, concurrency=concurrency
     )
+    return run_traced("the original task", config)
+
+
+def run_traced(task: str, config: RunConfig):
+    """(outcome name, trace bytes, trace events) of one run; an engine error names the outcome."""
     try:
-        outcome = execute_task("the original task", config)
+        outcome = execute_task(task, config)
     except EngineError as exc:
         name, events = type(exc).__name__, exc.trace
     else:
@@ -255,3 +264,132 @@ def scenario_digest(provider_cls, seeds) -> str:
         name, text, _ = run_scenario(provider_cls, seed, 1)
         digest.update(f"{seed} {name}\n{text}".encode())
     return digest.hexdigest()
+
+
+class _HeldJob:
+    """A node job that a held-job scheduler finishes when its policy says."""
+
+    __slots__ = ("fn", "args", "value", "callback", "finish")
+
+    def __init__(self, fn, args) -> None:
+        self.fn, self.args, self.value, self.callback, self.finish = fn, args, None, None, 0
+
+    def add_done_callback(self, callback) -> None:
+        self.callback = callback
+
+    def result(self):
+        return self.value
+
+    def run(self) -> None:
+        self.value = self.fn(*self.args)
+
+
+class _HeldJobScheduler(engine._Scheduler):
+    """engine._Scheduler as its own pool and done-queue: node jobs finish one at a time, no threads.
+
+    Install a subclass with monkeypatch.setattr(engine, "_Scheduler", ...)
+    and run under a concurrency-1 RunConfig. execute_task then builds no
+    pool, so expert calls run inline, and __init__ raises the node cap to
+    the subclass's concurrency. submit holds each node job with the callback
+    the scheduler gives it; get finishes the job that take() picks, fires
+    its callback and returns what the callback put.
+    """
+
+    concurrency = 2
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.config = replace(self.config, concurrency=self.concurrency)
+        self.pool = self.done = self
+        self.held: list[_HeldJob] = []
+        self.item = None
+
+    def submit(self, fn, *args) -> _HeldJob:
+        job = _HeldJob(fn, args)
+        self.held.append(job)
+        return job
+
+    def put(self, item) -> None:
+        self.item = item
+
+    def get(self):
+        job = self.take()
+        job.callback(job)
+        return self.item
+
+    def take(self) -> _HeldJob:
+        raise NotImplementedError
+
+
+def explore_schedules(monkeypatch, concurrency: int, run) -> list:
+    """run() once for every order in which node jobs can finish at `concurrency`; each result.
+
+    A stateless depth-first search in the manner of CHESS: each run
+    replays a prefix of choices (which held job finishes next), takes the
+    first job at every later choice, and the next prefix bumps the last
+    choice that has an untried alternative.
+    """
+    prefix: list[int] = []
+    trail: list[tuple[int, int]] = []  # (choice, options) at each get of the current run
+
+    class Explorer(_HeldJobScheduler):
+        def take(self) -> _HeldJob:
+            step = len(trail)
+            choice = prefix[step] if step < len(prefix) else 0
+            trail.append((choice, len(self.held)))
+            job = self.held.pop(choice)
+            job.run()
+            return job
+
+    Explorer.concurrency = concurrency
+    monkeypatch.setattr(engine, "_Scheduler", Explorer)
+    results = []
+    while True:
+        trail.clear()
+        results.append(run())
+        while trail and trail[-1][0] + 1 == trail[-1][1]:
+            trail.pop()
+        if not trail:
+            return results
+        prefix = [choice for choice, _ in trail[:-1]] + [trail[-1][0] + 1]
+
+
+def _rounds(done) -> int:
+    """Provider rounds of a finished node job: its calls, with each expert batch as one round."""
+    buffers = [done.events] if done.result is not None else [done.events, done.session.events]
+    rounds = 0
+    for kind, payload in itertools.chain(*buffers):
+        if kind == "provider_call":
+            rounds += 1
+        elif kind == "rules_built":
+            rounds -= len(payload["rules"]) - 1
+    return rounds
+
+
+def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
+    """(latency units, run()) with node jobs finishing on a virtual clock at `concurrency`.
+
+    Each provider round costs one unit (see _rounds); plan and final fusion
+    cost one each. A node job runs when it is submitted and finishes at the
+    time it started plus its rounds; the earliest finish comes back first,
+    ties by node id.
+    """
+    clock = [1]  # the plan's round
+
+    class VirtualClock(_HeldJobScheduler):
+        def submit(self, fn, *args) -> _HeldJob:
+            job = super().submit(fn, *args)
+            job.run()
+            job.finish = clock[0] + _rounds(job.value)
+            return job
+
+        def take(self) -> _HeldJob:
+            job = min(self.held, key=lambda job: (job.finish, job.args[0].id))
+            self.held.remove(job)
+            clock[0] = job.finish
+            return job
+
+    VirtualClock.concurrency = concurrency
+    monkeypatch.setattr(engine, "_Scheduler", VirtualClock)
+    result = run()
+    return clock[0] + 1, result  # final fusion's round

@@ -207,13 +207,13 @@ class TestParseStructured:
             fuse_final({"T1": "a"}, "t", session=session)
 
     def test_classification_schema(self):
-        graph = build_graph(make_plan(["T1"]))
-        config = RunConfig(provider=MockProvider({}))
+        one = make_plan(["T1"])
+        node, config = build_graph(one).nodes["T1"], RunConfig(provider=MockProvider({}))
         session = answering("PA", classification_response("irrelevant"))
-        repair = handle_failure(graph.node("T1"), graph, config, session)
+        repair = handle_failure(node, one.global_goal, config, session)
         assert (repair.reason, repair.chain) == ("irrelevant", ())
         session = answering("PA", classification_response("maybe"))
-        assert handle_failure(graph.node("T1"), graph, config, session).reason == "classification_failed"
+        assert handle_failure(node, one.global_goal, config, session).reason == "classification_failed"
         assert first_call(session) == ("parse_error", "scenario must be 'irrelevant' or 'too_complex'")
 
 

@@ -618,6 +618,33 @@ class TestBenchCommand:
         capsys.readouterr()
         assert reports[0] == reports[1]
 
+    def test_deterministic_flag_overrides_the_config(self, tmp_path, capsys):
+        with open(BENCH_CONFIG, encoding="utf-8") as handle:
+            raw = json.load(handle)
+        raw["deterministic"] = False
+        raw["provider"]["script"] = os.path.join(FIXTURES, raw["provider"]["script"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        reports = []
+        for name in ("r1.json", "r2.json"):
+            path = tmp_path / name
+            args = ["bench", "--dataset", TRIVIA, "--config", str(config), "--report", str(path)]
+            assert main([*args, "--deterministic"]) == EXIT_OK
+            reports.append(path.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["run_stats"]["wall_time_s"] == 0
+
+    def test_empty_dataset_exits_3_with_one_line(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        code = main(
+            ["bench", "--dataset", str(dataset), "--config", BENCH_CONFIG,
+             "--report", str(tmp_path / "r.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err == "bench error: dataset contains no samples\n" and captured.out == ""
 
     @needs_dev_full
     def test_failing_report_write_prints_table_then_exits_3(self, capsys):

@@ -169,6 +169,25 @@ class TestFailureHandling:
         assert outcome.final.contributing_nodes == ("s2",)
         assert "s1" not in outcome.graph_final.nodes
 
+    def test_classify_and_assess_prompts_carry_the_plan_goal(self):
+        goal = "a reply the editor can print unchanged"
+        script = self.two_subtask_script()
+        script[("PA", 1)] = plan_response(goal, [("s1", "first"), ("s2", "second")])
+        script[("run-0", "s1", "PA", 1)] = classification_response("irrelevant")
+        requests = []
+
+        class Recorder(MockProvider):
+            def complete(self, request):
+                requests.append(request)
+                return super().complete(request)
+
+        execute_task("task", RunConfig(provider=Recorder(script), deterministic=True))
+        gated = [r for r in requests if r.context_key[2] == "GEA" or r.context_key[1:3] == ("s1", "PA")]
+        assert [r.context_key[1:] for r in gated] == [
+            ("s1", "GEA", 1), ("s1", "GEA", 2), ("s1", "GEA", 3), ("s1", "PA", 1), ("s2", "GEA", 1)
+        ]
+        assert all(goal in r.rendered_prompt for r in gated)
+
     def test_single_attempt_budget_with_zero_depth_cap(self):
         # R=1 and D=0: one failing assessment, one classification, then removal
         script = {
@@ -214,7 +233,7 @@ class TestFailureHandling:
         graph = build_graph(make_plan(["s1", "s2", "s1.s2", "s1.1"]))
         used_ids = set(graph.nodes)
         session = NodeSession(run_id="run-0", node_id="s1", provider=None)
-        repair = Repair(graph.node("s1"), chain=(("s2", "simpler first"), ("c", "simpler second")))
+        repair = Repair(graph.nodes["s1"], chain=(("s2", "simpler first"), ("c", "simpler second")))
         graph = apply_repair(repair, graph, session, used_ids)
         [(kind, payload)] = session.events
         assert (kind, payload["chain"]) == ("node_spliced", ["s1.2", "s1.3"])
@@ -387,7 +406,7 @@ class TestEmailScenario:
         spliced = events_of(outcome.trace, "node_spliced")
         assert len(spliced) == 1
         assert spliced[0].payload["chain"] == ["T3a", "T3b", "T3c"]
-        assert outcome.graph_final.node("T3b").depth == 1
+        assert outcome.graph_final.nodes["T3b"].depth == 1
 
     def test_final_fusion_consumes_all_terminals(self):
         outcome = self.run()

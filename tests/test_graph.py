@@ -185,6 +185,15 @@ class TestRemoveNode:
             {(ROOT_ID, "b"), (ROOT_ID, "c"), ("b", "c"), ("c", FUSION_ID)}
         )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [remove_node, lambda graph, node_id: splice_chain(graph, node_id, [TaskNode("x", "do x")])],
+        ids=["remove", "splice"],
+    )
+    def test_unknown_node_rejected(self, edit):
+        with pytest.raises(GraphError, match="unknown node T9"):
+            edit(star_graph(), "T9")
+
     def test_only_subtasks_removable(self):
         with pytest.raises(GraphError, match="T is not a subtask node"):
             remove_node(star_graph(), ROOT_ID)
@@ -201,12 +210,12 @@ class TestSpliceChain:
         assert "T3" not in graph.nodes
         for edge in [(ROOT_ID, "T3a"), ("T3a", "T3b"), ("T3b", "T3c"), ("T3c", FUSION_ID)]:
             assert edge in graph.edges
-        assert all(graph.node(n).depth == 1 for n in ("T3a", "T3b", "T3c"))
+        assert all(graph.nodes[n].depth == 1 for n in ("T3a", "T3b", "T3c"))
 
     def test_single_node_chain_is_replacement(self):
         graph = splice_chain(star_graph(), "T1", self.chain_nodes(["T1x"]))
         assert (ROOT_ID, "T1x") in graph.edges and ("T1x", FUSION_ID) in graph.edges
-        assert graph.node("T1x").depth == 1
+        assert graph.nodes["T1x"].depth == 1
 
     def test_diamond_splice_remains_valid(self):
         plan = make_plan(["a", "b", "c"], edges=[("a", "c"), ("b", "c")])
@@ -226,8 +235,8 @@ class TestSpliceChain:
             validate(out)
             assert out.predecessors(ids[0]) == preds
             assert out.successors(ids[-1]) == succs
-            depth = graph.node(target).depth + 1
-            assert all(out.node(i).depth == depth for i in ids)
+            depth = graph.nodes[target].depth + 1
+            assert all(out.nodes[i].depth == depth for i in ids)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(GraphError, match="splice chain is empty"):
@@ -301,11 +310,22 @@ TestGraphEdits.settings = settings(max_examples=25, stateful_step_count=12)
 
 
 class TestFromPayload:
+    def test_a_graph_is_its_nodes_edges_and_their_index(self):
+        assert TaskGraph.__slots__ == ("nodes", "edges", "_preds", "_succs")
+
+    def test_read_graph_takes_both_edits(self):
+        read = TaskGraph.from_payload(star_graph().to_payload())
+        removed = remove_node(read, "T2")
+        spliced = splice_chain(removed, "T3", [TaskNode("x", "do x"), TaskNode("y", "do y")])
+        validate(spliced)
+        assert set(subtask_ids(spliced)) == {"T1", "T4", "x", "y"}
+        assert spliced.predecessors("x") == {ROOT_ID} and spliced.successors("y") == {FUSION_ID}
+
     def test_round_trip_keeps_depth(self):
         graph = splice_chain(star_graph(), "T1", [TaskNode("x", "do x")])
         read = TaskGraph.from_payload(graph.to_payload())
         assert read.nodes == graph.nodes and read.edges == graph.edges
-        assert read.node("x").depth == 1
+        assert read.nodes["x"].depth == 1
 
     @pytest.mark.parametrize(
         "node, kind",

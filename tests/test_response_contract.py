@@ -32,8 +32,9 @@ def _plan(session):
 
 
 def _classify(session):
-    graph = build_graph(make_plan(["T1"]))
-    handle_failure(graph.node("T1"), graph, RunConfig(provider=MockProvider({})), session)
+    one = make_plan(["T1"])
+    node = build_graph(one).nodes["T1"]
+    handle_failure(node, one.global_goal, RunConfig(provider=MockProvider({})), session)
 
 
 def _analyze(session):
