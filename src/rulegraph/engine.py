@@ -1,25 +1,23 @@
 """Run orchestration: plan, build the graph, execute nodes under the goal-alignment
 loop, repair failures by removal or chain splicing, and fuse the final answer.
 
-Every state change emits a trace event. A node starts as soon as each of
-its predecessors has a result, with up to a configured cap of nodes in
-flight. Its job is handed its node, the goal, its predecessors' answers
-and its session when it starts, and reads no graph and no shared results.
-Each node buffers its events locally, and a failed node's worker decides
-its repair (classification and replan calls) straight away. The
-single-owner run loop commits buffers and results in the order a barrier
-engine running the graph in waves would have used. A wave is the set of
-nodes ready on the graph as the last commit left it; it commits its node
-buffers in node-id order, then its repair buffers in node-id order. So
-the trace is a total order that does not depend on scheduling.
+Every state change emits a trace event. The run loop is a barrier engine
+over the graph: a wave is the set of nodes ready on the graph as the last
+commit left it, walked in node-id order. The loop waits for each member
+in turn and applies a failed member's repair (decided by its worker, with
+classification and replan calls) when the walk reaches it. Once the wave
+is walked it commits the members' buffered events, node buffers in
+node-id order, then repair buffers in node-id order, and reads the next
+wave. So the trace is a total order that does not depend on scheduling.
 
-Repair edits keep that commit order but do not wait for the commit: the
-run loop applies a failed node's repair as soon as every member of its
-wave with a lower id has finished without an error, so a replanned
-chain can start while the rest of its wave runs. Chain ids come out the
-same because the repairs reach the graph in the same order. No started
-node loses its inputs: a repair rewires only the successors of its own
-failed node, which has no result, so none of them has started.
+Dispatch is the one eager part: while the loop waits, any node whose
+predecessors all have results starts, lowest id first, up to a configured
+cap of nodes in flight, so a replanned chain can start while the rest of
+its wave runs. A node's job is handed its node, the goal, its
+predecessors' answers and its session when it starts, and reads no graph
+and no shared results. No started node loses its inputs: a repair rewires
+only the successors of its own failed node, which has no result, so none
+of them has started.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -101,7 +99,8 @@ class RunConfig:
     validated when built, dataclasses.replace included: a bool, int or str
     field must have exactly its default's type (a bool is not an int),
     threshold a MembershipLabel, domains a list or tuple of non-empty
-    strings (stored as a tuple) and each temperature a finite int or float.
+    strings (stored as a tuple), temperatures a mapping and each
+    temperature a finite int or float.
     Temperatures given for some roles keep the defaults of the others.
     """
 
@@ -118,6 +117,8 @@ class RunConfig:
     temperatures: Mapping[RoleKind, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.temperatures, Mapping):
+            raise ConfigError(f"'temperatures' must be a mapping of roles, got {self.temperatures!r}")
         object.__setattr__(self, "temperatures", {**DEFAULT_TEMPERATURES, **self.temperatures})
         self.validate()
         object.__setattr__(self, "domains", tuple(self.domains))
@@ -496,29 +497,14 @@ def _run_node(
 
 
 class _Scheduler:
-    """Runs the subtask nodes of one graph: dispatch on ready, commit in wave order.
+    """Runs the subtask nodes of one graph: the module's barrier loop, with eager dispatch.
 
-    Readiness is read off the graph with g.ready_nodes each time it is
-    needed. Nodes whose predecessors all have results start in id order
-    while fewer than `concurrency` are in flight. A node's job is handed
-    its node, the goal, its predecessors' answers and its session when it
-    starts, all read here on the run-loop thread, and reads no graph and no
-    shared results. The wave is the set of nodes ready on the committed
-    graph: the graph after the last commit, counting only results of nodes
-    already committed.
-
-    Repairs are applied in commit order, as early as that order allows: a
-    failed wave member's repair edits the graph once every member with a
-    lower id has finished without an error. So used_ids sees the same
-    repairs in the same order as at concurrency 1, and a chain's nodes can
-    start while the rest of its wave still runs. A wave commits once all of
-    its nodes have finished, and the next wave is read off the graph right
-    after.
-
-    A node that starts before its wave commits keeps its inputs. Only a
-    failed predecessor's repair rewires a node. A node starts only once
-    each of its predecessors has a result, and a failed node has none, so
-    a repair never rewires a node that has started.
+    run walks each wave (the nodes ready on the committed graph, in id
+    order): it waits for each member, raises its kept error or applies its
+    repair, then commits the wave and reads the next. While it waits,
+    _dispatch starts the lowest-id nodes whose predecessors all have
+    results, committed or not, up to `concurrency` in flight. Each job's
+    inputs are read on the run-loop thread when it starts.
     """
 
     def __init__(
@@ -540,59 +526,46 @@ class _Scheduler:
         self.results: dict[str, str] = {}
         self.started: set[str] = set()
         self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
+        self.in_flight = 0
         self.done: queue.SimpleQueue = queue.SimpleQueue()
-        self.wave: list[str] = []  # in node-id order
-        self.walked = 0  # length of the wave's prefix whose repairs are applied
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
-        self._next_wave()
-        in_flight = 0
-        while True:
-            if in_flight < self.config.concurrency:
-                ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID}
-                for nid in sorted(ready)[: self.config.concurrency - in_flight]:
-                    self._start(nid)
-                    in_flight += 1
-            if not in_flight:
-                return self.graph, self.results
-            nid, done = self.done.get()
-            in_flight -= 1
-            if not isinstance(done, _Finished):
-                done = done.result()  # _run_node keeps its errors; this re-raises any other
-            self.finished[nid] = done
-            if done.result is not None:
-                self.results[nid] = done.result
-            self._advance()
-
-    def _next_wave(self) -> None:
-        committed = self.results.keys() - self.finished.keys()
-        self.wave = sorted(g.ready_nodes(self.graph, committed) - {g.FUSION_ID})
-        self.walked = 0
-
-    def _advance(self) -> None:
-        """Apply each repair the commit order allows, and commit each wave that has finished.
-
-        The walk stops at the first unfinished member. A worker's error is
-        raised when the walk reaches it, so the first error in commit order
-        is the one raised.
-        """
-        while True:
-            for nid in self.wave[self.walked :]:
-                done = self.finished.get(nid)
-                if done is None:
-                    return
+        """Walk each wave in id order, then commit it; the first error in commit order is raised."""
+        while wave := sorted(
+            g.ready_nodes(self.graph, self.results.keys() - self.finished.keys()) - {g.FUSION_ID}
+        ):
+            for nid in wave:
+                while nid not in self.finished:
+                    self._dispatch()
+                    self._receive()
+                done = self.finished[nid]
                 if done.error is not None:
                     raise done.error
                 if done.result is None:
                     self.graph = apply_repair(done.repair, self.graph, done.session, self.used_ids)
-                self.walked += 1
-            if not self.wave:
-                return
-            self._commit()
-            self._next_wave()
+            self._commit(wave)
+        return self.graph, self.results
+
+    def _dispatch(self) -> None:
+        """Start the lowest-id ready nodes while fewer than `concurrency` are in flight."""
+        if self.in_flight < self.config.concurrency:
+            ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID}
+            for nid in sorted(ready)[: self.config.concurrency - self.in_flight]:
+                self._start(nid)
+
+    def _receive(self) -> None:
+        """Take one finished node job off `done`."""
+        nid, done = self.done.get()
+        self.in_flight -= 1
+        if not isinstance(done, _Finished):
+            done = done.result()  # _run_node keeps its errors; this re-raises any other
+        self.finished[nid] = done
+        if done.result is not None:
+            self.results[nid] = done.result
 
     def _start(self, nid: str) -> None:
         self.started.add(nid)
+        self.in_flight += 1
         preds = g.predecessor_results(self.graph, nid, self.results)
         args = (self.graph.nodes[nid], self.goal, preds, self.config, self.new_session(nid))
         if self.pool is None:
@@ -601,9 +574,9 @@ class _Scheduler:
             future = self.pool.submit(_run_node, *args)
             future.add_done_callback(lambda future: self.done.put((nid, future)))
 
-    def _commit(self) -> None:
-        """Flush the finished wave: node buffers in node-id order, then repair buffers."""
-        done = [self.finished.pop(nid) for nid in self.wave]
+    def _commit(self, wave: list[str]) -> None:
+        """Flush the walked wave: node buffers in node-id order, then repair buffers."""
+        done = [self.finished.pop(nid) for nid in wave]
         for item in done:
             self.tracer.flush(item.events)
         for item in done:

@@ -102,9 +102,11 @@ class TaskGraph:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "TaskGraph":
-        """Read and validate a to_payload graph; each node's kind must follow from its id."""
+        """Read and validate a to_payload graph; each node id must be a string that decides its kind."""
         nodes = {}
         for n in payload["nodes"]:
+            if not isinstance(n["id"], str):
+                raise GraphError(f"node id {n['id']!r} is not a string")
             if n["kind"] != kind_of(n["id"]):
                 raise GraphError(f"node {n['id']} has kind {n['kind']!r}, not {kind_of(n['id'])!r}")
             nodes[n["id"]] = TaskNode(n["id"], n["statement"], n.get("depth", 0))

@@ -354,6 +354,26 @@ def explore_schedules(monkeypatch, concurrency: int, run) -> list:
         prefix = [choice for choice, _ in trail[:-1]] + [trail[-1][0] + 1]
 
 
+def random_schedules(monkeypatch, concurrency: int, seed, walks: int, run) -> list:
+    """run() `walks` times with node jobs finishing in a seeded random order at `concurrency`; each result.
+
+    A random walk over the choices explore_schedules enumerates, for plans
+    too wide to enumerate: each get finishes a held job picked uniformly
+    by one random.Random(seed), which the walks draw from in turn.
+    """
+    rng = random.Random(seed)
+
+    class RandomWalk(_HeldJobScheduler):
+        def take(self) -> _HeldJob:
+            job = self.held.pop(rng.randrange(len(self.held)))
+            job.run()
+            return job
+
+    RandomWalk.concurrency = concurrency
+    monkeypatch.setattr(engine, "_Scheduler", RandomWalk)
+    return [run() for _ in range(walks)]
+
+
 def _rounds(done) -> int:
     """Provider rounds of a finished node job: its calls, with each expert batch as one round."""
     buffers = [done.events] if done.result is not None else [done.events, done.session.events]

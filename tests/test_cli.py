@@ -751,11 +751,13 @@ class TestExportDot:
              "GraphError: subtask s2 unreachable from the original node"),
             (final_record(["s1", "s2"], [("T", "s1"), ("s1", "F"), ("T", "s2")]),
              "GraphError: subtask s2 cannot reach the fusion node"),
+            (graph_record([("T", "original", "t"), (5, "subtask", "do 5"), ("F", "fusion", "")],
+                          [("T", 5), (5, "F")]), "GraphError: node id 5 is not a string"),
         ],
         ids=["undecodable", "not-an-object", "no-kind", "graph-without-nodes", "no-payload",
              "kind-disagrees-with-id", "original-not-T", "empty-statement", "self-edge",
              "unknown-node", "original-in-degree", "fusion-out-degree", "cycle",
-             "unreachable-from-T", "cannot-reach-F"],
+             "unreachable-from-T", "cannot-reach-F", "non-string-id"],
     )
     def test_unreadable_trace_exits_3(self, content, error, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -13,6 +13,7 @@ from helpers import (
     assignments_response,
     candidate_response,
     classification_response,
+    explore_schedules,
     fusion_answer,
     make_plan,
     plan_response,
@@ -701,6 +702,25 @@ class TestScheduler:
         with pytest.raises(ScriptMiss):
             self.run(MockProvider(script), concurrency=2)
 
+    def test_first_error_in_commit_order_is_raised(self, monkeypatch):
+        script = {
+            ("PA", 1): plan_response("a goal", [("a", "first"), ("b", "second")]),
+            ("DAA", 1): ruleset_response([("History", "H"), ("Science", "M"), ("Law", "ML")]),
+            ("GEA", 1): assessment_response("L", "off goal"),  # so a and b each ask for a second ruleset
+            **{("DEA", attempt): candidate_response("some answer") for attempt in (1, 2, 3)},
+        }
+        config = RunConfig(provider=MockProvider(script), deterministic=True)
+
+        def run():
+            try:
+                execute_task("task", config)
+            except ScriptMiss as exc:
+                return str(exc)
+
+        raised = explore_schedules(monkeypatch, 2, run)
+        assert len(raised) == 2  # b's miss comes back first in one of the two orders
+        assert set(raised) == {"mock script has no entry for ('run-0', 'a', 'DAA', 2)"}
+
 
 class TestTraceWriting:
     def test_broken_sink_raises_os_error(self):
@@ -774,6 +794,9 @@ class TestConfigValidation:
             {"temperatures": {RoleKind.PA: "hot"}},
             {"temperatures": {RoleKind.PA: float("nan")}},
             {"temperatures": {RoleKind.GEA: float("inf")}},
+            {"temperatures": None},
+            {"temperatures": [(RoleKind.PA, 0.2)]},
+            {"temperatures": "PA"},
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()

@@ -15,11 +15,13 @@ import random
 
 import pytest
 
-from helpers import FateProvider, check_trace, run_scenario, scenario_digest
+from helpers import FateProvider, check_trace, random_schedules, run_scenario, run_traced, scenario_digest
 import rulegraph.cli as cli
 from rulegraph.agents import ProviderFailure, ProviderResponse, TransportError
+from rulegraph.engine import RunConfig
 
 SEEDS = range(20)
+WALKS = 4  # random schedules per seed at concurrency 3
 FAULT_RATE = 0.04  # per fault kind
 GOLDEN = "1cc1d7a274e886e8acc9344911d7d5f9b9e0cfa6db24c49ece91d369855cdf25"
 EXIT_CODES = {
@@ -56,6 +58,16 @@ def test_faults_keep_trace_schedule_independent_and_bounded(seed):
     assert name in EXIT_CODES
     assert run(seed, 4, jitter=True)[1] == text
     check_trace(events, len(FaultProvider(seed).plan.subtasks))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_schedules_give_the_sequential_trace(seed, monkeypatch):
+    name, text, _ = run(seed, 1)
+    config = RunConfig(provider=FaultProvider(seed), deterministic=True)
+    walks = random_schedules(
+        monkeypatch, 3, seed, WALKS, lambda: run_traced("the original task", config)[:2]
+    )
+    assert set(walks) == {(name, text)}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

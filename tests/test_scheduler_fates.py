@@ -11,9 +11,11 @@ import functools
 
 import pytest
 
-from helpers import FateProvider, check_trace, run_scenario, scenario_digest
+from helpers import FateProvider, check_trace, random_schedules, run_scenario, run_traced, scenario_digest
+from rulegraph.engine import RunConfig
 
 SEEDS = range(30)
+WALKS = 4  # random schedules per seed at concurrency 3
 GOLDEN = "a5cde5a2f1228997a0dc7c5ceb561fc88d8ebf4011666a7a097534ac3a38f8e2"
 run = functools.partial(run_scenario, FateProvider)
 
@@ -25,6 +27,16 @@ def test_trace_is_schedule_independent_and_bounded(seed):
     assert run(seed, 8, jitter=True)[1] == text
     check_trace(events, len(FateProvider(seed).plan.subtasks))
     assert name == "RunOutcome" or not any(e.kind == "final" for e in events)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_schedules_give_the_sequential_trace(seed, monkeypatch):
+    name, text, _ = run(seed, 1)
+    config = RunConfig(provider=FateProvider(seed), deterministic=True)
+    walks = random_schedules(
+        monkeypatch, 3, seed, WALKS, lambda: run_traced("the original task", config)[:2]
+    )
+    assert set(walks) == {(name, text)}
 
 
 def test_fates_cover_removal_splice_rename_and_failed_runs():
