@@ -27,7 +27,7 @@ from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import Executor
+    from .engine import RunPool
 
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
@@ -481,7 +481,7 @@ class NodeSession:
         node_id: str,
         provider: object,
         temperatures: Mapping[RoleKind, float] = DEFAULT_TEMPERATURES,
-        pool: Executor | None = None,
+        pool: RunPool | None = None,
     ) -> None:
         self.run_id, self.node_id, self.provider = run_id, node_id, provider
         self.temperatures, self.pool = temperatures, pool
@@ -520,12 +520,13 @@ class NodeSession:
         """One call per slot mapping: every first try at once, then the re-asks.
 
         The first tries take the next len(slot_list) attempt numbers in
-        order; with more than one call they run on the session's pool when
-        it has one. Re-asks follow in order, numbered after them. Each call
-        gets its own event buffer. Returns (what read made of the document,
-        or the ProviderFailure that ended the call, buffer) per call; the
-        caller appends the buffers in order. A response still invalid after
-        the re-asks ends its call with a ProviderFailure.
+        order. With a pool, the first runs on this thread and the others on
+        pool threads; without one, they run here in turn. Re-asks follow in
+        order, numbered after them. Each call gets its own event buffer.
+        Returns (what read made of the document, or the ProviderFailure that
+        ended the call, buffer) per call; the caller appends the buffers in
+        order. A response still invalid after the re-asks ends its call with
+        a ProviderFailure.
         """
         role = ROLES[template_key]
         calls = [(render_prompt(role, slots), []) for slots in slot_list]  # (prompt, events)
@@ -536,10 +537,10 @@ class NodeSession:
             prompt, events = calls[i]
             return self._ask(role, prompt, first + i, None, read, events)
 
-        if self.pool is None or len(calls) == 1:
+        if self.pool is None:
             tries = [first_try(i) for i in range(len(calls))]
         else:
-            tries = list(self.pool.map(first_try, range(len(calls))))
+            tries = self.pool.map(first_try, range(len(calls)))
 
         return [
             (self._reask(role, prompt, outcome, violation, read, events), events)

@@ -36,7 +36,7 @@ import queue
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import IO, TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from . import graph as g
 from .agents import (
@@ -53,9 +53,6 @@ from .agents import (
 from .fusion import FinalResult, fuse_final, fuse_subtask
 from .membership import MembershipLabel
 from .rules import DEFAULT_DOMAINS, construct_rules, run_global_rule, run_rules
-
-if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import Executor
 
 DETERMINISTIC_RUN_ID = "run-0"
 _JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an object"}
@@ -496,6 +493,60 @@ def _run_node(
     return done
 
 
+class RunPool:
+    """One run's threads for node jobs and expert helpers, fed from one queue.
+
+    A job is (replies, key, fn, args): a thread puts (key, fn(*args), None)
+    on replies, or (key, None, the exception fn raised). map runs its first
+    item on the calling thread. close refuses new jobs and queues one stop
+    per thread behind the queued jobs, which still run.
+    """
+
+    def __init__(self, size: int) -> None:
+        import threading  # already loaded by queue
+
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.lock, self.closed = threading.Lock(), False
+        self.threads = [threading.Thread(target=self._work, daemon=True) for _ in range(size)]
+        for thread in self.threads:
+            thread.start()
+
+    def _work(self) -> None:
+        while (job := self.jobs.get()) is not None:
+            replies, key, fn, args = job
+            try:
+                replies.put((key, fn(*args), None))
+            except BaseException as exc:
+                replies.put((key, None, exc))
+
+    def submit(self, *jobs: tuple) -> None:
+        with self.lock:
+            if self.closed:
+                raise RuntimeError("the run's pool is closed")
+            for job in jobs:
+                self.jobs.put(job)
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """fn over a non-empty sequence, results in order; the first item in order that raised raises."""
+        replies = [queue.SimpleQueue() for _ in range(1, len(items))]
+        self.submit(*[(reply, None, fn, (item,)) for reply, item in zip(replies, items[1:])])
+        results = [fn(items[0])]
+        for reply in replies:
+            _, value, error = reply.get()
+            if error is not None:
+                raise error
+            results.append(value)
+        return results
+
+    def close(self) -> None:
+        with self.lock:
+            self.closed = True
+            for _ in self.threads:
+                self.jobs.put(None)
+        for thread in self.threads:
+            thread.join()
+
+
 class _Scheduler:
     """Runs the subtask nodes of one graph: the module's barrier loop, with eager dispatch.
 
@@ -514,7 +565,7 @@ class _Scheduler:
         config: RunConfig,
         tracer: _Tracer,
         new_session: Callable[[str], NodeSession],
-        pool: Executor | None,
+        pool: RunPool | None,
     ):
         self.graph = graph
         self.goal = goal
@@ -554,11 +605,11 @@ class _Scheduler:
                 self._start(nid)
 
     def _receive(self) -> None:
-        """Take one finished node job off `done`."""
-        nid, done = self.done.get()
+        """Take one finished node job off `done`; raise what it raised past _run_node."""
+        nid, done, error = self.done.get()
         self.in_flight -= 1
-        if not isinstance(done, _Finished):
-            done = done.result()  # _run_node keeps its errors; this re-raises any other
+        if error is not None:
+            raise error
         self.finished[nid] = done
         if done.result is not None:
             self.results[nid] = done.result
@@ -569,10 +620,9 @@ class _Scheduler:
         preds = g.predecessor_results(self.graph, nid, self.results)
         args = (self.graph.nodes[nid], self.goal, preds, self.config, self.new_session(nid))
         if self.pool is None:
-            self.done.put((nid, _run_node(*args)))
+            self.done.put((nid, _run_node(*args), None))
         else:
-            future = self.pool.submit(_run_node, *args)
-            future.add_done_callback(lambda future: self.done.put((nid, future)))
+            self.pool.submit((self.done, nid, _run_node, args))
 
     def _commit(self, wave: list[str]) -> None:
         """Flush the walked wave: node buffers in node-id order, then repair buffers."""
@@ -599,15 +649,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         if run_id is None:
             run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
 
-        def new_session(node_id: str, pool: Executor | None = None) -> NodeSession:
-            return NodeSession(
-                run_id=run_id,
-                node_id=node_id,
-                provider=config.provider,
-                temperatures=config.temperatures,
-                pool=pool,
-            )
-
+        new_session = partial(NodeSession, run_id, provider=config.provider, temperatures=config.temperatures)
         root_session = new_session(g.ROOT_ID)
         try:
             the_plan = plan_task(task, root_session)
@@ -629,18 +671,15 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         tracer.flush(root_session.events)
 
         tracer.budget = call_budget(config, len(the_plan.subtasks))
-        if config.concurrency == 1:
-            graph, results = _Scheduler(graph, the_plan.global_goal, config, tracer, new_session, None).run()
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # only a pooled run needs threads
-
-            # At most `concurrency` node jobs are in flight and each waits on at most K
-            # expert jobs, so one pool of concurrency x (K + 1) threads runs every job
-            # at once and at most concurrency x K provider calls are in flight.
-            with ThreadPoolExecutor(config.concurrency * (config.k_rules + 1)) as pool:
-                graph, results = _Scheduler(
-                    graph, the_plan.global_goal, config, tracer, partial(new_session, pool=pool), pool
-                ).run()
+        # c node jobs, each waiting on at most K - 1 helper jobs: c x K threads run every job
+        pool = RunPool(config.concurrency * config.k_rules) if config.concurrency > 1 else None
+        try:
+            graph, results = _Scheduler(
+                graph, the_plan.global_goal, config, tracer, partial(new_session, pool=pool), pool
+            ).run()
+        finally:
+            if pool is not None:
+                pool.close()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
         fusion_session = new_session(g.FUSION_ID)

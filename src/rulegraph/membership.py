@@ -86,10 +86,12 @@ def parse_label(text: str) -> MembershipLabel:
     with surrounding whitespace ignored.
 
     Raises:
-        UnrecognizedLabel: no alias matched; the caller decides whether to
-            retry the upstream model call.
+        UnrecognizedLabel: the token is not a string, or no alias matched;
+            the caller decides whether to retry the upstream model call.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise UnrecognizedLabel(f"membership token must be a string, got {type(text).__name__}: {text!r}")
+    if not text.strip():
         raise UnrecognizedLabel(f"empty membership token: {text!r}")
     key = text.strip().casefold()
     try:

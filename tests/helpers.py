@@ -269,16 +269,10 @@ def scenario_digest(provider_cls, seeds) -> str:
 class _HeldJob:
     """A node job that a held-job scheduler finishes when its policy says."""
 
-    __slots__ = ("fn", "args", "value", "callback", "finish")
+    __slots__ = ("key", "fn", "args", "value", "finish")
 
-    def __init__(self, fn, args) -> None:
-        self.fn, self.args, self.value, self.callback, self.finish = fn, args, None, None, 0
-
-    def add_done_callback(self, callback) -> None:
-        self.callback = callback
-
-    def result(self):
-        return self.value
+    def __init__(self, key, fn, args) -> None:
+        self.key, self.fn, self.args, self.value, self.finish = key, fn, args, None, 0
 
     def run(self) -> None:
         self.value = self.fn(*self.args)
@@ -290,9 +284,9 @@ class _HeldJobScheduler(engine._Scheduler):
     Install a subclass with monkeypatch.setattr(engine, "_Scheduler", ...)
     and run under a concurrency-1 RunConfig. execute_task then builds no
     pool, so expert calls run inline, and __init__ raises the node cap to
-    the subclass's concurrency. submit holds each node job with the callback
-    the scheduler gives it; get finishes the job that take() picks, fires
-    its callback and returns what the callback put.
+    the subclass's concurrency. submit holds each node job; get finishes
+    the job that take() picks and returns its reply, as a pool thread
+    would put it on the done-queue.
     """
 
     concurrency = 2
@@ -302,20 +296,16 @@ class _HeldJobScheduler(engine._Scheduler):
         self.config = replace(self.config, concurrency=self.concurrency)
         self.pool = self.done = self
         self.held: list[_HeldJob] = []
-        self.item = None
 
-    def submit(self, fn, *args) -> _HeldJob:
-        job = _HeldJob(fn, args)
-        self.held.append(job)
-        return job
-
-    def put(self, item) -> None:
-        self.item = item
+    def submit(self, job) -> _HeldJob:
+        _, key, fn, args = job
+        held = _HeldJob(key, fn, args)
+        self.held.append(held)
+        return held
 
     def get(self):
         job = self.take()
-        job.callback(job)
-        return self.item
+        return job.key, job.value, None
 
     def take(self) -> _HeldJob:
         raise NotImplementedError
@@ -397,8 +387,8 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
     clock = [1]  # the plan's round
 
     class VirtualClock(_HeldJobScheduler):
-        def submit(self, fn, *args) -> _HeldJob:
-            job = super().submit(fn, *args)
+        def submit(self, job) -> _HeldJob:
+            job = super().submit(job)
             job.run()
             job.finish = clock[0] + _rounds(job.value)
             return job

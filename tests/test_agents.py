@@ -35,7 +35,7 @@ from rulegraph.agents import (
     render_prompt,
     ROLES,
 )
-from rulegraph.engine import RunConfig, handle_failure
+from rulegraph.engine import RunConfig, RunPool, handle_failure
 from rulegraph.fusion import cluster_candidates, fuse_final
 from rulegraph.graph import TaskNode, build_graph
 from rulegraph.membership import MembershipLabel
@@ -618,12 +618,12 @@ class TestNodeSession:
         assert (kind, payload["status"]) == ("provider_call", "transport_error")
 
     def test_one_call_never_uses_the_pool(self):
-        class NoPool:
-            def submit(self, *args, **kwargs):
-                raise AssertionError("a single call went to the pool")
+        class NoPool(RunPool):
+            def submit(self, *jobs):
+                assert not jobs, "a single call went to the pool"
 
         session = make_session({("DEA", n): candidate_response("a") for n in (1, 2)})
-        session.pool = NoPool()
+        session.pool = NoPool(0)
         assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a"}
         [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]], whole)
         assert outcome == {"answer": "a"}

@@ -282,6 +282,17 @@ def test_config_load_imports_no_pool_parser_or_bench():
     assert loaded_in_fresh_interpreter(code, modules) == []
 
 
+def test_pooled_run_imports_no_concurrent_futures():
+    # A run at concurrency above 1 builds its thread pool from queue and threading alone.
+    code = (
+        "from dataclasses import replace; from rulegraph.cli import load_config; "
+        "from rulegraph.engine import execute_task; "
+        f"config = replace(load_config({DEMO_CONFIG!r}), concurrency=2); "
+        "assert execute_task('Reply to the film magazine editor', config).provider_calls > 0"
+    )
+    assert loaded_in_fresh_interpreter(code, ("concurrent.futures",)) == []
+
+
 def test_config_load_builds_one_dataclass():
     # Each @dataclass generates and compiles its methods at import, a cold-start cost;
     # RunConfig keeps it because dataclasses.replace is its documented copy path.
@@ -767,6 +778,17 @@ class TestExportDot:
         assert code == EXIT_CONFIG
         assert f"cannot read trace {trace}: {error}" in captured.err and captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_non_string_membership_exits_3_naming_its_type(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        done = {"kind": "node_done", "seq": 2, "payload": {"node": "s1", "membership": 5}}
+        trace.write_bytes(final_record(["s1"], [("T", "s1"), ("s1", "F")]) + json.dumps(done).encode() + b"\n")
+        code = main(["export-dot", "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == (
+            f"cannot read trace {trace}: UnrecognizedLabel: membership token must be a string, got int: 5\n"
+        )
 
     def test_trace_without_graph_snapshot_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -1,5 +1,6 @@
 import io
 import json
+import queue
 import re
 import sys
 import threading
@@ -38,6 +39,7 @@ from rulegraph.engine import (
     PlanningFailure,
     Repair,
     RunConfig,
+    RunPool,
     _Tracer,
     apply_repair,
     call_budget,
@@ -720,6 +722,166 @@ class TestScheduler:
         raised = explore_schedules(monkeypatch, 2, run)
         assert len(raised) == 2  # b's miss comes back first in one of the two orders
         assert set(raised) == {"mock script has no entry for ('run-0', 'a', 'DAA', 2)"}
+
+
+def finish_within(seconds, fn):
+    """fn() on a daemon thread: what it returns, or what it raised; fails if it runs past `seconds`."""
+    box = []
+
+    def target():
+        try:
+            box.append((fn(), None))
+        except BaseException as exc:
+            box.append((None, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    value, error = box[0]
+    if error is not None:
+        raise error
+    return value
+
+
+TWO_NODES = {
+    ("PA", 1): plan_response("a goal", [("a", "first"), ("b", "second")]),
+    **{key: SINGLE[key] for key in SINGLE if key[0] != "PA"},
+}
+
+
+class Halt(BaseException):
+    """Not an Exception, so _run_node does not keep it."""
+
+
+class TestRunPool:
+    def test_map_runs_the_first_item_on_the_calling_thread(self):
+        def caller_and_results():
+            return threading.get_ident(), pool.map(lambda i: (i, threading.get_ident()), range(3))
+
+        pool = RunPool(2)
+        try:
+            caller, results = finish_within(10, caller_and_results)
+        finally:
+            pool.close()
+        assert [i for i, _ in results] == [0, 1, 2]
+        assert results[0][1] == caller and caller not in {results[1][1], results[2][1]}
+
+    def test_map_raises_the_first_error_in_item_order(self):
+        second_raised = threading.Event()
+
+        def fn(i):
+            if i == 1:
+                second_raised.wait(timeout=5)  # item 2 raises first
+                raise ValueError("item 1")
+            if i == 2:
+                second_raised.set()
+                raise KeyError("item 2")
+            return i
+
+        pool = RunPool(2)
+        try:
+            with pytest.raises(ValueError, match="item 1"):
+                finish_within(10, lambda: pool.map(fn, range(3)))
+        finally:
+            pool.close()
+
+    def test_close_runs_queued_jobs_then_refuses_new_ones(self):
+        pool = RunPool(1)
+        replies = queue.SimpleQueue()
+
+        def held():
+            deadline = time.monotonic() + 5
+            while not pool.closed and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return pool.closed
+
+        pool.submit((replies, "held", held, ()), (replies, "queued", str, (1,)))  # queued waits for close
+        finish_within(10, pool.close)
+        assert [replies.get_nowait() for _ in range(2)] == [("held", True, None), ("queued", "1", None)]
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit((replies, "late", str, (2,)))
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.map(str, [1])  # even one item, which would queue no job
+        assert replies.empty()
+
+
+class TestPooledRunThreads:
+    """Real threads at concurrency 2: errors reach execute_task and the pool's threads end with the run."""
+
+    @staticmethod
+    def run(provider):
+        config = RunConfig(provider=provider, deterministic=True, concurrency=2)
+        return finish_within(10, lambda: execute_task("task", config))
+
+    def test_script_miss_on_a_helper_thread_is_raised(self):
+        threads = {}
+
+        class MissOnHelper(MockProvider):
+            def complete(self, request):
+                _, _, role, attempt = request.context_key
+                if role == "DEA":
+                    threads[attempt] = threading.get_ident()
+                    if attempt == 3:
+                        raise ScriptMiss("no entry for the third expert")
+                return super().complete(request)
+
+        before = threading.active_count()
+        with pytest.raises(ScriptMiss, match="third expert"):
+            self.run(MissOnHelper(SINGLE))
+        assert threads[3] not in (threads[1], threading.get_ident())  # first try on the node's thread
+        assert threading.active_count() == before
+
+    def test_threads_end_after_success_and_kept_error(self):
+        before = threading.active_count()
+        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
+        assert threading.active_count() == before
+        script = repair_script()
+        del script[("run-0", "d", "PA", 2)]  # d's replan misses the script
+        with pytest.raises(ScriptMiss):
+            self.run(MockProvider(script))
+        assert threading.active_count() == before
+
+    def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch):
+        # a's ruleset misses at once; b's second expert try holds until the pool is closing
+        closing = threading.Event()
+        close = RunPool.close
+
+        def close_after_signal(pool):
+            closing.set()
+            close(pool)
+
+        monkeypatch.setattr(RunPool, "close", close_after_signal)
+
+        class SiblingMidBatch(MockProvider):
+            waited = None
+
+            def complete(self, request):
+                _, node, role, attempt = request.context_key
+                if (node, role) == ("a", "DAA"):
+                    raise ScriptMiss("no ruleset for a")
+                if (node, role, attempt) == ("b", "DEA", 2):
+                    self.waited = closing.wait(timeout=5)
+                return super().complete(request)
+
+        provider = SiblingMidBatch(TWO_NODES)
+        before = threading.active_count()
+        with pytest.raises(ScriptMiss, match="no ruleset for a"):
+            self.run(provider)
+        assert provider.waited is True
+        assert threading.active_count() == before
+
+    def test_exception_past_run_node_reaches_the_run_loop(self):
+        class Halting(MockProvider):
+            def complete(self, request):
+                if request.context_key[2] == "GEA":
+                    raise Halt()
+                return super().complete(request)
+
+        before = threading.active_count()
+        with pytest.raises(Halt):
+            self.run(Halting(TWO_NODES))
+        assert threading.active_count() == before
 
 
 class TestTraceWriting:

@@ -81,6 +81,22 @@ def test_parse_rejects_unknown_tokens(bad):
         parse_label(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (5, "membership token must be a string, got int: 5"),
+        (None, "membership token must be a string, got NoneType: None"),
+        (True, "membership token must be a string, got bool: True"),
+        (["H"], "membership token must be a string, got list: ['H']"),
+        ("  ", "empty membership token: '  '"),
+    ],
+)
+def test_parse_names_what_is_wrong_with_a_token(bad, message):
+    with pytest.raises(UnrecognizedLabel) as err:
+        parse_label(bad)
+    assert str(err.value) == message
+
+
 @given(st.sampled_from(list(MembershipLabel)), st.sampled_from(list(MembershipLabel)))
 def test_trichotomy(a, b):
     assert sum([a < b, a == b, a > b]) == 1
