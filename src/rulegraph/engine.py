@@ -211,7 +211,10 @@ class _Tracer:
     def flush(self, buffered: list[tuple[str, dict]]) -> None:
         events, totals = self.events, self.token_usage
         for kind, payload in buffered:
-            if not payload.keys() >= _REQUIRED[kind]:
+            required = _REQUIRED.get(kind)
+            if required is None:
+                raise ValueError(f"unknown trace event kind {kind!r}")
+            if not payload.keys() >= required:
                 missing = [f for f in TRACE_KINDS[kind] if f not in payload]
                 raise ValueError(f"trace event {kind!r} missing fields {missing}")
             self._seq += 1
@@ -263,10 +266,7 @@ def process_node(
     still fails after R attempts and needs repair. Provider failures mark
     the attempt failed instead of aborting the run.
     """
-    session.emit(
-        "node_start",
-        {"node": node.id, "statement": node.statement, "depth": node.depth},
-    )
+    session.emit("node_start", {"node": node.id, "statement": node.statement, "depth": node.depth})
     feedback: str | None = None
 
     for attempt in range(1, config.max_reprocess + 1):
@@ -335,9 +335,7 @@ def process_node(
 
         feedback = assessment.diff_text
         if attempt < config.max_reprocess:
-            session.emit(
-                "reprocess", {"node": node.id, "attempt": attempt, "feedback": feedback}
-            )
+            session.emit("reprocess", {"node": node.id, "attempt": attempt, "feedback": feedback})
     return None
 
 
@@ -711,17 +709,19 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     )
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+_HEADS = {kind: '{"kind":%s,"payload":' % json.dumps(kind) for kind in TRACE_KINDS}
 
 
 def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
-    """One canonical JSON record per line, in one write; timestamps omitted when absent."""
+    """One canonical JSON record per line, in one write; timestamps omitted when absent.
+
+    Envelope keys in sorted order around one payload encode; a payload cycle raises RecursionError.
+    """
     lines = []
     for seq, kind, payload, timestamp in events:
-        record = {"seq": seq, "kind": kind, "payload": payload}
-        if timestamp is not None:
-            record["timestamp"] = timestamp
-        lines.append(_ENCODE(record) + "\n")
+        stamp = "" if timestamp is None else f',"timestamp":{timestamp!r}'
+        lines.append(f'{_HEADS[kind]}{_ENCODE(payload)},"seq":{seq}{stamp}}}\n')
     sink.write("".join(lines))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,8 @@ FIXTURES = os.path.join(REPO, "fixtures")
 DEMO_CONFIG = os.path.join(FIXTURES, "config.demo.json")
 BENCH_CONFIG = os.path.join(FIXTURES, "config.bench.json")
 TRIVIA = os.path.join(FIXTURES, "trivia5.jsonl")
+# SHA-256 of the demo run's deterministic trace; any change to trace bytes moves it.
+DEMO_TRACE_SHA256 = "e90506556f3304a66a310824679843e6b9cd958c3bf364380a7f88d959bb6719"
 # Writes to /dev/full fail with ENOSPC, on write or at the latest on close.
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 
@@ -408,6 +411,16 @@ class TestRunCommand:
             traces.append(path.read_bytes())
         capsys.readouterr()
         assert traces[0] == traces[1]
+
+    def test_demo_trace_matches_its_golden_hash(self, tmp_path, capsys):
+        trace = tmp_path / "demo.jsonl"
+        code = main(
+            ["run", "--task", "Reply to the film magazine editor", "--config", DEMO_CONFIG,
+             "--deterministic", "--trace", str(trace)]
+        )
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
 
     def test_task_from_file(self, tmp_path, capsys):
         task_file = tmp_path / "task.txt"

@@ -40,6 +40,7 @@ from rulegraph.engine import (
     Repair,
     RunConfig,
     RunPool,
+    TraceEvent,
     _Tracer,
     apply_repair,
     call_budget,
@@ -924,6 +925,41 @@ class TestTraceWriting:
         with pytest.raises(ValueError, match=r"^trace event 'node_start' missing fields \['depth'\]$"):
             tracer.flush([("node_start", {"node": "T1", "statement": "s"})])
         assert tracer.events == []
+
+    def test_event_of_an_unknown_kind_is_refused(self):
+        tracer = _Tracer(deterministic=True)
+        with pytest.raises(ValueError, match=r"^unknown trace event kind 'bogus'$"):
+            tracer.flush([("bogus", {"node": "T1"})])
+        assert tracer.events == []
+
+    def test_payload_with_a_cycle_raises_recursion_error(self):
+        payload = {"reason": "loop"}
+        payload["self"] = payload
+        with pytest.raises(RecursionError):
+            write_trace_events([TraceEvent(1, "warning", payload)], io.StringIO())
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_hard_text_is_written_as_canonical_json(self, deterministic):
+        hard = 'caf\u00e9 \u00ab\u03bb\u00bb \u2603 \U0001d11e "quoted" back\\slash\nline\x07bell\u2028sep'
+        script = {
+            **SINGLE,
+            ("PA", 1): plan_response(f"goal: {hard}", [("s1", f"step: {hard}")]),
+            ("FEA", 1): fusion_answer(f"final: {hard}"),
+        }
+        for attempt in (1, 2, 3):
+            script[("DEA", attempt)] = candidate_response(f"answer: {hard}")
+        outcome = execute_task(f"task: {hard}", mk_config(script, deterministic=deterministic), run_id="run-0")
+        assert outcome.final.answer_text == f"final: {hard}"
+        lines = trace_text(outcome).splitlines()
+        assert len(lines) == len(outcome.trace)
+        for line, event in zip(lines, outcome.trace):
+            assert line.isascii()
+            assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+            record = {"seq": event.seq, "kind": event.kind, "payload": event.payload}
+            if event.timestamp is not None:
+                record["timestamp"] = event.timestamp
+            assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert any(hard in e.payload.get("answer_text", "") for e in outcome.trace)
 
     def test_run_id_outside_deterministic_mode_is_fresh_hex(self):
         config = RunConfig(provider=MockProvider(SINGLE), deterministic=False)
