@@ -70,6 +70,9 @@ class RoleKind(Enum):
     FEA = "FEA"
     GEA = "GEA"
 
+    # Members are singletons that compare by identity, so C identity hashing is safe; Enum.__hash__ is Python.
+    __hash__ = object.__hash__
+
 
 class Role(NamedTuple):
     kind: RoleKind
@@ -265,6 +268,8 @@ def need_field(doc: Mapping, fieldname: str, kind: type = str, nonempty: bool = 
     if fieldname not in doc:
         raise ParseError(f"missing required field {fieldname!r}")
     value = doc[fieldname]
+    if kind is str and type(value) is str and value:
+        return value  # the common case, before the general checks
     shape = str if kind is MembershipLabel else kind
     if not isinstance(value, shape):
         raise ParseError(f"field {fieldname!r} must be {shape.__name__}")
@@ -506,7 +511,8 @@ class NodeSession:
         attempt = self._attempts[role.kind] = self._attempts.get(role.kind, 0) + 1
         prompt = render_prompt(role, slots)
         outcome, violation = self._ask(role, prompt, attempt, None, read, self.events)
-        outcome = self._reask(role, prompt, outcome, violation, read, self.events)
+        if outcome is None:
+            outcome = self._reask(role, prompt, violation, read, self.events)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -543,7 +549,7 @@ class NodeSession:
             tries = self.pool.map(first_try, range(len(calls)))
 
         return [
-            (self._reask(role, prompt, outcome, violation, read, events), events)
+            (self._reask(role, prompt, violation, read, events) if outcome is None else outcome, events)
             for (outcome, violation), (prompt, events) in zip(tries, calls)
         ]
 
@@ -551,7 +557,6 @@ class NodeSession:
         self,
         role: Role,
         prompt: str,
-        outcome: object,
         violation: str | None,
         read: Callable[[dict], object],
         events: list[tuple[str, dict]],
@@ -562,13 +567,11 @@ class NodeSession:
         invalid after the re-asks.
         """
         for _ in range(REASK_LIMIT):
-            if outcome is not None:
-                return outcome
             attempt = self._attempts[role.kind] = self._attempts[role.kind] + 1
             outcome, violation = self._ask(role, prompt, attempt, violation, read, events)
-        if outcome is None:
-            outcome = ProviderFailure(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
-        return outcome
+            if outcome is not None:
+                return outcome
+        return ProviderFailure(f"response still invalid after {REASK_LIMIT} re-asks: {violation}")
 
     def _ask(
         self,
@@ -606,12 +609,12 @@ class NodeSession:
         except (ParseError, ResponseViolation) as exc:
             status = "parse_error" if isinstance(exc, ParseError) else "rejected"
             outcome, error = None, str(exc)
-        usage = {"prompt_tokens": 0, "completion_tokens": 0} if response is None else response.token_usage
+        usage = {"prompt_tokens": 0, "completion_tokens": 0} if response is None else dict(response.token_usage)
         payload = {
             "context": {"run": self.run_id, "node": self.node_id, "role": kind, "attempt": attempt},
             "schema": role.schema,
             "status": status,
-            "usage": dict(usage),
+            "usage": usage,
         }
         if error:
             payload["error"] = error

@@ -195,9 +195,11 @@ class RunOutcome(NamedTuple):
 class _Tracer:
     """Single-owner trace assembly: assigns seq numbers, totals usage and bounds calls.
 
-    A flush that takes provider_calls past budget raises EngineError once
-    its events are in the trace. Flushes come in commit order, so the
-    flush that raises does not depend on the schedule.
+    A buffer holding an unknown kind or a missing field raises ValueError
+    and commits none of its events. A flush that takes provider_calls past
+    budget raises EngineError once its events are in the trace. Flushes
+    come in commit order, so the flush that raises does not depend on the
+    schedule.
     """
 
     def __init__(self, deterministic: bool):
@@ -209,14 +211,15 @@ class _Tracer:
         self._seq = 0
 
     def flush(self, buffered: list[tuple[str, dict]]) -> None:
-        events, totals = self.events, self.token_usage
-        for kind, payload in buffered:
+        for kind, payload in buffered:  # the whole buffer is checked before any of it commits
             required = _REQUIRED.get(kind)
             if required is None:
                 raise ValueError(f"unknown trace event kind {kind!r}")
             if not payload.keys() >= required:
                 missing = [f for f in TRACE_KINDS[kind] if f not in payload]
                 raise ValueError(f"trace event {kind!r} missing fields {missing}")
+        events, totals = self.events, self.token_usage
+        for kind, payload in buffered:
             self._seq += 1
             events.append(TraceEvent(self._seq, kind, payload, None if self.deterministic else time.time()))
             if kind == "provider_call":

@@ -21,21 +21,25 @@ from .rules import CandidateResult
 _PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
 
-class SemanticCluster(NamedTuple):
-    key: str
-    members: tuple[CandidateResult, ...]
+class SemanticCluster:
+    """A cluster key and its members, with the figures that rank it, computed once when built.
 
-    @property
-    def votes(self) -> int:
-        return len(self.members)
+    votes is the member count, max_membership the highest member label and
+    min_rule_index the lowest member rule index, whatever the members' order.
+    """
 
-    @property
-    def max_membership(self) -> MembershipLabel:
-        return max(m.membership for m in self.members)
+    __slots__ = ("key", "members", "votes", "max_membership", "min_rule_index")
 
-    @property
-    def min_rule_index(self) -> int:
-        return min(m.rule_index for m in self.members)
+    def __init__(self, key: str, members: tuple[CandidateResult, ...]) -> None:
+        self.key, self.members, self.votes = key, members, len(members)
+        top, low = members[0].membership, members[0].rule_index
+        for member in members:
+            if member.membership._value_ > top._value_:
+                top = member.membership
+            if member.rule_index < low:
+                low = member.rule_index
+        self.max_membership: MembershipLabel = top
+        self.min_rule_index: int = low
 
 
 class FinalResult(NamedTuple):
@@ -111,7 +115,7 @@ def resolve_conflict(clusters: list[SemanticCluster]) -> tuple[SemanticCluster, 
     first, *rest = sorted(clusters, key=_rank_key)
     if not rest or first.votes != rest[0].votes:
         return first, "votes"
-    if first.max_membership != rest[0].max_membership:
+    if first.max_membership is not rest[0].max_membership:
         return first, "membership"
     return first, "index"
 
@@ -127,14 +131,15 @@ def fuse_subtask(
     """Cluster candidates, resolve the conflict and synthesize the subtask answer.
 
     The synthesis call is made only when the winning cluster holds answers
-    that differ lexically, which only model clustering can produce;
-    otherwise the cluster's strongest member is the answer, verbatim.
+    that differ lexically, which only model clustering can produce (a
+    lexical cluster's members share its key, so lexical mode skips the
+    check); otherwise the cluster's strongest member is the answer, verbatim.
     """
     clusters = cluster_candidates(candidates, mode, session)
     winner, layer = resolve_conflict(clusters)
     best = min(winner.members, key=lambda c: (-c.membership._value_, c.rule_index))
 
-    if len({lexical_key(m.answer_text) for m in winner.members}) == 1:
+    if mode == "lexical" or len({lexical_key(m.answer_text) for m in winner.members}) == 1:
         answer = best.answer_text
     else:
         listing = "\n".join(f"- {m.answer_text}" for m in winner.members)

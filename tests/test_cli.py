@@ -422,6 +422,21 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
 
+    @pytest.mark.parametrize("hash_seed", ["0", "424242"])
+    def test_demo_trace_hash_holds_under_any_hash_seed(self, hash_seed, tmp_path):
+        # String hashes follow PYTHONHASHSEED and role hashes follow memory addresses,
+        # so a fresh interpreter per seed shows whether set or dict order reaches the trace.
+        trace = tmp_path / "demo.jsonl"
+        paths = [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = ["run", "--task", "Reply to the film magazine editor", "--config", DEMO_CONFIG,
+                "--deterministic", "--trace", str(trace)]
+        child = subprocess.run(
+            [sys.executable, "-m", "rulegraph.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
+
     def test_task_from_file(self, tmp_path, capsys):
         task_file = tmp_path / "task.txt"
         task_file.write_text("reply to the editor\n", encoding="utf-8")

@@ -932,6 +932,12 @@ class TestTraceWriting:
             tracer.flush([("bogus", {"node": "T1"})])
         assert tracer.events == []
 
+    def test_buffer_with_a_refused_event_commits_none_of_it(self):
+        tracer = _Tracer(deterministic=True)
+        with pytest.raises(ValueError, match=r"^unknown trace event kind 'bogus'$"):
+            tracer.flush([("warning", {"reason": "x"}), ("bogus", {})])
+        assert tracer.events == [] and tracer._seq == 0
+
     def test_payload_with_a_cycle_raises_recursion_error(self):
         payload = {"reason": "loop"}
         payload["self"] = payload

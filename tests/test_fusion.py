@@ -159,6 +159,16 @@ class TestResolveConflict:
         b = self.make_cluster("b", cand(1, M, "b"))
         assert resolve_conflict([a, b]) == (b, "index")
 
+    def test_figures_hold_for_members_out_of_rule_order(self):
+        cluster = self.make_cluster("k", cand(3, ML, "k"), cand(1, L, "k"), cand(2, H, "k"))
+        assert (cluster.votes, cluster.max_membership, cluster.min_rule_index) == (3, H, 1)
+        # Each layer must read the figure, not the first member.
+        a = self.make_cluster("a", cand(4, SH, "a"), cand(2, L, "a"))
+        b = self.make_cluster("b", cand(3, L, "b"), cand(1, SH, "b"))
+        assert resolve_conflict([a, b]) == (b, "index")
+        c = self.make_cluster("c", cand(1, L, "c"), cand(5, H, "c"))
+        assert resolve_conflict([a, b, c]) == (c, "membership")
+
     def test_vote_dominance_invariant_under_membership_permutation(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -254,6 +264,16 @@ class TestFuseSubtask:
         assert result == "a consolidated answer"
         assert winning_cluster(session)["key"] == "dinner"
         assert [p["context"]["attempt"] for kind, p in session.events if kind == "provider_call"] == [1, 2]
+
+    def test_model_mode_skips_synthesis_when_winners_differ_only_lexically(self):
+        # As above, but the two grouped wordings share a lexical key: no synthesis call.
+        cands = movie_candidates()
+        cands[2] = cand(3, ML, "GUESS WHO'S COMING TO DINNER (1967)!", "Biology")
+        provider = MockProvider({("FEA", 1): assignments_response(["dinner", "lion", "dinner"])})
+        session = session_for(provider)
+        assert fuse_subtask(cands, T1, mode="model", session=session) == MOVIE_A  # the H member
+        assert winning_cluster(session)["votes"] == 2
+        assert [p["context"]["attempt"] for kind, p in session.events if kind == "provider_call"] == [1]
 
     def test_lexical_mode_never_synthesizes(self):
         # Members of a lexical cluster differ at most in case and punctuation.
