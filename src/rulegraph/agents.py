@@ -27,7 +27,7 @@ from . import graph as graph_mod
 from .membership import MembershipLabel, UnrecognizedLabel, parse_label
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import RunPool
+    from .engine import Run
 
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
@@ -466,30 +466,24 @@ class LiveProvider:
 class NodeSession:
     """Provider access bound to one node of one run.
 
-    Buffers trace events locally; the engine flushes buffers in a
-    deterministic order so concurrent node processing cannot reorder the
-    trace. The session numbers its calls' attempts per role (_attempts
-    holds the last number taken), and the engine opens one session per node
-    id and run, so every context key is unique. call makes one call
-    directly; call_many makes several, their first tries at once. Each
-    response's first JSON object goes to the call's reader, which checks it
-    whole and builds the call's value; a response it refuses is re-asked up
-    to REASK_LIMIT times with the violation appended to the prompt, each
-    re-ask under a fresh attempt number.
+    run is the engine's Run, from which the session reads the run id,
+    provider, temperatures and pool. Buffers trace events locally; the
+    engine flushes buffers in a deterministic order so concurrent node
+    processing cannot reorder the trace. The session numbers its calls'
+    attempts per role (_attempts holds the last number taken), and the
+    engine opens one session per node id and run, so every context key is
+    unique. call makes one call directly; call_many makes several, their
+    first tries at once. Each response's first JSON object goes to the
+    call's reader, which checks it whole and builds the call's value; a
+    response it refuses is re-asked up to REASK_LIMIT times with the
+    violation appended to the prompt, each re-ask under a fresh attempt
+    number.
     """
 
-    __slots__ = ("run_id", "node_id", "provider", "temperatures", "pool", "events", "_attempts")
+    __slots__ = ("run", "node_id", "events", "_attempts")
 
-    def __init__(
-        self,
-        run_id: str,
-        node_id: str,
-        provider: object,
-        temperatures: Mapping[RoleKind, float] = DEFAULT_TEMPERATURES,
-        pool: RunPool | None = None,
-    ) -> None:
-        self.run_id, self.node_id, self.provider = run_id, node_id, provider
-        self.temperatures, self.pool = temperatures, pool
+    def __init__(self, run: Run, node_id: str) -> None:
+        self.run, self.node_id = run, node_id
         self.events: list[tuple[str, dict]] = []
         self._attempts: dict[RoleKind, int] = {}
 
@@ -526,9 +520,10 @@ class NodeSession:
         """One call per slot mapping: every first try at once, then the re-asks.
 
         The first tries take the next len(slot_list) attempt numbers in
-        order. With a pool, the first runs on this thread and the others on
-        pool threads; without one, they run here in turn. Re-asks follow in
-        order, numbered after them. Each call gets its own event buffer.
+        order. With the run's pool, the first runs on this thread and the
+        others on pool threads; without one, they run here in turn. Re-asks
+        follow in order, numbered after them. Each call gets its own event
+        buffer.
         Returns (what read made of the document, or the ProviderFailure that
         ended the call, buffer) per call; the caller appends the buffers in
         order. A response still invalid after the re-asks ends its call with
@@ -543,10 +538,10 @@ class NodeSession:
             prompt, events = calls[i]
             return self._ask(role, prompt, first + i, None, read, events)
 
-        if self.pool is None:
+        if self.run.pool is None:
             tries = [first_try(i) for i in range(len(calls))]
         else:
-            tries = self.pool.map(first_try, range(len(calls)))
+            tries = self.run.pool.map(first_try, range(len(calls)))
 
         return [
             (self._reask(role, prompt, violation, read, events) if outcome is None else outcome, events)
@@ -595,13 +590,13 @@ class NodeSession:
                 "\n\nYour previous response was rejected: "
                 f"{violation}\nRespond again following the required format."
             )
-        kind = role.kind._value_
+        run, kind = self.run, role.kind._value_
         request = ProviderRequest(
-            role.kind, prompt, self.temperatures[role.kind], (self.run_id, self.node_id, kind, attempt)
+            role.kind, prompt, run.temperatures[role.kind], (run.run_id, self.node_id, kind, attempt)
         )
         response = outcome = error = None
         try:
-            response = self.provider.complete(request)
+            response = run.provider.complete(request)
             outcome = read(parse_structured(response.raw_text))
             status = "ok"
         except ProviderFailure as exc:
@@ -611,7 +606,7 @@ class NodeSession:
             outcome, error = None, str(exc)
         usage = {"prompt_tokens": 0, "completion_tokens": 0} if response is None else dict(response.token_usage)
         payload = {
-            "context": {"run": self.run_id, "node": self.node_id, "role": kind, "attempt": attempt},
+            "context": {"run": run.run_id, "node": self.node_id, "role": kind, "attempt": attempt},
             "schema": role.schema,
             "status": status,
             "usage": usage,

@@ -17,7 +17,9 @@ its wave runs. A node's job is handed its node, the goal, its
 predecessors' answers and its session when it starts, and reads no graph
 and no shared results. No started node loses its inputs: a repair rewires
 only the successors of its own failed node, which has no result, so none
-of them has started.
+of them has started. Every session holds the one Run of its run: workers
+read its id, provider, temperatures and pool, and only the run loop
+writes its trace.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -35,7 +37,6 @@ import os
 import queue
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 from . import graph as g
@@ -61,8 +62,8 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an 
 class EngineError(Exception):
     """Base class for run-level failures.
 
-    execute_task sets trace, provider_calls and token_usage to the run's
-    partial trace and totals before the error leaves it.
+    execute_task sets trace, provider_calls and token_usage from the run's
+    Run, its partial trace and totals, before the error leaves it.
     """
 
     trace: list[TraceEvent]
@@ -192,9 +193,12 @@ class RunOutcome(NamedTuple):
     token_usage: dict[str, int]
 
 
-class _Tracer:
-    """Single-owner trace assembly: assigns seq numbers, totals usage and bounds calls.
+class Run:
+    """What one run's sessions share: its id, provider, temperatures and pool, and its trace.
 
+    pool is the run's RunPool, None at concurrency 1. Node workers only read
+    run_id, provider, temperatures and pool. Only the run-loop thread, the
+    one that called execute_task, writes the trace fields, through flush.
     A buffer holding an unknown kind or a missing field raises ValueError
     and commits none of its events. A flush that takes provider_calls past
     budget raises EngineError once its events are in the trace. Flushes
@@ -202,8 +206,19 @@ class _Tracer:
     schedule.
     """
 
-    def __init__(self, deterministic: bool):
+    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "budget", "events",
+                 "provider_calls", "token_usage", "_seq")
+
+    def __init__(
+        self,
+        run_id: str,
+        provider: object,
+        temperatures: Mapping[RoleKind, float] = DEFAULT_TEMPERATURES,
+        deterministic: bool = False,
+    ) -> None:
+        self.run_id, self.provider, self.temperatures = run_id, provider, temperatures
         self.deterministic = deterministic
+        self.pool: RunPool | None = None
         self.budget: float = math.inf  # execute_task sets call_budget once the plan is known
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
@@ -556,24 +571,16 @@ class _Scheduler:
     repair, then commits the wave and reads the next. While it waits,
     _dispatch starts the lowest-id nodes whose predecessors all have
     results, committed or not, up to `concurrency` in flight. Each job's
-    inputs are read on the run-loop thread when it starts.
+    inputs, its session on the shared Run among them, are read on the
+    run-loop thread when it starts.
     """
 
-    def __init__(
-        self,
-        graph: g.TaskGraph,
-        goal: str,
-        config: RunConfig,
-        tracer: _Tracer,
-        new_session: Callable[[str], NodeSession],
-        pool: RunPool | None,
-    ):
+    def __init__(self, run: Run, graph: g.TaskGraph, goal: str, config: RunConfig):
+        self.shared = run
         self.graph = graph
         self.goal = goal
         self.config = config
-        self.tracer = tracer
-        self.new_session = new_session
-        self.pool = pool
+        self.pool = run.pool
         self.used_ids = set(graph.nodes)
         self.results: dict[str, str] = {}
         self.started: set[str] = set()
@@ -619,7 +626,7 @@ class _Scheduler:
         self.started.add(nid)
         self.in_flight += 1
         preds = g.predecessor_results(self.graph, nid, self.results)
-        args = (self.graph.nodes[nid], self.goal, preds, self.config, self.new_session(nid))
+        args = (self.graph.nodes[nid], self.goal, preds, self.config, NodeSession(self.shared, nid))
         if self.pool is None:
             self.done.put((nid, _run_node(*args), None))
         else:
@@ -629,10 +636,10 @@ class _Scheduler:
         """Flush the walked wave: node buffers in node-id order, then repair buffers."""
         done = [self.finished.pop(nid) for nid in wave]
         for item in done:
-            self.tracer.flush(item.events)
+            self.shared.flush(item.events)
         for item in done:
             if item.result is None:
-                self.tracer.flush(item.session.events)
+                self.shared.flush(item.session.events)
         if not self.graph.predecessors(g.FUSION_ID):
             raise AllPathsFailed("every root-to-fusion path failed and was removed")
 
@@ -643,21 +650,19 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
     Every run failure leaves as an EngineError carrying the trace, provider
     calls and token usage of the run so far.
     """
-    tracer = _Tracer(deterministic=config.deterministic)
+    if run_id is None:
+        run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
+    run = Run(run_id, config.provider, config.temperatures, config.deterministic)
     try:
         if not task or not task.strip():
             raise ConfigError("task must be non-empty")
-        if run_id is None:
-            run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
-
-        new_session = partial(NodeSession, run_id, provider=config.provider, temperatures=config.temperatures)
-        root_session = new_session(g.ROOT_ID)
+        root_session = NodeSession(run, g.ROOT_ID)
         try:
             the_plan = plan_task(task, root_session)
             graph = g.build_graph(the_plan)
         except ProviderFailure as exc:
             root_session.emit("warning", {"reason": "planning_failed", "detail": str(exc)})
-            tracer.flush(root_session.events)
+            run.flush(root_session.events)
             raise PlanningFailure(str(exc)) from exc
         root_session.emit(
             "plan",
@@ -669,26 +674,24 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
                 "graph": graph.to_payload(),
             },
         )
-        tracer.flush(root_session.events)
+        run.flush(root_session.events)
 
-        tracer.budget = call_budget(config, len(the_plan.subtasks))
+        run.budget = call_budget(config, len(the_plan.subtasks))
         # c node jobs, each waiting on at most K - 1 helper jobs: c x K threads run every job
-        pool = RunPool(config.concurrency * config.k_rules) if config.concurrency > 1 else None
+        run.pool = RunPool(config.concurrency * config.k_rules) if config.concurrency > 1 else None
         try:
-            graph, results = _Scheduler(
-                graph, the_plan.global_goal, config, tracer, partial(new_session, pool=pool), pool
-            ).run()
+            graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
         finally:
-            if pool is not None:
-                pool.close()
+            if run.pool is not None:
+                run.pool.close()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
-        fusion_session = new_session(g.FUSION_ID)
+        fusion_session = NodeSession(run, g.FUSION_ID)
         try:
             final = fuse_final(answers, task, session=fusion_session)
         except ProviderFailure as exc:
             fusion_session.emit("warning", {"reason": "final_fusion_failed", "detail": str(exc)})
-            tracer.flush(fusion_session.events)
+            run.flush(fusion_session.events)
             raise FusionFailure(f"provider failure in final fusion: {exc}") from exc
         fusion_session.emit(
             "final",
@@ -698,17 +701,17 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
                 "graph": graph.to_payload(),
             },
         )
-        tracer.flush(fusion_session.events)
+        run.flush(fusion_session.events)
     except EngineError as exc:
-        exc.trace, exc.provider_calls = tracer.events, tracer.provider_calls
-        exc.token_usage = tracer.token_usage
+        exc.trace, exc.provider_calls = run.events, run.provider_calls
+        exc.token_usage = run.token_usage
         raise
     return RunOutcome(
         final=final,
         graph_final=graph,
-        trace=tracer.events,
-        provider_calls=tracer.provider_calls,
-        token_usage=tracer.token_usage,
+        trace=run.events,
+        provider_calls=run.provider_calls,
+        token_usage=run.token_usage,
     )
 
 

@@ -62,7 +62,8 @@ def cluster_candidates(
     model mode asks the fusion expert, through session, for one cluster key
     per candidate and falls back to lexical keys (with a trace warning) if
     that call fails; lexical mode is provider-free. Every candidate lands in
-    exactly one cluster.
+    exactly one cluster, and members keep the candidates' order, which
+    rules.run_rules gives in rule order.
     """
     keys: list[str] | None = None
     if mode == "model":
@@ -79,10 +80,7 @@ def cluster_candidates(
     grouped: dict[str, list[CandidateResult]] = {}
     for candidate, key in zip(candidates, keys):
         grouped.setdefault(key, []).append(candidate)
-    return [
-        SemanticCluster(key=key, members=tuple(sorted(members, key=lambda c: c.rule_index)))
-        for key, members in sorted(grouped.items())
-    ]
+    return [SemanticCluster(key, tuple(members)) for key, members in sorted(grouped.items())]
 
 
 def _model_keys(candidates: list[CandidateResult], session: NodeSession) -> list[str]:

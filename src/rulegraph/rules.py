@@ -136,7 +136,7 @@ def run_rules(
     """Execute every domain rule once; rule failures do not stop the others.
 
     The experts' first tries are issued at once (concurrently when the
-    session has a pool) and take the next K attempt numbers in rule order;
+    run has a pool) and take the next K attempt numbers in rule order;
     re-asks follow in rule order. Each rule's events stay together in rule
     order. Output is ordered by rule index and each candidate carries its
     rule's membership unchanged. Raises ProviderFailure only when no rule

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import replace
 
 from rulegraph import engine
-from rulegraph.agents import REASK_LIMIT, PlannerPlan, ProviderResponse, RoleKind
-from rulegraph.engine import EngineError, RunConfig, call_budget, execute_task, write_trace_events
+from rulegraph.agents import REASK_LIMIT, NodeSession, PlannerPlan, ProviderResponse, RoleKind
+from rulegraph.engine import EngineError, Run, RunConfig, call_budget, execute_task, write_trace_events
 from rulegraph.graph import RESERVED_IDS, ROOT_ID, TaskGraph, build_graph
 from rulegraph.rules import DEFAULT_DOMAINS
 
@@ -74,6 +74,11 @@ def fusion_answer(answer: str) -> str:
 
 def assignments_response(keys: list[str]) -> str:
     return json_doc({"assignments": keys})
+
+
+def session_for(provider, node_id="T1") -> NodeSession:
+    """A session for node_id in a run of its own, "run-0", answered by provider."""
+    return NodeSession(Run("run-0", provider), node_id)
 
 
 def make_plan(

@@ -35,7 +35,7 @@ from rulegraph.agents import (
     render_prompt,
     ROLES,
 )
-from rulegraph.engine import RunConfig, RunPool, handle_failure
+from rulegraph.engine import Run, RunConfig, RunPool, handle_failure
 from rulegraph.fusion import cluster_candidates, fuse_final
 from rulegraph.graph import TaskNode, build_graph
 from rulegraph.membership import MembershipLabel
@@ -86,11 +86,7 @@ GOLDEN_REASK_SHA256 = "23e09698354454e2e3e58cf29bfea370d556ae481c42d976f7359b996
 
 
 def make_session(script, node_id="T", run_id="run-0"):
-    return NodeSession(
-        run_id=run_id,
-        node_id=node_id,
-        provider=MockProvider(script),
-    )
+    return NodeSession(Run(run_id, MockProvider(script)), node_id)
 
 
 def whole(doc):
@@ -255,7 +251,7 @@ class TestPrompts:
                 return super().complete(request)
 
         script = {("DAA", 1): "no document", ("DAA", 2): ruleset_response([("History", "H")])}
-        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
+        session = NodeSession(Run("run-0", Recorder(script)), "T1")
         session.call("analyze", GOLDEN_SLOTS["analyze"], whole)
         assert hashlib.sha256(prompts[1].encode()).hexdigest() == GOLDEN_REASK_SHA256
 
@@ -513,7 +509,7 @@ class TestNodeSession:
                 prompts.append(request.rendered_prompt)
                 return super().complete(request)
 
-        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
+        session = NodeSession(Run("run-0", Recorder(script)), "T1")
         doc = session.call(
             "execute",
             {"statement": "s", "context": "(none)", "instructions": "i"},
@@ -586,11 +582,7 @@ class TestNodeSession:
                     raise TransportError("outage on re-ask")
                 return super().complete(request)
 
-        session = NodeSession(
-            run_id="run-0",
-            node_id="T1",
-            provider=FailsOnReask({("DEA", 1): "not json"}),
-        )
+        session = NodeSession(Run("run-0", FailsOnReask({("DEA", 1): "not json"})), "T1")
         with pytest.raises(TransportError, match="outage on re-ask"):
             session.call("execute", SLOTS["execute"], whole)
         calls = [p for kind, p in session.events if kind == "provider_call"]
@@ -611,7 +603,7 @@ class TestNodeSession:
     def test_malformed_live_body_fails_the_call(self, body, chat_server):
         chat_server.fault = inject(body)
         provider = LiveProvider(base_url=chat_server.url, model="m", api_key="k")
-        session = NodeSession(run_id="run-0", node_id="T1", provider=provider)
+        session = NodeSession(Run("run-0", provider), "T1")
         with pytest.raises(ProviderFailure, match="malformed completion body"):
             session.call("execute", SLOTS["execute"], whole)
         [(kind, payload)] = session.events
@@ -623,7 +615,7 @@ class TestNodeSession:
                 assert not jobs, "a single call went to the pool"
 
         session = make_session({("DEA", n): candidate_response("a") for n in (1, 2)})
-        session.pool = NoPool(0)
+        session.run.pool = NoPool(0)
         assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a"}
         [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]], whole)
         assert outcome == {"answer": "a"}
@@ -639,11 +631,11 @@ class TestNodeSession:
         script = {("DEA", n): candidate_response("a") for n in range(1, 6)}
         script[("DEA", 2)] = "no document here"
         script[("GEA", 1)] = assessment_response("H")
-        session = NodeSession(run_id="run-0", node_id="T1", provider=Recorder(script))
+        session = NodeSession(Run("run-0", Recorder(script)), "T1")
         session.call_many("execute", [SLOTS["execute"]] * 3, whole)  # first tries 1-3, the re-ask 4
         session.call("execute", SLOTS["execute"], whole)
         session.call("assess", SLOTS["assess"], whole)
-        NodeSession(run_id="run-0", node_id="T2", provider=Recorder(script)).call(
+        NodeSession(Run("run-0", Recorder(script)), "T2").call(
             "execute", SLOTS["execute"], whole
         )
         assert keys == [
@@ -658,10 +650,10 @@ class TestNodeSession:
         script = {("DEA", n): candidate_response(f"a{n}") for n in range(1, 5)}
         session = make_session(script, node_id="T1")
         with ThreadPoolExecutor(max_workers=2) as pool:
-            session.pool = pool
+            session.run.pool = pool
             outcomes = session.call_many("execute", [SLOTS["execute"]] * 3, whole)
         assert [outcome for outcome, _ in outcomes] == [{"answer": f"a{n}"} for n in (1, 2, 3)]
-        session.pool = None
+        session.run.pool = None
         assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a4"}
 
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from helpers import (
+    FateProvider,
     WorstCaseProvider,
     assessment_response,
     assignments_response,
@@ -38,10 +39,10 @@ from rulegraph.engine import (
     EngineError,
     PlanningFailure,
     Repair,
+    Run,
     RunConfig,
     RunPool,
     TraceEvent,
-    _Tracer,
     apply_repair,
     call_budget,
     execute_task,
@@ -236,7 +237,7 @@ class TestFailureHandling:
         # the planner's ids and the prefixed ids collide, and so does s1.1
         graph = build_graph(make_plan(["s1", "s2", "s1.s2", "s1.1"]))
         used_ids = set(graph.nodes)
-        session = NodeSession(run_id="run-0", node_id="s1", provider=None)
+        session = NodeSession(Run("run-0", None), "s1")
         repair = Repair(graph.nodes["s1"], chain=(("s2", "simpler first"), ("c", "simpler second")))
         graph = apply_repair(repair, graph, session, used_ids)
         [(kind, payload)] = session.events
@@ -885,6 +886,29 @@ class TestPooledRunThreads:
         assert threading.active_count() == before
 
 
+    def test_only_the_calling_thread_flushes_and_every_request_carries_the_run_id(self, monkeypatch):
+        # the single-writer rule of the shared Run: workers read it, the run loop writes its trace
+        flushes, requests = [], []
+        flush = Run.flush
+
+        def recording_flush(run, buffered):
+            flushes.append(threading.get_ident())
+            flush(run, buffered)
+
+        class Recording(FateProvider):
+            def complete(self, request):
+                requests.append((threading.get_ident(), request.context_key[0]))
+                return super().complete(request)
+
+        monkeypatch.setattr(Run, "flush", recording_flush)
+        config = RunConfig(provider=Recording(3), deterministic=True, concurrency=2)
+        execute_task("the original task", config, run_id="run-7")
+        caller = threading.get_ident()
+        assert len(flushes) > 2 and set(flushes) == {caller}
+        assert {run_id for _, run_id in requests} == {"run-7"}
+        assert len({thread for thread, _ in requests} - {caller}) >= 2  # node and helper threads called
+
+
 class TestTraceWriting:
     def test_broken_sink_raises_os_error(self):
         class BrokenSink:
@@ -921,22 +945,22 @@ class TestTraceWriting:
         assert all("timestamp" in json.loads(line) for line in lines)
 
     def test_event_missing_a_field_is_refused(self):
-        tracer = _Tracer(deterministic=True)
+        run = Run("run-0", None, deterministic=True)
         with pytest.raises(ValueError, match=r"^trace event 'node_start' missing fields \['depth'\]$"):
-            tracer.flush([("node_start", {"node": "T1", "statement": "s"})])
-        assert tracer.events == []
+            run.flush([("node_start", {"node": "T1", "statement": "s"})])
+        assert run.events == []
 
     def test_event_of_an_unknown_kind_is_refused(self):
-        tracer = _Tracer(deterministic=True)
+        run = Run("run-0", None, deterministic=True)
         with pytest.raises(ValueError, match=r"^unknown trace event kind 'bogus'$"):
-            tracer.flush([("bogus", {"node": "T1"})])
-        assert tracer.events == []
+            run.flush([("bogus", {"node": "T1"})])
+        assert run.events == []
 
     def test_buffer_with_a_refused_event_commits_none_of_it(self):
-        tracer = _Tracer(deterministic=True)
+        run = Run("run-0", None, deterministic=True)
         with pytest.raises(ValueError, match=r"^unknown trace event kind 'bogus'$"):
-            tracer.flush([("warning", {"reason": "x"}), ("bogus", {})])
-        assert tracer.events == [] and tracer._seq == 0
+            run.flush([("warning", {"reason": "x"}), ("bogus", {})])
+        assert run.events == [] and run._seq == 0
 
     def test_payload_with_a_cycle_raises_recursion_error(self):
         payload = {"reason": "loop"}

@@ -4,8 +4,8 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assignments_response, fusion_answer, json_doc
-from rulegraph.agents import MockProvider, NodeSession, ProviderResponse
+from helpers import assignments_response, fusion_answer, json_doc, session_for
+from rulegraph.agents import MockProvider, ProviderResponse
 from rulegraph.fusion import (
     _PUNCT_TABLE,
     FinalResult,
@@ -55,10 +55,6 @@ ASSIGNMENTS = (
 )
 
 
-def session_for(provider, node_id="T1"):
-    return NodeSession(run_id="run-0", node_id=node_id, provider=provider)
-
-
 def winning_cluster(session):
     """The winner's entry in the one fusion event fuse_subtask emitted."""
     [event] = [p for kind, p in session.events if kind == "fusion"]
@@ -103,6 +99,12 @@ class TestClusterCandidates:
             assert sum(c.votes for c in clusters) == n
             seen = [m.rule_index for c in clusters for m in c.members]
             assert sorted(seen) == list(range(1, n + 1))
+
+    def test_members_keep_the_candidates_order(self):
+        clusters = cluster_candidates([cand(3, M, MOVIE_A), cand(2, H, MOVIE_B), cand(1, ML, MOVIE_A)], "lexical")
+        members = {c.key: [m.rule_index for m in c.members] for c in clusters}
+        assert members == {lexical_key(MOVIE_A): [3, 1], lexical_key(MOVIE_B): [2]}
+        assert [c.min_rule_index for c in clusters] == [1, 2]
 
     def test_model_mode_uses_expert_assignments(self):
         provider = MockProvider({("FEA", 1): assignments_response(["k1", "k2", "k1"])})

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import assignments_response, json_doc, make_plan
 from rulegraph.agents import MockProvider, NodeSession, ProviderFailure, RoleKind, plan
-from rulegraph.engine import RunConfig, handle_failure
+from rulegraph.engine import Run, RunConfig, handle_failure
 from rulegraph.fusion import cluster_candidates, fuse_final, fuse_subtask
 from rulegraph.graph import TaskNode, build_graph
 from rulegraph.membership import MembershipLabel
@@ -417,7 +417,7 @@ def test_first_call_records_the_contract(template_key, response, status, error):
     script = {(kind.value, before + n): text for n in range(1, 7)}  # a replan after classify takes 4-6
     if before:
         script[(kind.value, 1)] = assignments_response(["k", "k"])
-    session = NodeSession(run_id="run-0", node_id="T1", provider=MockProvider(script))
+    session = NodeSession(Run("run-0", MockProvider(script)), "T1")
     try:
         role_function(session)
     except ProviderFailure:

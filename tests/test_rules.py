@@ -3,10 +3,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import assessment_response, candidate_response, ruleset_response
+from helpers import assessment_response, candidate_response, ruleset_response, session_for
 from rulegraph.agents import (
     MockProvider,
-    NodeSession,
     ProviderFailure,
     TransportError,
 )
@@ -31,10 +30,6 @@ class RecordingMock(MockProvider):
     def complete(self, request):
         self.prompts.append(request.rendered_prompt)
         return super().complete(request)
-
-
-def session_for(provider, node_id="T1"):
-    return NodeSession(run_id="run-0", node_id=node_id, provider=provider)
 
 
 T1_RULES = ruleset_response(
@@ -162,7 +157,7 @@ class TestRunRules:
     def run_with(self, provider, pool=None):
         rules = built_rules(provider)
         session = session_for(provider)
-        session.pool = pool
+        session.run.pool = pool
         return run_rules(rules, T1.statement, [], session=session), session.events
 
     def test_rule_events_stay_together_in_rule_order(self):
