@@ -10,16 +10,20 @@ is walked it commits the members' buffered events, node buffers in
 node-id order, then repair buffers in node-id order, and reads the next
 wave. So the trace is a total order that does not depend on scheduling.
 
-Dispatch is the one eager part: while the loop waits, any node whose
-predecessors all have results starts, lowest id first, up to a configured
-cap of nodes in flight, so a replanned chain can start while the rest of
-its wave runs. A node's job is handed its node, the goal, its
-predecessors' answers and its session when it starts, and reads no graph
-and no shared results. No started node loses its inputs: a repair rewires
-only the successors of its own failed node, which has no result, so none
-of them has started. Every session holds the one Run of its run: workers
-read its id, provider, temperatures and pool, and only the run loop
-writes its trace.
+Dispatch is eager: while the loop waits, any node whose predecessors all
+have results starts, lowest id first, up to a configured cap c of nodes in
+flight, so a replanned chain can start while the rest of its wave runs.
+With a pool (c > 1), one analyst lane runs ahead, one job at a time: the
+lowest-id node that has not started, and whose predecessors all have, gets
+attempt 1's rules built, since that call reads no predecessor's answer. So
+at most c x K + 1 calls are in flight, on c x K + 1 threads. A node's job
+is handed its node, the goal, its predecessors' answers, its session and
+any rules the lane built when it starts, and reads no graph and no shared
+results. No started node loses its inputs: a repair rewires only the
+successors of its own failed node, which has no result, so none of them
+has started. Every session holds the one Run of its run: workers read its
+id, provider, temperatures and pool, and only the run loop writes its
+trace.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -273,23 +277,32 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
 
 
 def process_node(
-    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession
+    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession,
+    first_rules: tuple | None = None,
 ) -> str | None:
     """Run the reprocessing loop for one subtask node.
 
     Up to R attempts of construct rules (with deviation feedback after the
     first), execute them over preds (its predecessors' answers in id
     order), fuse, and gate against the plan's goal. Reads no graph and no
-    shared results. Returns the accepted result, or None when the node
-    still fails after R attempts and needs repair. Provider failures mark
-    the attempt failed instead of aborting the run.
+    shared results. first_rules is (attempt 1's rules or the exception
+    that ended their call, the call's records) when the analyst lane made
+    that call ahead: the records follow node_start, so the trace is the
+    same. Returns the accepted result, or None when the node still fails
+    after R attempts and needs repair. Provider failures mark the attempt
+    failed instead of aborting the run.
     """
     session.emit("node_start", {"node": node.id, "statement": node.statement, "depth": node.depth})
+    if first_rules is not None:
+        session.events += first_rules[1]
     feedback: str | None = None
 
     for attempt in range(1, config.max_reprocess + 1):
         try:
-            rules = construct_rules(node, config.domains, config.k_rules, feedback, session=session)
+            if attempt > 1 or first_rules is None:
+                rules = construct_rules(node, config.domains, config.k_rules, feedback, session=session)
+            elif isinstance(rules := first_rules[0], Exception):
+                raise rules
             session.emit(
                 "rules_built",
                 {
@@ -490,7 +503,8 @@ class _Finished:
 
 
 def _run_node(
-    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession
+    node: g.TaskNode, goal: str, preds: list[str], config: RunConfig, session: NodeSession,
+    first_rules: tuple | None,
 ) -> _Finished:
     """Worker: process one node and, if it fails, decide its repair.
 
@@ -500,7 +514,7 @@ def _run_node(
     """
     done = _Finished(session, session.events)
     try:
-        done.result = process_node(node, goal, preds, config, session)
+        done.result = process_node(node, goal, preds, config, session, first_rules)
         if done.result is None:
             session.events = []
             done.repair = handle_failure(node, goal, config, session)
@@ -509,8 +523,18 @@ def _run_node(
     return done
 
 
+def _analyze(node: g.TaskNode, config: RunConfig, session: NodeSession) -> tuple:
+    """Lane job: attempt 1's construct_rules for a node not yet started; (session, first_rules)."""
+    try:
+        rules = construct_rules(node, config.domains, config.k_rules, session=session)
+    except Exception as exc:  # process_node raises it in attempt 1's place
+        rules = exc
+    records, session.events = session.events, []
+    return session, (rules, records)
+
+
 class RunPool:
-    """One run's threads for node jobs and expert helpers, fed from one queue.
+    """One run's threads for node, lane and expert helper jobs, fed from one queue.
 
     A job is (replies, key, fn, args): a thread puts (key, fn(*args), None)
     on replies, or (key, None, the exception fn raised). map runs its first
@@ -573,6 +597,9 @@ class _Scheduler:
     results, committed or not, up to `concurrency` in flight. Each job's
     inputs, its session on the shared Run among them, are read on the
     run-loop thread when it starts.
+
+    With a pool, _dispatch also feeds the analyst lane one _analyze job at a
+    time (see the module docstring); a ready node waits for its analysis.
     """
 
     def __init__(self, run: Run, graph: g.TaskGraph, goal: str, config: RunConfig):
@@ -587,6 +614,8 @@ class _Scheduler:
         self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
         self.in_flight = 0
         self.done: queue.SimpleQueue = queue.SimpleQueue()
+        self.lane: str | None = None  # the node whose analysis is in flight
+        self.analysed: dict[str, tuple] = {}  # unstarted node -> (session, first_rules)
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
         """Walk each wave in id order, then commit it; the first error in commit order is raised."""
@@ -606,18 +635,28 @@ class _Scheduler:
         return self.graph, self.results
 
     def _dispatch(self) -> None:
-        """Start the lowest-id ready nodes while fewer than `concurrency` are in flight."""
+        """Start the lowest-id ready nodes while fewer than `concurrency` are in flight; feed the lane."""
         if self.in_flight < self.config.concurrency:
-            ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID}
+            ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID, self.lane}
             for nid in sorted(ready)[: self.config.concurrency - self.in_flight]:
                 self._start(nid)
+        if self.lane is None and self.pool is not None:
+            ahead = g.ready_nodes(self.graph, self.started) - self.analysed.keys() - {g.FUSION_ID}
+            if ahead:
+                self.lane = nid = min(ahead)
+                args = (self.graph.nodes[nid], self.config, NodeSession(self.shared, nid))
+                self.pool.submit((self.done, None, _analyze, args))
 
     def _receive(self) -> None:
-        """Take one finished node job off `done`; raise what it raised past _run_node."""
+        """Take one reply off `done`, a lane analysis (key None) or a node's; raise what escaped its job."""
         nid, done, error = self.done.get()
-        self.in_flight -= 1
         if error is not None:
             raise error
+        if nid is None:
+            self.analysed[self.lane] = done
+            self.lane = None
+            return
+        self.in_flight -= 1
         self.finished[nid] = done
         if done.result is not None:
             self.results[nid] = done.result
@@ -626,7 +665,8 @@ class _Scheduler:
         self.started.add(nid)
         self.in_flight += 1
         preds = g.predecessor_results(self.graph, nid, self.results)
-        args = (self.graph.nodes[nid], self.goal, preds, self.config, NodeSession(self.shared, nid))
+        session, first_rules = self.analysed.pop(nid, None) or (NodeSession(self.shared, nid), None)
+        args = (self.graph.nodes[nid], self.goal, preds, self.config, session, first_rules)
         if self.pool is None:
             self.done.put((nid, _run_node(*args), None))
         else:
@@ -677,8 +717,8 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         run.flush(root_session.events)
 
         run.budget = call_budget(config, len(the_plan.subtasks))
-        # c node jobs, each waiting on at most K - 1 helper jobs: c x K threads run every job
-        run.pool = RunPool(config.concurrency * config.k_rules) if config.concurrency > 1 else None
+        # c node jobs, each waiting on at most K - 1 helper jobs, and one lane job: c x K + 1 threads
+        run.pool = RunPool(config.concurrency * config.k_rules + 1) if config.concurrency > 1 else None
         try:
             graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
         finally:

@@ -1,5 +1,5 @@
 """Shared test helpers: plan/graph generators, mock-script response builders, seeded
-scenarios, and schedulers that decide the order in which node jobs finish."""
+scenarios, and schedulers that decide the order in which node and lane jobs finish."""
 
 from __future__ import annotations
 
@@ -222,6 +222,33 @@ class FateProvider:
         )
 
 
+class KeyCounting(FateProvider):
+    """FateProvider that counts each context key it is asked for, on any thread."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.keys: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.keys[request.context_key] += 1
+        return super().complete(request)
+
+
+def record_starts(monkeypatch) -> set[str]:
+    """The ids of the nodes whose job has started, T and F from the outset; engine.process_node adds them."""
+    started = set(RESERVED_IDS)
+    original = engine.process_node
+
+    def process_node(node, *args):
+        started.add(node.id)
+        return original(node, *args)
+
+    monkeypatch.setattr(engine, "process_node", process_node)
+    return started
+
+
 @functools.lru_cache(maxsize=None)
 def run_scenario(provider_cls, seed: int, concurrency: int, jitter: bool = False):
     """(outcome name, trace bytes, trace events) of one seeded scenario; each is run once.
@@ -272,7 +299,7 @@ def scenario_digest(provider_cls, seeds) -> str:
 
 
 class _HeldJob:
-    """A node job that a held-job scheduler finishes when its policy says."""
+    """A node or lane job (key None) that a held-job scheduler finishes when its policy says."""
 
     __slots__ = ("key", "fn", "args", "value", "finish")
 
@@ -284,12 +311,13 @@ class _HeldJob:
 
 
 class _HeldJobScheduler(engine._Scheduler):
-    """engine._Scheduler as its own pool and done-queue: node jobs finish one at a time, no threads.
+    """engine._Scheduler as its own pool and done-queue: jobs finish one at a time, no threads.
 
     Install a subclass with monkeypatch.setattr(engine, "_Scheduler", ...)
     and run under a concurrency-1 RunConfig. execute_task then builds no
     pool, so expert calls run inline, and __init__ raises the node cap to
-    the subclass's concurrency. submit holds each node job; get finishes
+    the subclass's concurrency. The scheduler is its own pool, so its
+    analyst lane runs. submit holds each node and lane job; get finishes
     the job that take() picks and returns its reply, as a pool thread
     would put it on the done-queue.
     """
@@ -316,22 +344,27 @@ class _HeldJobScheduler(engine._Scheduler):
         raise NotImplementedError
 
 
-def explore_schedules(monkeypatch, concurrency: int, run) -> list:
-    """run() once for every order in which node jobs can finish at `concurrency`; each result.
+def explore_schedules(monkeypatch, concurrency: int, run, lanes: bool = True) -> list:
+    """run() once for every order in which node and lane jobs can finish at `concurrency`; each result.
 
     A stateless depth-first search in the manner of CHESS: each run
     replays a prefix of choices (which held job finishes next), takes the
     first job at every later choice, and the next prefix bumps the last
-    choice that has an untried alternative.
+    choice that has an untried alternative. With lanes false, a held lane
+    job finishes before any node job and is no choice, so only the node
+    jobs' orders are enumerated.
     """
     prefix: list[int] = []
     trail: list[tuple[int, int]] = []  # (choice, options) at each get of the current run
 
     class Explorer(_HeldJobScheduler):
         def take(self) -> _HeldJob:
-            step = len(trail)
-            choice = prefix[step] if step < len(prefix) else 0
-            trail.append((choice, len(self.held)))
+            if not lanes and self.lane is not None:
+                choice = next(i for i, job in enumerate(self.held) if job.key is None)
+            else:
+                step = len(trail)
+                choice = prefix[step] if step < len(prefix) else 0
+                trail.append((choice, len(self.held)))
             job = self.held.pop(choice)
             job.run()
             return job
@@ -350,7 +383,7 @@ def explore_schedules(monkeypatch, concurrency: int, run) -> list:
 
 
 def random_schedules(monkeypatch, concurrency: int, seed, walks: int, run) -> list:
-    """run() `walks` times with node jobs finishing in a seeded random order at `concurrency`; each result.
+    """run() `walks` times with jobs finishing in a seeded random order at `concurrency`; each result.
 
     A random walk over the choices explore_schedules enumerates, for plans
     too wide to enumerate: each get finishes a held job picked uniformly
@@ -369,10 +402,17 @@ def random_schedules(monkeypatch, concurrency: int, seed, walks: int, run) -> li
     return [run() for _ in range(walks)]
 
 
-def _rounds(done) -> int:
-    """Provider rounds of a finished node job: its calls, with each expert batch as one round."""
+def _rounds(job: _HeldJob) -> int:
+    """Provider rounds of a finished job: its calls, with each expert batch as one round.
+
+    A lane job's rounds are its analyst calls. A node job does not count
+    the calls of its lane job, whose records it was handed.
+    """
+    if job.key is None:
+        return len(job.value[1][1])
+    done, first_rules = job.value, job.args[-1]
     buffers = [done.events] if done.result is not None else [done.events, done.session.events]
-    rounds = 0
+    rounds = -len(first_rules[1]) if first_rules else 0
     for kind, payload in itertools.chain(*buffers):
         if kind == "provider_call":
             rounds += 1
@@ -382,12 +422,12 @@ def _rounds(done) -> int:
 
 
 def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
-    """(latency units, run()) with node jobs finishing on a virtual clock at `concurrency`.
+    """(latency units, run()) with jobs finishing on a virtual clock at `concurrency`.
 
     Each provider round costs one unit (see _rounds); plan and final fusion
-    cost one each. A node job runs when it is submitted and finishes at the
-    time it started plus its rounds; the earliest finish comes back first,
-    ties by node id.
+    cost one each. A node or lane job runs when it is submitted and
+    finishes at the time it started plus its rounds; the earliest finish
+    comes back first, ties by node id.
     """
     clock = [1]  # the plan's round
 
@@ -395,7 +435,7 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
         def submit(self, job) -> _HeldJob:
             job = super().submit(job)
             job.run()
-            job.finish = clock[0] + _rounds(job.value)
+            job.finish = clock[0] + _rounds(job)
             return job
 
         def take(self) -> _HeldJob:

@@ -19,6 +19,7 @@ from helpers import (
     fusion_answer,
     make_plan,
     plan_response,
+    record_starts,
     ruleset_response,
 )
 from scenarios import (
@@ -660,29 +661,32 @@ class TestScheduler:
         assert set(seen) == {(threading.get_ident(), threads_before)}
 
     @pytest.mark.parametrize("cap", [2, 4])
-    def test_in_flight_calls_stay_within_cap_times_k(self, cap):
+    def test_in_flight_calls_stay_within_cap_times_k(self, cap, monkeypatch):
+        # cap x K node and expert calls, plus the analyst lane's one call for a node not yet started
         lock = threading.Lock()
-        in_flight = [0, 0]  # current, peak
+        started, flying = record_starts(monkeypatch), set()
+        peak, ahead = [0], set()  # most calls in flight; calls in flight for unstarted nodes, as seen together
 
         class Counting(FaultInjector):
             def complete(self, request):
                 with lock:
-                    in_flight[0] += 1
-                    in_flight[1] = max(in_flight[1], in_flight[0])
+                    flying.add(request.context_key)
+                    peak[0] = max(peak[0], len(flying))
+                    ahead.add(frozenset(key for key in flying if key[1] not in started))
                 try:
                     time.sleep(0.001)
                     return super().complete(request)
                 finally:
                     with lock:
-                        in_flight[0] -= 1
+                        flying.discard(request.context_key)
 
         self.run(Counting(repair_script(), REPAIR_FAULTS), concurrency=cap)
-        assert in_flight[1] <= cap * 3
+        assert peak[0] <= cap * 3 + 1
+        assert max(map(len, ahead)) == 1  # the lane ran ahead, one call at a time
+        assert {key[2] for keys in ahead for key in keys} == {"DAA"}
 
-    def test_stress_many_workers_short_switch_interval(self):
-        # 12 nodes in flight on 2 cores, each with 3 expert threads, reading
-        # one results map; a lost update shows as a changed trace or a
-        # repeated context key
+    def stress_runs(self, concurrency):
+        """The c = 1 trace of 12 independent nodes, and 5 runs at `concurrency` under a short switch interval."""
         script = dict(SINGLE)
         script[("PA", 1)] = plan_response("a goal", [(f"w{i:02}", f"step {i}") for i in range(12)])
         script[("run-0", "w03", "DEA", 2)] = "garbage"
@@ -691,14 +695,28 @@ class TestScheduler:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outcomes = [self.run(MockProvider(script), concurrency=12) for _ in range(5)]
+            outcomes = [self.run(MockProvider(script), concurrency=concurrency) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
+        return reference, outcomes
+
+    def test_stress_many_workers_short_switch_interval(self):
+        # 12 nodes in flight on 2 cores, each with 3 expert threads, reading
+        # one results map; a lost update shows as a changed trace or a
+        # repeated context key
+        reference, outcomes = self.stress_runs(12)
         for outcome in outcomes:
             assert trace_text(outcome) == reference
             calls = events_of(outcome.trace, "provider_call")
             keys = [tuple(e.payload["context"].values()) for e in calls]
             assert len(keys) == len(set(keys)) == 12 * 5 + 3  # 5 per node, a re-ask, plan, fusion
+
+    def test_stress_lane_hands_sessions_to_node_threads(self):
+        # 4 slots for 12 nodes: the lane builds first rules for nodes waiting for a slot and hands
+        # their sessions to node threads; a lost attempt number shows as a changed trace
+        reference, outcomes = self.stress_runs(4)
+        for outcome in outcomes:
+            assert trace_text(outcome) == reference
 
     def test_worker_exception_raised_at_commit(self):
         script = repair_script()

@@ -11,7 +11,16 @@ import functools
 
 import pytest
 
-from helpers import FateProvider, check_trace, random_schedules, run_scenario, run_traced, scenario_digest
+from helpers import (
+    FateProvider,
+    KeyCounting,
+    check_trace,
+    random_schedules,
+    record_starts,
+    run_scenario,
+    run_traced,
+    scenario_digest,
+)
 from rulegraph.engine import RunConfig
 
 SEEDS = range(30)
@@ -37,6 +46,18 @@ def test_random_schedules_give_the_sequential_trace(seed, monkeypatch):
         monkeypatch, 3, seed, WALKS, lambda: run_traced("the original task", config)[:2]
     )
     assert set(walks) == {(name, text)}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_analyst_lane_makes_no_extra_or_repeated_call(seed, monkeypatch):
+    sequential, pooled = KeyCounting(seed), KeyCounting(seed)
+    name = run_traced("the original task", RunConfig(provider=sequential, deterministic=True))[0]
+    started = record_starts(monkeypatch)
+    config = RunConfig(provider=pooled, deterministic=True, concurrency=2)
+    assert run_traced("the original task", config)[0] == name
+    assert pooled.keys == sequential.keys
+    if name != "RunOutcome":  # an EngineError: the lane may have asked once for a node that never ran
+        assert sum(n for key, n in pooled.keys.items() if key[1] not in started) <= 1
 
 
 def test_fates_cover_removal_splice_rename_and_failed_runs():

@@ -1,12 +1,14 @@
-"""Node-completion orders, enumerated and on a virtual clock, with no threads and no sleeps.
+"""Job-completion orders, enumerated and on a virtual clock, with no threads and no sleeps.
 
-Both policies replace engine._Scheduler's pool and done-queue with the
+Each policy replaces engine._Scheduler's pool and done-queue with the
 scheduler itself (tests/helpers._HeldJobScheduler). The explorer runs
-every order in which node jobs can finish and checks that each gives the
-concurrency-1 trace, so a commit-order bug is caught on every run rather
-than when thread timing happens to expose it. The virtual clock counts a
-run's critical path in provider rounds (latency units) at a given node
-cap, so a change that lengthens it fails here.
+every order in which node and analyst-lane jobs can finish and checks
+that each gives the concurrency-1 trace, so a commit-order bug is caught
+on every run rather than when thread timing happens to expose it. Where
+lane jobs make the orders too many, it enumerates the node jobs' orders
+only. The virtual clock counts a run's critical path in provider rounds
+(latency units) at a given node cap, so a change that lengthens it fails
+here.
 """
 
 import importlib.util
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import FateProvider, explore_schedules, run_scenario, run_traced, virtual_units
+from helpers import FateProvider, KeyCounting, explore_schedules, run_scenario, run_traced, virtual_units
 from rulegraph.cli import load_config
 from rulegraph.engine import RunConfig
 
@@ -33,16 +35,40 @@ def _load_workloads():
     return module
 
 
+def fate_run(seed):
+    """A callable running a seed's fate scenario: (outcome name, trace bytes, context keys asked, sorted)."""
+
+    def run():
+        provider = KeyCounting(seed)
+        name, text, _ = run_traced("the original task", RunConfig(provider=provider, deterministic=True))
+        return name, text, tuple(sorted(provider.keys.elements()))
+
+    return run
+
+
 @pytest.mark.parametrize("concurrency", (2, 3))
 @pytest.mark.parametrize("seed", (1, 3, 4, 5, 7, 8))
 def test_every_completion_order_gives_the_sequential_trace(seed, concurrency, monkeypatch):
+    # every order of node jobs, each lane job finishing first; the next test adds the lane's orders
     name, text, _ = run_scenario(FateProvider, seed, 1)
     config = RunConfig(provider=FateProvider(seed), deterministic=True)
     outcomes = explore_schedules(
-        monkeypatch, concurrency, lambda: run_traced("the original task", config)[:2]
+        monkeypatch, concurrency, lambda: run_traced("the original task", config)[:2], lanes=False
     )
     assert len(outcomes) > 1
     assert set(outcomes) == {(name, text)}
+
+
+@pytest.mark.parametrize("concurrency", (2, 3))
+@pytest.mark.parametrize("seed", (3, 4))
+def test_every_node_and_lane_completion_order_gives_the_sequential_trace(seed, concurrency, monkeypatch):
+    # the other seeds' plans have 222 to over 3,000 such orders; random walks over all 30 fate
+    # seeds (test_scheduler_fates) sample the lane's orders there. A node that asked again while
+    # its analysis was in flight would keep the sequential trace but ask one key twice.
+    sequential = fate_run(seed)()
+    outcomes = explore_schedules(monkeypatch, concurrency, fate_run(seed))
+    assert len(outcomes) > 30  # 6 to 12 when each lane job finishes first
+    assert set(outcomes) == {sequential}
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +84,7 @@ def dag_latency_run(tmp_path_factory):
     return lambda: run_traced(wl.task, sequential)[:2]
 
 
-@pytest.mark.parametrize("concurrency, units", [(2, 76), (3, 58), (4, 46), (8, 40)])
+@pytest.mark.parametrize("concurrency, units", [(2, 65), (3, 47), (4, 40), (8, 36)])
 def test_dag_latency_units_on_a_virtual_clock(concurrency, units, dag_latency_run, monkeypatch):
     expected = dag_latency_run()
     assert virtual_units(monkeypatch, concurrency, dag_latency_run) == (units, expected)
