@@ -467,7 +467,8 @@ class NodeSession:
     """Provider access bound to one node of one run.
 
     run is the engine's Run, from which the session reads the run id,
-    provider, temperatures and pool. Buffers trace events locally; the
+    temperatures and pool, and through whose request method it makes every
+    provider request. Buffers trace events locally; the
     engine flushes buffers in a deterministic order so concurrent node
     processing cannot reorder the trace. The session numbers its calls'
     attempts per role (_attempts holds the last number taken), and the
@@ -577,7 +578,7 @@ class NodeSession:
         read: Callable[[dict], object],
         events: list[tuple[str, dict]],
     ) -> tuple[object, str | None]:
-        """One provider request, logged to `events` as one provider_call record.
+        """One provider request, made by Run.request and logged to `events` as one provider_call record.
 
         Returns (what read made of the document, None) for a valid response,
         (the ProviderFailure, its text) when the provider failed, else (None,
@@ -596,7 +597,7 @@ class NodeSession:
         )
         response = outcome = error = None
         try:
-            response = run.provider.complete(request)
+            response = run.request(self, request)
             outcome = read(parse_structured(response.raw_text))
             status = "ok"
         except ProviderFailure as exc:

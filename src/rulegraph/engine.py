@@ -11,19 +11,20 @@ node-id order, then repair buffers in node-id order, and reads the next
 wave. So the trace is a total order that does not depend on scheduling.
 
 Dispatch is eager: while the loop waits, any node whose predecessors all
-have results starts, lowest id first, up to a configured cap c of nodes in
-flight, so a replanned chain can start while the rest of its wave runs.
-With a pool (c > 1), one analyst lane runs ahead, one job at a time: the
-lowest-id node that has not started, and whose predecessors all have, gets
-attempt 1's rules built, since that call reads no predecessor's answer. So
-at most c x K + 1 calls are in flight, on c x K + 1 threads. A node's job
-is handed its node, the goal, its predecessors' answers, its session and
-any rules the lane built when it starts, and reads no graph and no shared
-results. No started node loses its inputs: a repair rewires only the
-successors of its own failed node, which has no result, so none of them
-has started. Every session holds the one Run of its run: workers read its
-id, provider, temperatures and pool, and only the run loop writes its
-trace.
+have results starts, lowest id first, so a replanned chain can start while
+the rest of its wave runs. At concurrency c = 1 one node is in flight and
+every call runs on the calling thread. Above 1 the run caps provider calls,
+not nodes: up to c x K nodes are in flight, and every request takes one of
+the c x K + 1 slots of the run's call gate. One analyst lane also runs
+ahead, one job at a time: the lowest-id node that has not started, and
+whose predecessors all have, gets attempt 1's rules built, since that call
+reads no predecessor's answer. A node's job is handed its node, the goal,
+its predecessors' answers, its session and any rules the lane built when
+it starts, and reads no graph and no shared results. No started node loses
+its inputs: a repair rewires only the successors of its own failed node,
+which has no result, so none of them has started. Every session holds the
+one Run of its run: workers read its id, provider, temperatures, pool and
+gate, and only the run loop writes its trace.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -50,6 +51,8 @@ from .agents import (
     ParseError,
     PlannerPlan,
     ProviderFailure,
+    ProviderRequest,
+    ProviderResponse,
     RoleKind,
     DEFAULT_TEMPERATURES,
     need_field,
@@ -198,11 +201,13 @@ class RunOutcome(NamedTuple):
 
 
 class Run:
-    """What one run's sessions share: its id, provider, temperatures and pool, and its trace.
+    """What one run's sessions share: its id, provider, temperatures, pool and gate, and its trace.
 
-    pool is the run's RunPool, None at concurrency 1. Node workers only read
-    run_id, provider, temperatures and pool. Only the run-loop thread, the
-    one that called execute_task, writes the trace fields, through flush.
+    pool is the run's RunPool and gate its call gate, a queue of call slots;
+    both are None at concurrency 1. Node workers only read run_id, provider,
+    temperatures, pool and gate, and make every request through request.
+    Only the run-loop thread, the one that called execute_task, writes the
+    trace fields, through flush.
     A buffer holding an unknown kind or a missing field raises ValueError
     and commits none of its events. A flush that takes provider_calls past
     budget raises EngineError once its events are in the trace. Flushes
@@ -210,8 +215,8 @@ class Run:
     schedule.
     """
 
-    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "budget", "events",
-                 "provider_calls", "token_usage", "_seq")
+    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "budget",
+                 "events", "provider_calls", "token_usage", "_seq")
 
     def __init__(
         self,
@@ -223,11 +228,27 @@ class Run:
         self.run_id, self.provider, self.temperatures = run_id, provider, temperatures
         self.deterministic = deterministic
         self.pool: RunPool | None = None
+        self.gate: queue.SimpleQueue | None = None
         self.budget: float = math.inf  # execute_task sets call_budget once the plan is known
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
         self.token_usage = {"prompt_tokens": 0, "completion_tokens": 0}
         self._seq = 0
+
+    def request(self, session: NodeSession, request: ProviderRequest) -> ProviderResponse:
+        """The provider's response to one of session's requests: the one place a request is made.
+
+        With a gate, the request holds one of its slots while the provider
+        works, so no more requests than the gate has slots are in flight.
+        """
+        gate = self.gate
+        if gate is None:
+            return self.provider.complete(request)
+        gate.get()
+        try:
+            return self.provider.complete(request)
+        finally:
+            gate.put(None)
 
     def flush(self, buffered: list[tuple[str, dict]]) -> None:
         for kind, payload in buffered:  # the whole buffer is checked before any of it commits
@@ -594,12 +615,16 @@ class _Scheduler:
     order): it waits for each member, raises its kept error or applies its
     repair, then commits the wave and reads the next. While it waits,
     _dispatch starts the lowest-id nodes whose predecessors all have
-    results, committed or not, up to `concurrency` in flight. Each job's
-    inputs, its session on the shared Run among them, are read on the
-    run-loop thread when it starts.
+    results, committed or not, up to `cap` in flight: c x K with a pool,
+    where the run's gate bounds the calls, else one. Each job's inputs, its
+    session on the shared Run among them, are read on the run-loop thread
+    when it starts.
 
     With a pool, _dispatch also feeds the analyst lane one _analyze job at a
     time (see the module docstring); a ready node waits for its analysis.
+    The lane rescans for a candidate only after a node starts or a lane
+    job returns (`stale`); a chain that a repair splices in is found at the
+    next such event.
     """
 
     def __init__(self, run: Run, graph: g.TaskGraph, goal: str, config: RunConfig):
@@ -612,10 +637,12 @@ class _Scheduler:
         self.results: dict[str, str] = {}
         self.started: set[str] = set()
         self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
+        self.cap = config.concurrency * config.k_rules if self.pool is not None else 1
         self.in_flight = 0
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self.lane: str | None = None  # the node whose analysis is in flight
         self.analysed: dict[str, tuple] = {}  # unstarted node -> (session, first_rules)
+        self.stale = True  # the lane's candidates may have changed since its last scan
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
         """Walk each wave in id order, then commit it; the first error in commit order is raised."""
@@ -635,12 +662,13 @@ class _Scheduler:
         return self.graph, self.results
 
     def _dispatch(self) -> None:
-        """Start the lowest-id ready nodes while fewer than `concurrency` are in flight; feed the lane."""
-        if self.in_flight < self.config.concurrency:
+        """Start the lowest-id ready nodes while fewer than `cap` are in flight; feed the lane."""
+        if self.in_flight < self.cap:
             ready = g.ready_nodes(self.graph, self.results) - self.started - {g.FUSION_ID, self.lane}
-            for nid in sorted(ready)[: self.config.concurrency - self.in_flight]:
+            for nid in sorted(ready)[: self.cap - self.in_flight]:
                 self._start(nid)
-        if self.lane is None and self.pool is not None:
+        if self.stale and self.lane is None and self.pool is not None:
+            self.stale = False
             ahead = g.ready_nodes(self.graph, self.started) - self.analysed.keys() - {g.FUSION_ID}
             if ahead:
                 self.lane = nid = min(ahead)
@@ -654,7 +682,7 @@ class _Scheduler:
             raise error
         if nid is None:
             self.analysed[self.lane] = done
-            self.lane = None
+            self.lane, self.stale = None, True
             return
         self.in_flight -= 1
         self.finished[nid] = done
@@ -664,6 +692,7 @@ class _Scheduler:
     def _start(self, nid: str) -> None:
         self.started.add(nid)
         self.in_flight += 1
+        self.stale = True
         preds = g.predecessor_results(self.graph, nid, self.results)
         session, first_rules = self.analysed.pop(nid, None) or (NodeSession(self.shared, nid), None)
         args = (self.graph.nodes[nid], self.goal, preds, self.config, session, first_rules)
@@ -717,8 +746,13 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         run.flush(root_session.events)
 
         run.budget = call_budget(config, len(the_plan.subtasks))
-        # c node jobs, each waiting on at most K - 1 helper jobs, and one lane job: c x K + 1 threads
-        run.pool = RunPool(config.concurrency * config.k_rules + 1) if config.concurrency > 1 else None
+        if config.concurrency > 1:
+            # c x K node jobs, each waiting on at most K - 1 helper jobs, and one lane job: on
+            # c x K^2 + 1 threads no job waits for a thread; the gate's c x K + 1 slots bound calls
+            nodes = config.concurrency * config.k_rules
+            run.pool, run.gate = RunPool(nodes * config.k_rules + 1), queue.SimpleQueue()
+            for _ in range(nodes + 1):
+                run.gate.put(None)
         try:
             graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
         finally:

@@ -12,7 +12,6 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 
 from rulegraph import engine
 from rulegraph.agents import REASK_LIMIT, NodeSession, PlannerPlan, ProviderResponse, RoleKind
@@ -299,12 +298,17 @@ def scenario_digest(provider_cls, seeds) -> str:
 
 
 class _HeldJob:
-    """A node or lane job (key None) that a held-job scheduler finishes when its policy says."""
+    """A node or lane job (key None) that a held-job scheduler finishes when its policy says.
 
-    __slots__ = ("key", "fn", "args", "value", "finish")
+    rounds, waiting and since are the virtual clock's: the widths of the
+    rounds still to come, the calls of the current round that wait for a
+    slot, and the time the current round began.
+    """
+
+    __slots__ = ("key", "fn", "args", "value", "rounds", "waiting", "since")
 
     def __init__(self, key, fn, args) -> None:
-        self.key, self.fn, self.args, self.value, self.finish = key, fn, args, None, 0
+        self.key, self.fn, self.args, self.value = key, fn, args, None
 
     def run(self) -> None:
         self.value = self.fn(*self.args)
@@ -315,18 +319,18 @@ class _HeldJobScheduler(engine._Scheduler):
 
     Install a subclass with monkeypatch.setattr(engine, "_Scheduler", ...)
     and run under a concurrency-1 RunConfig. execute_task then builds no
-    pool, so expert calls run inline, and __init__ raises the node cap to
-    the subclass's concurrency. The scheduler is its own pool, so its
-    analyst lane runs. submit holds each node and lane job; get finishes
-    the job that take() picks and returns its reply, as a pool thread
-    would put it on the done-queue.
+    pool and no call gate, so expert calls run inline, and __init__ raises
+    the node cap to the subclass's `nodes`. The scheduler is its own pool,
+    so its analyst lane runs. submit holds each node and lane job; get
+    finishes the job that take() picks and returns its reply, as a pool
+    thread would put it on the done-queue.
     """
 
-    concurrency = 2
+    nodes = 2
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.config = replace(self.config, concurrency=self.concurrency)
+        self.cap = self.nodes
         self.pool = self.done = self
         self.held: list[_HeldJob] = []
 
@@ -344,8 +348,8 @@ class _HeldJobScheduler(engine._Scheduler):
         raise NotImplementedError
 
 
-def explore_schedules(monkeypatch, concurrency: int, run, lanes: bool = True) -> list:
-    """run() once for every order in which node and lane jobs can finish at `concurrency`; each result.
+def explore_schedules(monkeypatch, nodes: int, run, lanes: bool = True) -> list:
+    """run() once per order in which node and lane jobs can finish, up to `nodes` in flight; each result.
 
     A stateless depth-first search in the manner of CHESS: each run
     replays a prefix of choices (which held job finishes next), takes the
@@ -369,7 +373,7 @@ def explore_schedules(monkeypatch, concurrency: int, run, lanes: bool = True) ->
             job.run()
             return job
 
-    Explorer.concurrency = concurrency
+    Explorer.nodes = nodes
     monkeypatch.setattr(engine, "_Scheduler", Explorer)
     results = []
     while True:
@@ -382,8 +386,8 @@ def explore_schedules(monkeypatch, concurrency: int, run, lanes: bool = True) ->
         prefix = [choice for choice, _ in trail[:-1]] + [trail[-1][0] + 1]
 
 
-def random_schedules(monkeypatch, concurrency: int, seed, walks: int, run) -> list:
-    """run() `walks` times with jobs finishing in a seeded random order at `concurrency`; each result.
+def random_schedules(monkeypatch, nodes: int, seed, walks: int, run) -> list:
+    """run() `walks` times, jobs finishing in a seeded random order, up to `nodes` in flight; each result.
 
     A random walk over the choices explore_schedules enumerates, for plans
     too wide to enumerate: each get finishes a held job picked uniformly
@@ -397,54 +401,87 @@ def random_schedules(monkeypatch, concurrency: int, seed, walks: int, run) -> li
             job.run()
             return job
 
-    RandomWalk.concurrency = concurrency
+    RandomWalk.nodes = nodes
     monkeypatch.setattr(engine, "_Scheduler", RandomWalk)
     return [run() for _ in range(walks)]
 
 
-def _rounds(job: _HeldJob) -> int:
-    """Provider rounds of a finished job: its calls, with each expert batch as one round.
+def _rounds(job: _HeldJob) -> list[int]:
+    """The widths of a finished job's provider rounds, in order: calls that go out together.
 
-    A lane job's rounds are its analyst calls. A node job does not count
-    the calls of its lane job, whose records it was handed.
+    An expert batch's first tries are one round of K calls, and every other
+    call, re-asks included, is a round of one. A lane job's rounds are its
+    analyst calls. A node job skips the records of its lane job, which
+    follow its node_start.
     """
     if job.key is None:
-        return len(job.value[1][1])
+        return [1] * len(job.value[1][1])
     done, first_rules = job.value, job.args[-1]
     buffers = [done.events] if done.result is not None else [done.events, done.session.events]
-    rounds = -len(first_rules[1]) if first_rules else 0
+    skip = len(first_rules[1]) if first_rules else 0
+    widths, expert, batch_end = [], 0, 0  # last expert attempt seen; the batch's last first try
     for kind, payload in itertools.chain(*buffers):
-        if kind == "provider_call":
-            rounds += 1
-        elif kind == "rules_built":
-            rounds -= len(payload["rules"]) - 1
-    return rounds
+        if kind == "rules_built":
+            widths.append(len(payload["rules"]))
+            batch_end = expert + len(payload["rules"])
+        elif kind == "provider_call":
+            if skip:
+                skip -= 1
+                continue
+            context = payload["context"]
+            if context["role"] == "DEA":
+                expert = max(expert, context["attempt"])
+                if context["attempt"] <= batch_end:
+                    continue  # a first try, counted in its batch's round
+            widths.append(1)
+    return widths
 
 
 def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
-    """(latency units, run()) with jobs finishing on a virtual clock at `concurrency`.
+    """(latency units, run()) with jobs finishing on a virtual clock at concurrency c.
 
-    Each provider round costs one unit (see _rounds); plan and final fusion
-    cost one each. A node or lane job runs when it is submitted and
-    finishes at the time it started plus its rounds; the earliest finish
-    comes back first, ties by node id.
+    As in a pooled run, up to c x K nodes are in flight, and each call
+    holds one of the c x K + 1 slots of the call gate for one unit. A job
+    runs when it is submitted and makes its rounds (see _rounds) in turn:
+    each call of a round waits for a slot, and the next round begins once
+    the whole round is back. Slots go to the calls that have waited
+    longest, ties by node id. Plan and final fusion cost one unit each.
+    The first job done comes back first, ties by node id.
     """
     clock = [1]  # the plan's round
 
     class VirtualClock(_HeldJobScheduler):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            self.cap = concurrency * self.config.k_rules
+            self.slots = self.cap + 1
+
         def submit(self, job) -> _HeldJob:
             job = super().submit(job)
             job.run()
-            job.finish = clock[0] + _rounds(job)
+            job.rounds = _rounds(job)[::-1]
+            self._next_round(job)
             return job
+
+        def _next_round(self, job: _HeldJob) -> None:
+            job.waiting = job.rounds.pop() if job.rounds else 0
+            job.since = clock[0]
 
         def take(self) -> _HeldJob:
-            job = min(self.held, key=lambda job: (job.finish, job.args[0].id))
+            while not (done := [job for job in self.held if not job.waiting]):
+                free = self.slots
+                for job in sorted(self.held, key=lambda job: (job.since, job.args[0].id)):
+                    granted = min(job.waiting, free)
+                    job.waiting -= granted
+                    free -= granted
+                clock[0] += 1
+                for job in self.held:
+                    if not job.waiting:
+                        self._next_round(job)
+            job = min(done, key=lambda job: job.args[0].id)
             self.held.remove(job)
-            clock[0] = job.finish
             return job
 
-    VirtualClock.concurrency = concurrency
     monkeypatch.setattr(engine, "_Scheduler", VirtualClock)
     result = run()
     return clock[0] + 1, result  # final fusion's round

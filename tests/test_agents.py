@@ -141,10 +141,9 @@ class TestParseStructured:
         assert parse_structured(text) == {"answer": "found"}
 
     def test_decode_tries_are_capped(self):
-        from rulegraph.agents import _MAX_PARSE_TRIES
-
+        # README: at most 32 object starts per response are tried, so a document at the 33rd is not
         broken = '{"unclosed " '
-        found = broken * (_MAX_PARSE_TRIES - 1) + json_doc({"answer": "found"})
+        found = broken * 31 + json_doc({"answer": "found"})
         assert parse_structured(found) == {"answer": "found"}
         with pytest.raises(ParseError, match="no JSON object found in response"):
             parse_structured(broken + found)

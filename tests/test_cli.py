@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -859,3 +860,16 @@ class TestUsage:
             main([])
         capsys.readouterr()
         assert err.value.code == 2
+
+
+def test_exit_codes_are_the_readme_table():
+    # literals, since the other tests compare exit codes with the module's constants
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        table = handle.read().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) +\|", table, re.M)
+    assert [int(code) for code in rows] == [0, 1, 2, 3, 4, 5, 6, 130]
+    codes = (
+        cli.EXIT_OK, cli.EXIT_FAILURE, cli.EXIT_USAGE, cli.EXIT_CONFIG, cli.EXIT_PLANNING,
+        cli.EXIT_ALL_PATHS, cli.EXIT_PROVIDER, cli.EXIT_INTERRUPTED,
+    )
+    assert codes == (0, 1, 2, 3, 4, 5, 6, 130)

@@ -33,6 +33,7 @@ from scenarios import (
     adversarial_script,
     email_script,
 )
+from rulegraph import engine
 from rulegraph.agents import REASK_LIMIT, MockProvider, NodeSession, RoleKind, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
@@ -86,6 +87,15 @@ class TestHappyPath:
         done = events_of(outcome.trace, "node_done")
         assert len(done) == 1 and done[0].payload["attempts_used"] == 1
         assert not events_of(outcome.trace, "reprocess")
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_one_rule_per_subtask(self, concurrency):
+        # k_rules 1 is legal: one expert call per attempt, and at c = 2 a pool of 3 threads
+        script = {**SINGLE, ("DAA", 1): ruleset_response([("Law", "ML")])}
+        outcome = execute_task("do the thing", mk_config(script, k_rules=1, concurrency=concurrency))
+        assert outcome.final.answer_text == "the final answer"
+        roles = [e.payload["context"]["role"] for e in events_of(outcome.trace, "provider_call")]
+        assert roles == ["PA", "DAA", "DEA", "GEA", "FEA"]
 
     def test_trace_seq_strictly_increasing(self):
         outcome = execute_task("do the thing", mk_config(SINGLE))
@@ -662,16 +672,29 @@ class TestScheduler:
 
     @pytest.mark.parametrize("cap", [2, 4])
     def test_in_flight_calls_stay_within_cap_times_k(self, cap, monkeypatch):
-        # cap x K node and expert calls, plus the analyst lane's one call for a node not yet started
+        # cap x K nodes in flight, whose calls, with the analyst lane's one call for a node not yet
+        # started, share cap x K + 1 slots; 8 roots, each with one successor, so both caps fill
         lock = threading.Lock()
-        started, flying = record_starts(monkeypatch), set()
-        peak, ahead = [0], set()  # most calls in flight; calls in flight for unstarted nodes, as seen together
+        started, flying, nodes = record_starts(monkeypatch), set(), set()
+        peak = {"calls": 0, "nodes": 0}
+        ahead = set()  # the calls in flight for nodes not yet started, as seen together
+        run_node = engine._run_node
 
-        class Counting(FaultInjector):
+        def counted(node, *args):
+            with lock:
+                nodes.add(node.id)
+                peak["nodes"] = max(peak["nodes"], len(nodes))
+            try:
+                return run_node(node, *args)
+            finally:
+                with lock:
+                    nodes.discard(node.id)
+
+        class Counting(MockProvider):
             def complete(self, request):
                 with lock:
                     flying.add(request.context_key)
-                    peak[0] = max(peak[0], len(flying))
+                    peak["calls"] = max(peak["calls"], len(flying))
                     ahead.add(frozenset(key for key in flying if key[1] not in started))
                 try:
                     time.sleep(0.001)
@@ -680,41 +703,62 @@ class TestScheduler:
                     with lock:
                         flying.discard(request.context_key)
 
-        self.run(Counting(repair_script(), REPAIR_FAULTS), concurrency=cap)
-        assert peak[0] <= cap * 3 + 1
+        monkeypatch.setattr(engine, "_run_node", counted)
+        script = dict(SINGLE)
+        subtasks = [(f"{kind}{i}", f"{kind} step {i}") for kind in "rs" for i in range(8)]
+        script[("PA", 1)] = plan_response("a goal", subtasks, [(f"r{i}", f"s{i}") for i in range(8)])
+        self.run(Counting(script), concurrency=cap)
+        assert cap < peak["nodes"] <= cap * 3
+        assert peak["calls"] <= cap * 3 + 1
         assert max(map(len, ahead)) == 1  # the lane ran ahead, one call at a time
         assert {key[2] for keys in ahead for key in keys} == {"DAA"}
 
     def stress_runs(self, concurrency):
-        """The c = 1 trace of 12 independent nodes, and 5 runs at `concurrency` under a short switch interval."""
+        """The c = 1 trace of 12 independent nodes, 5 runs at `concurrency` under a short switch
+        interval, and the most calls in flight at once in those runs."""
         script = dict(SINGLE)
         script[("PA", 1)] = plan_response("a goal", [(f"w{i:02}", f"step {i}") for i in range(12)])
         script[("run-0", "w03", "DEA", 2)] = "garbage"
         script[("DEA", 4)] = candidate_response("the answer")
         reference = trace_text(self.run(MockProvider(script)))
+        lock, flying = threading.Lock(), [0, 0]  # calls in flight, most at once
+
+        class Counting(MockProvider):
+            def complete(self, request):
+                with lock:
+                    flying[0] += 1
+                    flying[1] = max(flying)
+                try:
+                    time.sleep(0.0002)
+                    return super().complete(request)
+                finally:
+                    with lock:
+                        flying[0] -= 1
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outcomes = [self.run(MockProvider(script), concurrency=concurrency) for _ in range(5)]
+            outcomes = [self.run(Counting(script), concurrency=concurrency) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        return reference, outcomes
+        return reference, outcomes, flying[1]
 
     def test_stress_many_workers_short_switch_interval(self):
-        # 12 nodes in flight on 2 cores, each with 3 expert threads, reading
-        # one results map; a lost update shows as a changed trace or a
-        # repeated context key
-        reference, outcomes = self.stress_runs(12)
+        # 12 nodes in flight on 2 cores, each with 3 expert threads, behind 13 call slots and
+        # reading one results map; a lost update shows as a changed trace, a repeated context key
+        # or a call past the gate
+        reference, outcomes, peak = self.stress_runs(4)
         for outcome in outcomes:
             assert trace_text(outcome) == reference
             calls = events_of(outcome.trace, "provider_call")
             keys = [tuple(e.payload["context"].values()) for e in calls]
             assert len(keys) == len(set(keys)) == 12 * 5 + 3  # 5 per node, a re-ask, plan, fusion
+        assert peak <= 4 * 3 + 1
 
     def test_stress_lane_hands_sessions_to_node_threads(self):
-        # 4 slots for 12 nodes: the lane builds first rules for nodes waiting for a slot and hands
-        # their sessions to node threads; a lost attempt number shows as a changed trace
-        reference, outcomes = self.stress_runs(4)
+        # 6 node slots for 12 nodes: the lane builds first rules for nodes waiting for a slot and
+        # hands their sessions to node threads; a lost attempt number shows as a changed trace
+        reference, outcomes, _ = self.stress_runs(2)
         for outcome in outcomes:
             assert trace_text(outcome) == reference
 

@@ -2,12 +2,13 @@
 
 Each policy replaces engine._Scheduler's pool and done-queue with the
 scheduler itself (tests/helpers._HeldJobScheduler). The explorer runs
-every order in which node and analyst-lane jobs can finish and checks
-that each gives the concurrency-1 trace, so a commit-order bug is caught
-on every run rather than when thread timing happens to expose it. Where
-lane jobs make the orders too many, it enumerates the node jobs' orders
-only. The virtual clock counts a run's critical path in provider rounds
-(latency units) at a given node cap, so a change that lengthens it fails
+every order in which node and analyst-lane jobs can finish at a small
+node cap and checks that each gives the concurrency-1 trace, so a
+commit-order bug is caught on every run rather than when thread timing
+happens to expose it. Where lane jobs make the orders too many, it
+enumerates the node jobs' orders only. The virtual clock counts a run's
+critical path in latency units at a given concurrency c, with c x K nodes
+in flight and c x K + 1 call slots, so a change that lengthens it fails
 here.
 """
 
@@ -46,27 +47,27 @@ def fate_run(seed):
     return run
 
 
-@pytest.mark.parametrize("concurrency", (2, 3))
+@pytest.mark.parametrize("cap", (2, 3))
 @pytest.mark.parametrize("seed", (1, 3, 4, 5, 7, 8))
-def test_every_completion_order_gives_the_sequential_trace(seed, concurrency, monkeypatch):
+def test_every_completion_order_gives_the_sequential_trace(seed, cap, monkeypatch):
     # every order of node jobs, each lane job finishing first; the next test adds the lane's orders
     name, text, _ = run_scenario(FateProvider, seed, 1)
     config = RunConfig(provider=FateProvider(seed), deterministic=True)
     outcomes = explore_schedules(
-        monkeypatch, concurrency, lambda: run_traced("the original task", config)[:2], lanes=False
+        monkeypatch, cap, lambda: run_traced("the original task", config)[:2], lanes=False
     )
     assert len(outcomes) > 1
     assert set(outcomes) == {(name, text)}
 
 
-@pytest.mark.parametrize("concurrency", (2, 3))
+@pytest.mark.parametrize("cap", (2, 3))
 @pytest.mark.parametrize("seed", (3, 4))
-def test_every_node_and_lane_completion_order_gives_the_sequential_trace(seed, concurrency, monkeypatch):
+def test_every_node_and_lane_completion_order_gives_the_sequential_trace(seed, cap, monkeypatch):
     # the other seeds' plans have 222 to over 3,000 such orders; random walks over all 30 fate
     # seeds (test_scheduler_fates) sample the lane's orders there. A node that asked again while
     # its analysis was in flight would keep the sequential trace but ask one key twice.
     sequential = fate_run(seed)()
-    outcomes = explore_schedules(monkeypatch, concurrency, fate_run(seed))
+    outcomes = explore_schedules(monkeypatch, cap, fate_run(seed))
     assert len(outcomes) > 30  # 6 to 12 when each lane job finishes first
     assert set(outcomes) == {sequential}
 
@@ -84,7 +85,8 @@ def dag_latency_run(tmp_path_factory):
     return lambda: run_traced(wl.task, sequential)[:2]
 
 
-@pytest.mark.parametrize("concurrency, units", [(2, 65), (3, 47), (4, 40), (8, 36)])
+# 36 is the dependency floor: a clock that counts nodes only reads it from c = 2 (6 nodes) up
+@pytest.mark.parametrize("concurrency, units", [(2, 45), (3, 38), (4, 38), (8, 36)])
 def test_dag_latency_units_on_a_virtual_clock(concurrency, units, dag_latency_run, monkeypatch):
     expected = dag_latency_run()
     assert virtual_units(monkeypatch, concurrency, dag_latency_run) == (units, expected)
