@@ -15,7 +15,11 @@ have results starts, lowest id first, so a replanned chain can start while
 the rest of its wave runs. At concurrency c = 1 one node is in flight and
 every call runs on the calling thread. Above 1 the run caps provider calls,
 not nodes: up to c x K nodes are in flight, and every request takes one of
-the c x K + 1 slots of the run's call gate. One analyst lane also runs
+the c x K + 1 slots of the run's call gate. When none is free, a freed
+slot goes to the waiting request whose node ranks highest, that is, has
+the most nodes on its longest path to F in the current graph, and among
+equal ranks to the one that came first. So calls on the critical path go
+first; node starts stay in id order. One analyst lane also runs
 ahead, one job at a time: the lowest-id node that has not started, and
 whose predecessors all have, gets attempt 1's rules built, since that call
 reads no predecessor's answer. A node's job is handed its node, the goal,
@@ -23,8 +27,9 @@ its predecessors' answers, its session and any rules the lane built when
 it starts, and reads no graph and no shared results. No started node loses
 its inputs: a repair rewires only the successors of its own failed node,
 which has no result, so none of them has started. Every session holds the
-one Run of its run: workers read its id, provider, temperatures, pool and
-gate, and only the run loop writes its trace.
+one Run of its run: workers read its id, provider, temperatures, pool,
+gate and node ranks, and only the run loop writes the ranks, when it
+starts and after each repair, and the trace.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -201,13 +206,16 @@ class RunOutcome(NamedTuple):
 
 
 class Run:
-    """What one run's sessions share: its id, provider, temperatures, pool and gate, and its trace.
+    """What one run's sessions share: its id, provider, temperatures, pool, gate and ranks, and its trace.
 
-    pool is the run's RunPool and gate its call gate, a queue of call slots;
-    both are None at concurrency 1. Node workers only read run_id, provider,
-    temperatures, pool and gate, and make every request through request.
-    Only the run-loop thread, the one that called execute_task, writes the
-    trace fields, through flush.
+    pool is the run's RunPool and gate its CallGate; both are None at
+    concurrency 1. ranks maps each node of the current graph to its upward
+    rank (graph.ranks), the key by which the gate grants a slot to a
+    session's request. Node workers only read run_id, provider,
+    temperatures, pool, gate and ranks, and make every request through
+    request. Only the run-loop thread, the one that called execute_task,
+    writes ranks, replacing the whole map, and the trace fields, through
+    flush.
     A buffer holding an unknown kind or a missing field raises ValueError
     and commits none of its events. A flush that takes provider_calls past
     budget raises EngineError once its events are in the trace. Flushes
@@ -215,8 +223,8 @@ class Run:
     schedule.
     """
 
-    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "budget",
-                 "events", "provider_calls", "token_usage", "_seq")
+    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "ranks",
+                 "budget", "events", "provider_calls", "token_usage", "_seq")
 
     def __init__(
         self,
@@ -228,7 +236,8 @@ class Run:
         self.run_id, self.provider, self.temperatures = run_id, provider, temperatures
         self.deterministic = deterministic
         self.pool: RunPool | None = None
-        self.gate: queue.SimpleQueue | None = None
+        self.gate: CallGate | None = None
+        self.ranks: Mapping[str, int] = {}
         self.budget: float = math.inf  # execute_task sets call_budget once the plan is known
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
@@ -240,15 +249,18 @@ class Run:
 
         With a gate, the request holds one of its slots while the provider
         works, so no more requests than the gate has slots are in flight.
+        When none is free, it waits under its session's node rank: a freed
+        slot goes to the highest-ranked request waiting, the longest-waiting
+        first among equal ranks.
         """
         gate = self.gate
         if gate is None:
             return self.provider.complete(request)
-        gate.get()
+        gate.acquire(self.ranks.get(session.node_id, 0))
         try:
             return self.provider.complete(request)
         finally:
-            gate.put(None)
+            gate.release()
 
     def flush(self, buffered: list[tuple[str, dict]]) -> None:
         for kind, payload in buffered:  # the whole buffer is checked before any of it commits
@@ -608,6 +620,44 @@ class RunPool:
             thread.join()
 
 
+class CallGate:
+    """A run's call slots, granted highest rank first and, within a rank, in arrival order.
+
+    acquire takes a free slot or, when none is, waits in a heap keyed by
+    (-rank, arrival number); release hands its slot straight to the head
+    of that heap, or frees it when no request waits. So a slot is free only
+    while no request waits, and no more requests than `slots` hold one.
+    """
+
+    __slots__ = ("free", "waiting", "lock", "_arrivals", "_new_lock", "_push", "_pop")
+
+    def __init__(self, slots: int) -> None:
+        import heapq  # already loaded by queue
+        import threading
+
+        self.free, self.waiting = slots, []  # waiting: (-rank, arrival, a lock its request waits on)
+        self.lock, self._new_lock = threading.Lock(), threading.Lock
+        self._arrivals = itertools.count()
+        self._push, self._pop = heapq.heappush, heapq.heappop
+
+    def acquire(self, rank: int) -> None:
+        with self.lock:
+            if self.free:
+                self.free -= 1
+                return
+            waiter = self._new_lock()
+            waiter.acquire()
+            self._push(self.waiting, (-rank, next(self._arrivals), waiter))
+        waiter.acquire()  # released by the release that hands this request its slot
+
+    def release(self) -> None:
+        with self.lock:
+            if self.waiting:
+                self._pop(self.waiting)[2].release()
+            else:
+                self.free += 1
+
+
 class _Scheduler:
     """Runs the subtask nodes of one graph: the module's barrier loop, with eager dispatch.
 
@@ -624,7 +674,9 @@ class _Scheduler:
     time (see the module docstring); a ready node waits for its analysis.
     The lane rescans for a candidate only after a node starts or a lane
     job returns (`stale`); a chain that a repair splices in is found at the
-    next such event.
+    next such event. With a pool, run also sets the shared Run's ranks, by
+    which the gate grants call slots, from the graph when it starts and
+    after each repair it applies.
     """
 
     def __init__(self, run: Run, graph: g.TaskGraph, goal: str, config: RunConfig):
@@ -646,6 +698,7 @@ class _Scheduler:
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
         """Walk each wave in id order, then commit it; the first error in commit order is raised."""
+        self._rank()
         while wave := sorted(
             g.ready_nodes(self.graph, self.results.keys() - self.finished.keys()) - {g.FUSION_ID}
         ):
@@ -658,8 +711,14 @@ class _Scheduler:
                     raise done.error
                 if done.result is None:
                     self.graph = apply_repair(done.repair, self.graph, done.session, self.used_ids)
+                    self._rank()
             self._commit(wave)
         return self.graph, self.results
+
+    def _rank(self) -> None:
+        """With a pool, give the shared Run the current graph's ranks."""
+        if self.pool is not None:
+            self.shared.ranks = g.ranks(self.graph)
 
     def _dispatch(self) -> None:
         """Start the lowest-id ready nodes while fewer than `cap` are in flight; feed the lane."""
@@ -750,9 +809,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             # c x K node jobs, each waiting on at most K - 1 helper jobs, and one lane job: on
             # c x K^2 + 1 threads no job waits for a thread; the gate's c x K + 1 slots bound calls
             nodes = config.concurrency * config.k_rules
-            run.pool, run.gate = RunPool(nodes * config.k_rules + 1), queue.SimpleQueue()
-            for _ in range(nodes + 1):
-                run.gate.put(None)
+            run.pool, run.gate = RunPool(nodes * config.k_rules + 1), CallGate(nodes + 1)
         try:
             graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
         finally:

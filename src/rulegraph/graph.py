@@ -235,6 +235,30 @@ def ready_nodes(graph: TaskGraph, completed: Iterable[str]) -> set[str]:
     return {node_id for node_id in graph.nodes if node_id not in done and preds(node_id) <= done}
 
 
+def ranks(graph: TaskGraph) -> dict[str, int]:
+    """Each node's upward rank: how many nodes its longest path to F holds, itself included and F not.
+
+    F ranks 0 and every other node one more than its highest-ranked
+    successor, so a node with a longer chain of work after it ranks
+    higher. Ranks pass from F to predecessors, each node's once all of
+    its successors have theirs.
+    """
+    succs, preds = graph._succs, graph._preds
+    rank = dict.fromkeys(graph.nodes, 0)
+    pending = {node_id: len(s) for node_id, s in succs.items()}  # successors still unranked
+    frontier = [node_id for node_id in graph.nodes if node_id not in pending]
+    while frontier:
+        node_id = frontier.pop()
+        up = rank[node_id] + 1
+        for pred in preds.get(node_id, _NONE):
+            if rank[pred] < up:
+                rank[pred] = up
+            pending[pred] -= 1
+            if not pending[pred]:
+                frontier.append(pred)
+    return rank
+
+
 def predecessor_results(
     graph: TaskGraph, node_id: str, results: Mapping[str, str]
 ) -> list[str]:

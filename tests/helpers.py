@@ -444,9 +444,12 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
     holds one of the c x K + 1 slots of the call gate for one unit. A job
     runs when it is submitted and makes its rounds (see _rounds) in turn:
     each call of a round waits for a slot, and the next round begins once
-    the whole round is back. Slots go to the calls that have waited
-    longest, ties by node id. Plan and final fusion cost one unit each.
-    The first job done comes back first, ties by node id.
+    the whole round is back. Slots go in the gate's order: highest rank
+    first, by the ranks the run loop gives the run (engine.Run.ranks, from
+    graph.ranks), then to the calls that have waited longest, ties by node
+    id. A lane job's calls take the rank of the node it analyses. Plan and
+    final fusion cost one unit each. The first job done comes back first,
+    ties by node id.
     """
     clock = [1]  # the plan's round
 
@@ -469,8 +472,10 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
 
         def take(self) -> _HeldJob:
             while not (done := [job for job in self.held if not job.waiting]):
-                free = self.slots
-                for job in sorted(self.held, key=lambda job: (job.since, job.args[0].id)):
+                free, rank = self.slots, self.shared.ranks.get
+                for job in sorted(
+                    self.held, key=lambda job: (-rank(job.args[0].id, 0), job.since, job.args[0].id)
+                ):
                     granted = min(job.waiting, free)
                     job.waiting -= granted
                     free -= granted

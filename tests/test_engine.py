@@ -37,6 +37,7 @@ from rulegraph import engine
 from rulegraph.agents import REASK_LIMIT, MockProvider, NodeSession, RoleKind, ScriptMiss, TransportError
 from rulegraph.engine import (
     AllPathsFailed,
+    CallGate,
     ConfigError,
     EngineError,
     PlanningFailure,
@@ -868,6 +869,75 @@ class TestRunPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(str, [1])  # even one item, which would queue no job
         assert replies.empty()
+
+
+class TestCallGate:
+    """The gate on its own, with threads and no provider."""
+
+    def test_releases_serve_the_highest_rank_first_then_arrival_order(self):
+        gate, lock = CallGate(2), threading.Lock()
+        holders, peak, served = [2], [2], queue.SimpleQueue()  # this thread holds both slots
+        gate.acquire(0)
+        gate.acquire(0)
+
+        def wait(name, rank):
+            gate.acquire(rank)
+            with lock:
+                holders[0] += 1
+                peak[0] = max(peak[0], holders[0])
+            served.put(name)
+
+        waiters = [("a", 1), ("b", 3), ("c", 1), ("d", 2), ("e", 3), ("f", 0)]
+        threads = []
+        for queued, (name, rank) in enumerate(waiters, start=1):
+            threads.append(threading.Thread(target=wait, args=(name, rank), daemon=True))
+            threads[-1].start()
+            finish_within(10, lambda: self.until(lambda: len(gate.waiting) == queued))
+        order = []
+        for _ in waiters:  # each release, made for a holder, hands its slot to one waiter
+            with lock:
+                holders[0] -= 1
+            gate.release()
+            order.append(served.get(timeout=10))
+        for thread in threads:
+            thread.join(timeout=10)
+        assert order == ["b", "e", "d", "a", "c", "f"]
+        assert peak == [2] and holders == [2] and gate.free == 0 and not gate.waiting
+        gate.release()
+        gate.release()
+        assert gate.free == 2
+
+    @staticmethod
+    def until(condition):
+        while not condition():
+            time.sleep(0.0005)
+
+    def test_calls_in_flight_never_exceed_the_slots(self):
+        gate, lock, flying = CallGate(3), threading.Lock(), [0, 0]  # in flight, most at once
+
+        def calls(rank):
+            for _ in range(100):
+                gate.acquire(rank)
+                with lock:
+                    flying[0] += 1
+                    flying[1] = max(flying)
+                time.sleep(0.0002)
+                with lock:
+                    flying[0] -= 1
+                gate.release()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(i % 4,), daemon=True) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert flying[1] == 3 and gate.free == 3 and not gate.waiting
 
 
 class TestPooledRunThreads:

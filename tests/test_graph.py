@@ -18,6 +18,7 @@ from rulegraph.graph import (
     export_dot,
     kind_of,
     predecessor_results,
+    ranks,
     ready_nodes,
     remove_node,
     splice_chain,
@@ -162,6 +163,28 @@ class TestPredecessorResults:
         graph = star_graph()
         with pytest.raises(GraphError, match="no result recorded for predecessor T2 of F"):
             predecessor_results(graph, FUSION_ID, {"T1": "r1"})
+
+
+class TestRanks:
+    def test_rank_counts_the_nodes_of_the_longest_path_to_fusion(self):
+        # T1 -> T2 -> T4 and T1 -> T3 -> T4: T1's longest path is 3 nodes; T5 feeds F directly
+        edges = [("T1", "T2"), ("T1", "T3"), ("T2", "T4"), ("T3", "T4")]
+        graph = build_graph(make_plan(["T1", "T2", "T3", "T4", "T5"], edges=edges))
+        assert ranks(graph) == {ROOT_ID: 4, "T1": 3, "T2": 2, "T3": 2, "T4": 1, "T5": 1, FUSION_ID: 0}
+
+    def test_a_splice_raises_its_predecessors_ranks(self):
+        graph = build_graph(make_plan(["T1", "T2"], edges=[("T1", "T2")]))
+        spliced = splice_chain(graph, "T2", [TaskNode("c1", "one"), TaskNode("c2", "two")])
+        assert ranks(spliced) == {ROOT_ID: 4, "T1": 3, "c1": 2, "c2": 1, FUSION_ID: 0}
+
+    @settings(max_examples=50)
+    @given(st.randoms(use_true_random=False))
+    def test_every_edge_steps_down_and_some_successor_is_one_below(self, rng):
+        graph = random_graph(rng)
+        rank = ranks(graph)
+        assert rank.keys() == graph.nodes.keys() and rank[FUSION_ID] == 0
+        for node_id in graph.nodes.keys() - {FUSION_ID}:
+            assert rank[node_id] - 1 == max(rank[s] for s in graph.successors(node_id))
 
 
 class TestRemoveNode:

@@ -8,8 +8,8 @@ commit-order bug is caught on every run rather than when thread timing
 happens to expose it. Where lane jobs make the orders too many, it
 enumerates the node jobs' orders only. The virtual clock counts a run's
 critical path in latency units at a given concurrency c, with c x K nodes
-in flight and c x K + 1 call slots, so a change that lengthens it fails
-here.
+in flight and c x K + 1 call slots granted in the gate's rank order, so a
+change that lengthens it fails here.
 """
 
 import importlib.util
@@ -72,21 +72,40 @@ def test_every_node_and_lane_completion_order_gives_the_sequential_trace(seed, c
     assert set(outcomes) == {sequential}
 
 
-@pytest.fixture(scope="module")
-def dag_latency_run(tmp_path_factory):
-    """A callable running seed-1 dag-latency at concurrency 1; its config says 2."""
-    wl = _load_workloads().dag_latency(1)
-    workdir = tmp_path_factory.mktemp("dag-latency")
+def workload_run(name, workdir):
+    """(a callable running the workload's seed-1 task at concurrency 1, the workload's config)."""
+    wl = _load_workloads().GENERATORS[name](1)
     for filename, text in wl.files().items():
         (workdir / filename).write_text(text, encoding="utf-8")
     config = load_config(str(workdir / "config.json"))
-    assert config.concurrency == 2
     sequential = replace(config, concurrency=1)
-    return lambda: run_traced(wl.task, sequential)[:2]
+    return (lambda: run_traced(wl.task, sequential)[:2]), config
+
+
+@pytest.fixture(scope="module")
+def dag_latency_run(tmp_path_factory):
+    """A callable running seed-1 dag-latency at concurrency 1; its config says 2."""
+    run, config = workload_run("dag-latency", tmp_path_factory.mktemp("dag-latency"))
+    assert config.concurrency == 2
+    return run
+
+
+@pytest.fixture(scope="module")
+def repair_mix_run(tmp_path_factory):
+    """A callable running seed-1 repair-mix at concurrency 1, and its trace."""
+    run, _ = workload_run("repair-mix", tmp_path_factory.mktemp("repair-mix"))
+    return run, run()
 
 
 # 36 is the dependency floor: a clock that counts nodes only reads it from c = 2 (6 nodes) up
-@pytest.mark.parametrize("concurrency, units", [(2, 45), (3, 38), (4, 38), (8, 36)])
+@pytest.mark.parametrize("concurrency, units", [(2, 43), (3, 38), (4, 38), (8, 36)])
 def test_dag_latency_units_on_a_virtual_clock(concurrency, units, dag_latency_run, monkeypatch):
     expected = dag_latency_run()
     assert virtual_units(monkeypatch, concurrency, dag_latency_run) == (units, expected)
+
+
+# 173 is repair-mix's dependency floor; its 1,545 node calls give a slot floor of 223 at c = 2
+@pytest.mark.parametrize("concurrency, units", [(2, 245), (3, 191), (64, 173)])
+def test_repair_mix_units_on_a_virtual_clock(concurrency, units, repair_mix_run, monkeypatch):
+    run, expected = repair_mix_run
+    assert virtual_units(monkeypatch, concurrency, run) == (units, expected)
