@@ -40,11 +40,13 @@ ends the run.
 
 from __future__ import annotations
 
+import heapq  # heapq and threading are already loaded by queue
 import itertools
 import json
 import math
 import os
 import queue
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import IO, Callable, Mapping, NamedTuple, Sequence
@@ -215,7 +217,7 @@ class Run:
     temperatures, pool, gate and ranks, and make every request through
     request. Only the run-loop thread, the one that called execute_task,
     writes ranks, replacing the whole map, and the trace fields, through
-    flush.
+    flush; an event's seq is its position in events, from 1.
     A buffer holding an unknown kind or a missing field raises ValueError
     and commits none of its events. A flush that takes provider_calls past
     budget raises EngineError once its events are in the trace. Flushes
@@ -224,7 +226,7 @@ class Run:
     """
 
     __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "ranks",
-                 "budget", "events", "provider_calls", "token_usage", "_seq")
+                 "budget", "events", "provider_calls", "token_usage")
 
     def __init__(
         self,
@@ -242,7 +244,6 @@ class Run:
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
         self.token_usage = {"prompt_tokens": 0, "completion_tokens": 0}
-        self._seq = 0
 
     def request(self, session: NodeSession, request: ProviderRequest) -> ProviderResponse:
         """The provider's response to one of session's requests: the one place a request is made.
@@ -272,8 +273,7 @@ class Run:
                 raise ValueError(f"trace event {kind!r} missing fields {missing}")
         events, totals = self.events, self.token_usage
         for kind, payload in buffered:
-            self._seq += 1
-            events.append(TraceEvent(self._seq, kind, payload, None if self.deterministic else time.time()))
+            events.append(TraceEvent(len(events) + 1, kind, payload, None if self.deterministic else time.time()))
             if kind == "provider_call":
                 self.provider_calls += 1
                 usage = payload["usage"]
@@ -520,19 +520,18 @@ def apply_repair(
     return graph
 
 
-class _Finished:
+class _Finished(NamedTuple):
     """A node worker's output, held until the node's commit slot.
 
     A failed node's session buffers its repair events apart from `events`.
+    error is what processing the node or deciding its repair raised.
     """
 
-    __slots__ = ("session", "events", "result", "repair", "error")
-
-    def __init__(self, session: NodeSession, events: list[tuple[str, dict]]) -> None:
-        self.session, self.events = session, events
-        self.result: str | None = None
-        self.repair: Repair | None = None
-        self.error: Exception | None = None  # raised while processing the node or deciding its repair
+    session: NodeSession
+    events: list[tuple[str, dict]]
+    result: str | None = None
+    repair: Repair | None = None
+    error: Exception | None = None
 
 
 def _run_node(
@@ -545,15 +544,15 @@ def _run_node(
     Exceptions are kept, not raised, so that the run loop re-raises them
     in commit order.
     """
-    done = _Finished(session, session.events)
+    events = session.events
     try:
-        done.result = process_node(node, goal, preds, config, session, first_rules)
-        if done.result is None:
-            session.events = []
-            done.repair = handle_failure(node, goal, config, session)
+        result = process_node(node, goal, preds, config, session, first_rules)
+        if result is not None:
+            return _Finished(session, events, result)
+        session.events = []
+        return _Finished(session, events, repair=handle_failure(node, goal, config, session))
     except Exception as exc:
-        done.error = exc
-    return done
+        return _Finished(session, events, error=exc)
 
 
 def _analyze(node: g.TaskNode, config: RunConfig, session: NodeSession) -> tuple:
@@ -570,14 +569,13 @@ class RunPool:
     """One run's threads for node, lane and expert helper jobs, fed from one queue.
 
     A job is (replies, key, fn, args): a thread puts (key, fn(*args), None)
-    on replies, or (key, None, the exception fn raised). map runs its first
-    item on the calling thread. close refuses new jobs and queues one stop
-    per thread behind the queued jobs, which still run.
+    on replies, or (key, None, the exception fn raised). map queues its
+    items after the first, then runs the first on the calling thread.
+    close refuses new jobs and queues one stop per thread behind the
+    queued jobs, which still run.
     """
 
     def __init__(self, size: int) -> None:
-        import threading  # already loaded by queue
-
         self.jobs: queue.SimpleQueue = queue.SimpleQueue()
         self.lock, self.closed = threading.Lock(), False
         self.threads = [threading.Thread(target=self._work, daemon=True) for _ in range(size)]
@@ -629,31 +627,26 @@ class CallGate:
     while no request waits, and no more requests than `slots` hold one.
     """
 
-    __slots__ = ("free", "waiting", "lock", "_arrivals", "_new_lock", "_push", "_pop")
+    __slots__ = ("free", "waiting", "lock", "_arrivals")
 
     def __init__(self, slots: int) -> None:
-        import heapq  # already loaded by queue
-        import threading
-
         self.free, self.waiting = slots, []  # waiting: (-rank, arrival, a lock its request waits on)
-        self.lock, self._new_lock = threading.Lock(), threading.Lock
-        self._arrivals = itertools.count()
-        self._push, self._pop = heapq.heappush, heapq.heappop
+        self.lock, self._arrivals = threading.Lock(), itertools.count()
 
     def acquire(self, rank: int) -> None:
         with self.lock:
             if self.free:
                 self.free -= 1
                 return
-            waiter = self._new_lock()
+            waiter = threading.Lock()
             waiter.acquire()
-            self._push(self.waiting, (-rank, next(self._arrivals), waiter))
+            heapq.heappush(self.waiting, (-rank, next(self._arrivals), waiter))
         waiter.acquire()  # released by the release that hands this request its slot
 
     def release(self) -> None:
         with self.lock:
             if self.waiting:
-                self._pop(self.waiting)[2].release()
+                heapq.heappop(self.waiting)[2].release()
             else:
                 self.free += 1
 

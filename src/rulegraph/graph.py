@@ -116,22 +116,20 @@ class TaskGraph:
         return graph
 
 
-def _acyclic(ids: Iterable[str], edges: Iterable[Sequence[str]]) -> bool:
-    """Kahn's algorithm without ordering: true when every node can be peeled off."""
+def _peel(ids: Iterable[str], edges: Iterable[Sequence[str]]) -> list[str]:
+    """Kahn's algorithm: the nodes in a topological order, missing every node on or after a cycle."""
     indegree = dict.fromkeys(ids, 0)
     succs: dict[str, list[str]] = {}
     for a, b in edges:
         succs.setdefault(a, []).append(b)
         indegree[b] += 1
-    frontier = [i for i, d in indegree.items() if not d]
-    peeled = 0
-    while frontier:
-        peeled += 1
-        for nxt in succs.get(frontier.pop(), ()):
+    order = [i for i, d in indegree.items() if not d]
+    for node_id in order:  # grows while it is walked
+        for nxt in succs.get(node_id, ()):
             indegree[nxt] -= 1
             if not indegree[nxt]:
-                frontier.append(nxt)
-    return peeled == len(indegree)
+                order.append(nxt)
+    return order
 
 
 def validate(graph: TaskGraph) -> None:
@@ -150,30 +148,20 @@ def validate(graph: TaskGraph) -> None:
         raise GraphError("original node must have in-degree 0")
     if graph.successors(FUSION_ID):
         raise GraphError("fusion node must have out-degree 0")
-    if not _acyclic(graph.nodes, graph.edges):
+    if len(_peel(graph.nodes, graph.edges)) < len(graph.nodes):
         raise GraphError("graph contains a cycle")
-
-    reachable_from_root = _reach(graph, ROOT_ID, forward=True)
-    reaches_fusion = _reach(graph, FUSION_ID, forward=False)
+    # Acyclic, so a walk back from a subtask ends at a node without predecessors
+    # and a walk on at one without successors. F is no node's predecessor and
+    # T no node's successor, so when every subtask has both, those walks end at
+    # T and at F. Hence every subtask lies on a T-to-F path exactly when every
+    # subtask has a predecessor and a successor.
     for node_id in graph.nodes:
         if node_id in RESERVED_IDS:
             continue
-        if node_id not in reachable_from_root:
+        if not graph.predecessors(node_id):
             raise GraphError(f"subtask {node_id} unreachable from the original node")
-        if node_id not in reaches_fusion:
+        if not graph.successors(node_id):
             raise GraphError(f"subtask {node_id} cannot reach the fusion node")
-
-
-def _reach(graph: TaskGraph, start: str, forward: bool) -> set[str]:
-    step = graph.successors if forward else graph.predecessors
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in step(stack.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def check_plan(plan: "PlannerPlan") -> None:
@@ -194,7 +182,7 @@ def check_plan(plan: "PlannerPlan") -> None:
     for a, b in plan.edges:
         if a not in known or b not in known:
             raise GraphError(f"edge ({a}, {b}) references an unknown subtask")
-    if not _acyclic(ids, plan.edges):
+    if len(_peel(ids, plan.edges)) < len(ids):
         raise GraphError("dependency edges contain a cycle")
     for sid, statement in ((ROOT_ID, plan.task), *plan.subtasks):
         if not statement:
@@ -240,22 +228,12 @@ def ranks(graph: TaskGraph) -> dict[str, int]:
 
     F ranks 0 and every other node one more than its highest-ranked
     successor, so a node with a longer chain of work after it ranks
-    higher. Ranks pass from F to predecessors, each node's once all of
-    its successors have theirs.
+    higher. It walks the topological peel in reverse, so each node's
+    successors are ranked before it.
     """
-    succs, preds = graph._succs, graph._preds
-    rank = dict.fromkeys(graph.nodes, 0)
-    pending = {node_id: len(s) for node_id, s in succs.items()}  # successors still unranked
-    frontier = [node_id for node_id in graph.nodes if node_id not in pending]
-    while frontier:
-        node_id = frontier.pop()
-        up = rank[node_id] + 1
-        for pred in preds.get(node_id, _NONE):
-            if rank[pred] < up:
-                rank[pred] = up
-            pending[pred] -= 1
-            if not pending[pred]:
-                frontier.append(pred)
+    rank: dict[str, int] = {}
+    for node_id in reversed(_peel(graph.nodes, graph.edges)):
+        rank[node_id] = 1 + max((rank[s] for s in graph.successors(node_id)), default=-1)
     return rank
 
 

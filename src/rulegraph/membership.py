@@ -12,6 +12,7 @@ fails loudly on anything else.
 from __future__ import annotations
 
 import enum
+import functools
 
 
 class UnrecognizedLabel(ValueError):
@@ -21,6 +22,7 @@ class UnrecognizedLabel(ValueError):
 _TOKENS = ("L", "Lr", "ML", "M", "SH", "H")  # indexed by label value
 
 
+@functools.total_ordering
 class MembershipLabel(enum.Enum):
     """Six-level ordinal membership degree; higher value means stronger membership.
 
@@ -42,21 +44,6 @@ class MembershipLabel(enum.Enum):
         if not isinstance(other, MembershipLabel):
             return NotImplemented
         return self._value_ < other._value_
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, MembershipLabel):
-            return NotImplemented
-        return self._value_ <= other._value_
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, MembershipLabel):
-            return NotImplemented
-        return self._value_ > other._value_
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, MembershipLabel):
-            return NotImplemented
-        return self._value_ >= other._value_
 
     def __str__(self) -> str:
         return self.token

@@ -277,9 +277,11 @@ def run_traced(task: str, config: RunConfig):
 def check_trace(events, n_subtasks: int) -> None:
     """Run-wide checks on a trace from a plan of n_subtasks under the default config.
 
-    Context keys are unique, provider calls stay within call_budget, and
-    every plan and final graph reads back with TaskGraph.from_payload.
+    Each event's seq is its position, context keys are unique, provider
+    calls stay within call_budget, and every plan and final graph reads
+    back with TaskGraph.from_payload.
     """
+    assert [event.seq for event in events] == list(range(1, len(events) + 1))
     keys = [tuple(e.payload["context"].values()) for e in events if e.kind == "provider_call"]
     assert len(keys) == len(set(keys))
     assert len(keys) <= call_budget(RunConfig(provider=None), n_subtasks)

@@ -977,8 +977,9 @@ class TestPooledRunThreads:
         assert threading.active_count() == before
 
     def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch):
-        # a's ruleset misses at once; b's second expert try holds until the pool is closing
-        closing = threading.Event()
+        # a's ruleset misses once b's first expert try has begun, so b's batch is queued
+        # (RunPool.map queues items 2..K first); b's second try holds until the pool is closing
+        mid_batch, closing = threading.Event(), threading.Event()
         close = RunPool.close
 
         def close_after_signal(pool):
@@ -993,7 +994,10 @@ class TestPooledRunThreads:
             def complete(self, request):
                 _, node, role, attempt = request.context_key
                 if (node, role) == ("a", "DAA"):
+                    mid_batch.wait(timeout=5)
                     raise ScriptMiss("no ruleset for a")
+                if (node, role, attempt) == ("b", "DEA", 1):
+                    mid_batch.set()
                 if (node, role, attempt) == ("b", "DEA", 2):
                     self.waited = closing.wait(timeout=5)
                 return super().complete(request)
@@ -1002,7 +1006,7 @@ class TestPooledRunThreads:
         before = threading.active_count()
         with pytest.raises(ScriptMiss, match="no ruleset for a"):
             self.run(provider)
-        assert provider.waited is True
+        assert mid_batch.is_set() and provider.waited is True
         assert threading.active_count() == before
 
     def test_exception_past_run_node_reaches_the_run_loop(self):
@@ -1092,7 +1096,9 @@ class TestTraceWriting:
         run = Run("run-0", None, deterministic=True)
         with pytest.raises(ValueError, match=r"^unknown trace event kind 'bogus'$"):
             run.flush([("warning", {"reason": "x"}), ("bogus", {})])
-        assert run.events == [] and run._seq == 0
+        assert run.events == []
+        run.flush([("warning", {"reason": "y"})])  # the refused buffer used no seq
+        assert run.events == [TraceEvent(1, "warning", {"reason": "y"})]
 
     def test_payload_with_a_cycle_raises_recursion_error(self):
         payload = {"reason": "loop"}

@@ -165,6 +165,40 @@ class TestPredecessorResults:
             predecessor_results(graph, FUSION_ID, {"T1": "r1"})
 
 
+def _walk(start, step):
+    """Every node that repeated steps reach from start, breadth first, start included."""
+    seen, frontier = {start}, [start]
+    for node_id in frontier:
+        for nxt in step(node_id):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+class TestValidateDegreeRule:
+    @settings(max_examples=300)
+    @given(ids=st.lists(st.sampled_from("abcdefg"), unique=True, max_size=6), data=st.data())
+    def test_refuses_exactly_the_graphs_with_a_subtask_off_every_t_to_f_path(self, ids, data):
+        # Edges only run forward along T, ids, F: acyclic, T of in-degree 0 and F
+        # of out-degree 0, with any extra sources, sinks, chains and cut-off parts.
+        order = [ROOT_ID, *ids, FUSION_ID]
+        forward = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(forward), max_size=len(forward)))
+        nodes = {n: TaskNode(n, f"do {n}") for n in order}
+        graph = TaskGraph(nodes, frozenset(e for e, kept in zip(forward, keep) if kept))
+        from_root, to_fusion = _walk(ROOT_ID, graph.successors), _walk(FUSION_ID, graph.predecessors)
+        if all(s in from_root and s in to_fusion for s in ids):
+            validate(graph)
+            return
+        with pytest.raises(GraphError) as refused:
+            validate(graph)
+        offender, reason = re.fullmatch(
+            r"subtask (\w) (unreachable from the original node|cannot reach the fusion node)", str(refused.value)
+        ).groups()
+        assert offender not in (from_root if reason.startswith("unreachable") else to_fusion)
+
+
 class TestRanks:
     def test_rank_counts_the_nodes_of_the_longest_path_to_fusion(self):
         # T1 -> T2 -> T4 and T1 -> T3 -> T4: T1's longest path is 3 nodes; T5 feeds F directly
