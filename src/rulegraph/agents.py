@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 REASK_LIMIT = 2  # re-asks after a malformed response, then hard error
 _MAX_WAIT_S = 86_400  # one day: no useful wait is longer, and far longer ones overflow time_t
+_MAX_BODY_BYTES = 8 * 2**20  # a live response body past this is a ProviderFailure, not read further
 _MAX_TRANSPORT_RETRIES = 10
 _MAX_PARSE_TRIES = 32  # decode tries per response before it counts as holding no JSON object
 
@@ -422,13 +423,17 @@ class LiveProvider:
             except urllib.error.HTTPError as exc:  # an OSError: caught first, its status decides
                 response = exc
             with response:
-                status, body = response.status, response.read()
+                status, body = response.status, response.read(_MAX_BODY_BYTES + 1)
+                if len(body) <= _MAX_BODY_BYTES:  # read() raises IncompleteRead on a body cut short
+                    body += response.read()
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
         if status == 429 or status >= 500:
             raise TransportError("rate limited by provider" if status == 429 else f"server error {status}")
         if status != 200:
             raise ProviderFailure(f"provider returned {status}: {body[:200].decode(errors='replace')}")
+        if len(body) > _MAX_BODY_BYTES:
+            raise ProviderFailure(f"provider returned a body over {_MAX_BODY_BYTES} bytes")
         try:
             return json.loads(body)
         except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not text, too deep

@@ -618,6 +618,31 @@ class RunPool:
             thread.join()
 
 
+_parked: list[RunPool] = []  # at most one idle pool, left by the last pooled run that returned
+_parked_lock = threading.Lock()
+
+
+def _take_pool(size: int) -> RunPool:
+    """The parked pool if it has `size` threads and all are alive, else a new RunPool(size).
+
+    Taking removes the pool from the slot under the lock, so no two live
+    runs share one. A pool whose threads are gone, as in a forked child,
+    stays in the slot until a park displaces it.
+    """
+    with _parked_lock:
+        if _parked and len(_parked[0].threads) == size and all(t.is_alive() for t in _parked[0].threads):
+            return _parked.pop()
+    return RunPool(size)
+
+
+def _park_pool(pool: RunPool) -> None:
+    """Park an idle pool for the next pooled run; close the pool it displaces."""
+    with _parked_lock:
+        displaced, _parked[:] = _parked[:], [pool]
+    for old in displaced:
+        old.close()
+
+
 class CallGate:
     """A run's call slots, granted highest rank first and, within a rank, in arrival order.
 
@@ -770,6 +795,9 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
 
     Every run failure leaves as an EngineError carrying the trace, provider
     calls and token usage of the run so far.
+    Above concurrency 1 the run takes the parked RunPool of its size, or
+    builds one, and parks it again when it returns. Any exception closes
+    the pool and joins its threads before it leaves.
     """
     if run_id is None:
         run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
@@ -802,12 +830,8 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             # c x K node jobs, each waiting on at most K - 1 helper jobs, and one lane job: on
             # c x K^2 + 1 threads no job waits for a thread; the gate's c x K + 1 slots bound calls
             nodes = config.concurrency * config.k_rules
-            run.pool, run.gate = RunPool(nodes * config.k_rules + 1), CallGate(nodes + 1)
-        try:
-            graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
-        finally:
-            if run.pool is not None:
-                run.pool.close()
+            run.pool, run.gate = _take_pool(nodes * config.k_rules + 1), CallGate(nodes + 1)
+        graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
         fusion_session = NodeSession(run, g.FUSION_ID)
@@ -826,10 +850,15 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             },
         )
         run.flush(fusion_session.events)
-    except EngineError as exc:
-        exc.trace, exc.provider_calls = run.events, run.provider_calls
-        exc.token_usage = run.token_usage
+    except BaseException as exc:
+        if run.pool is not None:
+            run.pool.close()  # its queued and running jobs end before the error leaves
+        if isinstance(exc, EngineError):
+            exc.trace, exc.provider_calls = run.events, run.provider_calls
+            exc.token_usage = run.token_usage
         raise
+    if run.pool is not None:
+        _park_pool(run.pool)  # idle: every node, lane and helper job ended before the last wave committed
     return RunOutcome(
         final=final,
         graph_final=graph,

@@ -499,6 +499,23 @@ class TestRunCommand:
         calls = [line for line in text.splitlines() if json.loads(line)["kind"] == "provider_call"]
         assert f"provider calls {len(calls)} exceeded" in captured.err
 
+    def test_run_exactly_at_the_budget_exits_0_and_one_call_fewer_exits_1(self, tmp_path, capsys, monkeypatch):
+        import rulegraph.engine as engine
+
+        trace = tmp_path / "trace.jsonl"
+        argv = ["run", "--task", "reply", "--config", DEMO_CONFIG, "--trace", str(trace)]
+        assert main(argv) == EXIT_OK
+        kinds = [json.loads(line)["kind"] for line in trace.read_text(encoding="utf-8").splitlines()]
+        calls = kinds.count("provider_call")
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: calls)
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: calls - 1)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILURE and captured.out == ""
+        assert captured.err == f"run failed: provider calls {calls} exceeded the termination budget {calls - 1}\n"
+
     def test_unwritable_trace_fails_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
         from rulegraph.agents import MockProvider
 

@@ -344,6 +344,16 @@ class TestProviderFaults:
             assert len(err.value.trace) == events
             assert err.value.provider_calls == len(events_of(err.value.trace, "provider_call")) == calls
 
+    def test_a_run_exactly_at_the_budget_completes_and_one_call_fewer_fails(self, monkeypatch):
+        calls = execute_task("task", mk_config(SINGLE)).provider_calls
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: calls)
+        assert execute_task("task", mk_config(SINGLE)).provider_calls == calls
+        monkeypatch.setattr(engine, "call_budget", lambda config, n_subtasks: calls - 1)
+        message = f"provider calls {calls} exceeded the termination budget {calls - 1}"
+        with pytest.raises(EngineError, match=message) as err:
+            execute_task("task", mk_config(SINGLE))
+        assert type(err.value) is EngineError and err.value.trace[-1].kind == "final"
+
 
 class TestTermination:
     def test_adversarial_run_terminates_within_budget(self):
@@ -941,14 +951,55 @@ class TestCallGate:
 
 
 class TestPooledRunThreads:
-    """Real threads at concurrency 2: errors reach execute_task and the pool's threads end with the run."""
+    """Real threads at concurrency 2: errors reach execute_task and end the run's pool's threads.
+
+    A run that returns parks its pool, idle, for the next pooled run (engine._take_pool).
+    """
 
     @staticmethod
-    def run(provider):
-        config = RunConfig(provider=provider, deterministic=True, concurrency=2)
+    def run(provider, concurrency=2):
+        config = RunConfig(provider=provider, deterministic=True, concurrency=concurrency)
         return finish_within(10, lambda: execute_task("task", config))
 
-    def test_script_miss_on_a_helper_thread_is_raised(self):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """(the pools runs took, in order; the RunPools built), recorded from here on."""
+        taken, built = [], []
+        take, init = engine._take_pool, RunPool.__init__
+
+        def recording_take(size):
+            taken.append(take(size))
+            return taken[-1]
+
+        def recording_init(pool, size):
+            built.append(pool)
+            init(pool, size)
+
+        monkeypatch.setattr(engine, "_take_pool", recording_take)
+        monkeypatch.setattr(RunPool, "__init__", recording_init)
+        return taken, built
+
+    @staticmethod
+    def raises_with_its_pool_ended(pools, provider, error, match):
+        """Run provider's task to `error`: every thread of the run's pool ended before it left."""
+        taken, _ = pools
+        requests = []
+        complete = provider.complete
+
+        def counting(request):
+            requests.append(request.context_key)
+            return complete(request)
+
+        provider.complete = counting
+        with pytest.raises(error, match=match):
+            TestPooledRunThreads.run(provider)
+        made = len(requests)
+        [pool] = taken
+        assert not any(thread.is_alive() for thread in pool.threads) and pool.closed
+        assert pool not in engine._parked
+        assert len(requests) == made  # no request after execute_task returned
+
+    def test_script_miss_on_a_helper_thread_is_raised(self, pools):
         threads = {}
 
         class MissOnHelper(MockProvider):
@@ -960,23 +1011,24 @@ class TestPooledRunThreads:
                         raise ScriptMiss("no entry for the third expert")
                 return super().complete(request)
 
-        before = threading.active_count()
-        with pytest.raises(ScriptMiss, match="third expert"):
-            self.run(MissOnHelper(SINGLE))
+        self.raises_with_its_pool_ended(pools, MissOnHelper(SINGLE), ScriptMiss, "third expert")
         assert threads[3] not in (threads[1], threading.get_ident())  # first try on the node's thread
-        assert threading.active_count() == before
 
-    def test_threads_end_after_success_and_kept_error(self):
-        before = threading.active_count()
+    def test_success_parks_the_pool_and_a_kept_error_ends_it(self, pools):
+        taken, built = pools
         self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        assert threading.active_count() == before
+        after_first = threading.active_count()
+        assert engine._parked == taken
+        built.clear()
+        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
+        assert threading.active_count() == after_first
+        assert built == [] and taken[1] is taken[0] and engine._parked == [taken[0]]
         script = repair_script()
         del script[("run-0", "d", "PA", 2)]  # d's replan misses the script
-        with pytest.raises(ScriptMiss):
-            self.run(MockProvider(script))
-        assert threading.active_count() == before
+        taken.clear()
+        self.raises_with_its_pool_ended(pools, MockProvider(script), ScriptMiss, "'d', 'PA', 2")
 
-    def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch):
+    def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch, pools):
         # a's ruleset misses once b's first expert try has begun, so b's batch is queued
         # (RunPool.map queues items 2..K first); b's second try holds until the pool is closing
         mid_batch, closing = threading.Event(), threading.Event()
@@ -1003,24 +1055,80 @@ class TestPooledRunThreads:
                 return super().complete(request)
 
         provider = SiblingMidBatch(TWO_NODES)
-        before = threading.active_count()
-        with pytest.raises(ScriptMiss, match="no ruleset for a"):
-            self.run(provider)
+        self.raises_with_its_pool_ended(pools, provider, ScriptMiss, "no ruleset for a")
         assert mid_batch.is_set() and provider.waited is True
-        assert threading.active_count() == before
 
-    def test_exception_past_run_node_reaches_the_run_loop(self):
+    def test_exception_past_run_node_reaches_the_run_loop(self, pools):
         class Halting(MockProvider):
             def complete(self, request):
                 if request.context_key[2] == "GEA":
                     raise Halt()
                 return super().complete(request)
 
-        before = threading.active_count()
-        with pytest.raises(Halt):
-            self.run(Halting(TWO_NODES))
-        assert threading.active_count() == before
+        self.raises_with_its_pool_ended(pools, Halting(TWO_NODES), Halt, None)
 
+    def test_two_runs_at_once_take_two_pools_and_give_the_sequential_trace(self, pools):
+        taken, _ = pools
+        expected = trace_text(self.run(FaultInjector(repair_script(), REPAIR_FAULTS), concurrency=1))
+        assert trace_text(self.run(FaultInjector(repair_script(), REPAIR_FAULTS))) == expected  # parks a pool
+        taken.clear()
+        both_live = threading.Barrier(2, timeout=5)
+
+        class MeetAtFirstExpert(FaultInjector):
+            met = False
+
+            def complete(self, request):
+                if request.context_key[2] == "DEA" and not self.met:
+                    self.met = True
+                    both_live.wait()  # both runs hold a pool here
+                return super().complete(request)
+
+        def one_run():
+            config = RunConfig(
+                provider=MeetAtFirstExpert(repair_script(), REPAIR_FAULTS), deterministic=True, concurrency=2
+            )
+            return trace_text(execute_task("task", config))
+
+        def two_runs():
+            other = []
+            thread = threading.Thread(target=lambda: other.append(one_run()), daemon=True)
+            thread.start()
+            mine = one_run()
+            thread.join()
+            return [mine, *other]
+
+        assert finish_within(10, two_runs) == [expected, expected]
+        assert len(taken) == 2 and taken[0] is not taken[1]
+        assert len(engine._parked) == 1 and engine._parked[0] in taken
+
+    def test_runs_of_other_sizes_leave_one_parked_pool(self):
+        others = threading.active_count() - sum(len(pool.threads) for pool in engine._parked)
+        for concurrency in (2, 3, 2):
+            self.run(FateProvider(3), concurrency)
+            [pool] = engine._parked
+            assert len(pool.threads) == concurrency * 3**2 + 1
+            assert threading.active_count() == others + len(pool.threads)
+
+    def test_a_parked_pool_whose_threads_are_gone_is_not_taken(self, pools):
+        # as in a forked child: the pool is parked and not closed, but none of its threads runs
+        taken, built = pools
+        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
+        [gone] = engine._parked
+        for _ in gone.threads:
+            gone.jobs.put(None)
+        for thread in gone.threads:
+            thread.join(timeout=10)
+        built.clear()
+        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
+        assert taken[-1] is not gone and built == [taken[-1]] and engine._parked == [taken[-1]]
+
+    def test_a_run_parks_its_pool_with_no_job_queued(self, monkeypatch):
+        queued = []
+        park = engine._park_pool
+        monkeypatch.setattr(engine, "_park_pool", lambda pool: queued.append(pool.jobs.qsize()) or park(pool))
+        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
+        self.run(FateProvider(3), concurrency=3)
+        assert queued == [0, 0]
 
     def test_only_the_calling_thread_flushes_and_every_request_carries_the_run_id(self, monkeypatch):
         # the single-writer rule of the shared Run: workers read it, the run loop writes its trace

@@ -11,6 +11,8 @@ import json
 import pytest
 
 from chat_server import PLAN, REASK, chat_body, inject, needs_loopback
+from helpers import candidate_response
+from rulegraph import agents
 from rulegraph.cli import EXIT_OK, EXIT_PLANNING, EXIT_PROVIDER, main
 
 pytestmark = needs_loopback
@@ -19,6 +21,8 @@ PLANNER = "You are a task planner. Decompose"
 ANALYST = "You are a domain analyst."
 EXPERT = f"You are an expert in History. Answer precisely.\n\nSubtask:\n{PLAN[0][1]}\n"  # one rule of s1
 FINAL = "You are a fusion expert. Combine"
+# a valid expert body padded past every other body of the run; the test caps bodies one byte short of it
+OVER_CAP = json.dumps(chat_body(candidate_response("History view"))).encode().ljust(65_537)
 
 
 def run(server, tmp_path, monkeypatch, capsys, concurrency=2, timeout_s=5.0):
@@ -99,6 +103,11 @@ def test_clean_run_gives_one_trace_at_concurrency_1_and_2(chat_server, tmp_path,
             ["rule_failed"], [1], id="deeply-nested-body",
         ),
         pytest.param(
+            EXPERT, OVER_CAP, (1,), EXIT_OK,
+            [("s1", "DEA", "transport_error", "provider returned a body over 65536 bytes")], ["rule_failed"], [1],
+            id="body-one-byte-over-the-cap",
+        ),
+        pytest.param(
             ANALYST, chat_body("no document here"), (1,), EXIT_OK,
             [("s1", "DAA", "parse_error", "no JSON object"), ("s2", "DAA", "parse_error", "no JSON object")],
             [], [1, 1], id="prose-is-reasked",
@@ -108,6 +117,8 @@ def test_clean_run_gives_one_trace_at_concurrency_1_and_2(chat_server, tmp_path,
 def test_http_fault_ends_in_a_record_or_an_exit_code(
     prefix, fault, tries, code, failed, warnings, posts, chat_server, tmp_path, monkeypatch, capsys
 ):
+    if fault is OVER_CAP:
+        monkeypatch.setattr(agents, "_MAX_BODY_BYTES", len(OVER_CAP) - 1)
     chat_server.fault = inject(fault, tries, prefix)
     timeout_s = 0.05 if fault == "slow" else 5.0
     traces = []
