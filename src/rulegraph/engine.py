@@ -205,6 +205,7 @@ class RunOutcome(NamedTuple):
     trace: list[TraceEvent]
     provider_calls: int
     token_usage: dict[str, int]
+    encoded: tuple = ()  # (trace, n, text chunks): trace's first n lines, encoded while the run loop waited
 
 
 class Run:
@@ -217,7 +218,8 @@ class Run:
     temperatures, pool, gate and ranks, and make every request through
     request. Only the run-loop thread, the one that called execute_task,
     writes ranks, replacing the whole map, and the trace fields, through
-    flush; an event's seq is its position in events, from 1.
+    flush; an event's seq is its position in events, from 1. It calls
+    encode while it waits, so the first `encoded` events are lines.
     A buffer holding an unknown kind or a missing field raises ValueError
     and commits none of its events. A flush that takes provider_calls past
     budget raises EngineError once its events are in the trace. Flushes
@@ -226,7 +228,7 @@ class Run:
     """
 
     __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "ranks",
-                 "budget", "events", "provider_calls", "token_usage")
+                 "budget", "events", "provider_calls", "token_usage", "lines", "encoded")
 
     def __init__(
         self,
@@ -244,6 +246,14 @@ class Run:
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
         self.token_usage = {"prompt_tokens": 0, "completion_tokens": 0}
+        self.lines: list[str] = []
+        self.encoded = 0
+
+    def encode(self) -> None:
+        """Append the events committed since the last encode to lines, as one chunk."""
+        if len(self.events) > self.encoded:
+            self.lines.append(_encode(self.events[self.encoded :]))
+            self.encoded = len(self.events)
 
     def request(self, session: NodeSession, request: ProviderRequest) -> ProviderResponse:
         """The provider's response to one of session's requests: the one place a request is made.
@@ -676,6 +686,9 @@ class CallGate:
                 self.free += 1
 
 
+_ENCODE_AFTER_S = 0.001  # a run loop that waits this long for a reply encodes the trace meanwhile
+
+
 class _Scheduler:
     """Runs the subtask nodes of one graph: the module's barrier loop, with eager dispatch.
 
@@ -753,8 +766,16 @@ class _Scheduler:
                 self.pool.submit((self.done, None, _analyze, args))
 
     def _receive(self) -> None:
-        """Take one reply off `done`, a lane analysis (key None) or a node's; raise what escaped its job."""
-        nid, done, error = self.done.get()
+        """Take one reply off `done`, a lane analysis (key None) or a node's; raise what escaped its job.
+
+        A wait past _ENCODE_AFTER_S (never at c = 1, where jobs ran inline) encodes the committed events
+        meanwhile; the delay first lets the jobs just started, which encoding holds up, reach their calls.
+        """
+        try:
+            nid, done, error = self.done.get(timeout=_ENCODE_AFTER_S)
+        except queue.Empty:
+            self.shared.encode()
+            nid, done, error = self.done.get()
         if error is not None:
             raise error
         if nid is None:
@@ -865,6 +886,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         trace=run.events,
         provider_calls=run.provider_calls,
         token_usage=run.token_usage,
+        encoded=(run.events, run.encoded, run.lines) if run.encoded else (),
     )
 
 
@@ -872,8 +894,8 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular
 _HEADS = {kind: '{"kind":%s,"payload":' % json.dumps(kind) for kind in TRACE_KINDS}
 
 
-def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
-    """One canonical JSON record per line, in one write; timestamps omitted when absent.
+def _encode(events: list[TraceEvent]) -> str:
+    """One canonical JSON record per line; timestamps omitted when absent.
 
     Envelope keys in sorted order around one payload encode; a payload cycle raises RecursionError.
     """
@@ -881,9 +903,20 @@ def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
     for seq, kind, payload, timestamp in events:
         stamp = "" if timestamp is None else f',"timestamp":{timestamp!r}'
         lines.append(f'{_HEADS[kind]}{_ENCODE(payload)},"seq":{seq}{stamp}}}\n')
-    sink.write("".join(lines))
+    return "".join(lines)
+
+
+def write_trace_events(events: list[TraceEvent], sink: IO[str]) -> None:
+    """Write events' trace lines (see _encode) in one write."""
+    sink.write(_encode(events))
 
 
 def write_trace(outcome: RunOutcome, sink: IO[str]) -> None:
-    """Serialize a run's trace, one structured record per line, byte-stable."""
-    write_trace_events(outcome.trace, sink)
+    """Serialize a run's trace, one structured record per line, byte-stable, in one write.
+
+    Reuses the lines the run loop encoded only while they encode this outcome's own trace list.
+    """
+    trace, encoded = outcome.trace, outcome.encoded
+    if not encoded or encoded[0] is not trace:
+        return write_trace_events(trace, sink)
+    sink.write("".join([*encoded[2], _encode(trace[encoded[1] :])]))

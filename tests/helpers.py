@@ -8,6 +8,7 @@ import hashlib
 import io
 import itertools
 import json
+import queue
 import random
 import threading
 import time
@@ -15,7 +16,9 @@ from collections import Counter
 
 from rulegraph import engine
 from rulegraph.agents import REASK_LIMIT, NodeSession, PlannerPlan, ProviderResponse, RoleKind
-from rulegraph.engine import EngineError, Run, RunConfig, call_budget, execute_task, write_trace_events
+from rulegraph.engine import (
+    EngineError, Run, RunConfig, call_budget, execute_task, write_trace, write_trace_events,
+)
 from rulegraph.graph import RESERVED_IDS, ROOT_ID, TaskGraph, build_graph
 from rulegraph.rules import DEFAULT_DOMAINS
 
@@ -262,15 +265,20 @@ def run_scenario(provider_cls, seed: int, concurrency: int, jitter: bool = False
 
 
 def run_traced(task: str, config: RunConfig):
-    """(outcome name, trace bytes, trace events) of one run; an engine error names the outcome."""
+    """(outcome name, trace bytes, trace events) of one run; an engine error names the outcome.
+
+    A RunOutcome is written with write_trace, so its lines encoded during
+    the run are in the bytes; an EngineError's trace with write_trace_events.
+    """
+    sink = io.StringIO()
     try:
         outcome = execute_task(task, config)
     except EngineError as exc:
         name, events = type(exc).__name__, exc.trace
+        write_trace_events(events, sink)
     else:
         name, events = "RunOutcome", outcome.trace
-    sink = io.StringIO()
-    write_trace_events(events, sink)
+        write_trace(outcome, sink)
     return name, sink.getvalue(), events
 
 
@@ -325,7 +333,8 @@ class _HeldJobScheduler(engine._Scheduler):
     the node cap to the subclass's `nodes`. The scheduler is its own pool,
     so its analyst lane runs. submit holds each node and lane job; get
     finishes the job that take() picks and returns its reply, as a pool
-    thread would put it on the done-queue.
+    thread would put it on the done-queue. A get with a timeout finds no
+    reply, so the run loop encodes its committed events at every receive.
     """
 
     nodes = 2
@@ -342,7 +351,9 @@ class _HeldJobScheduler(engine._Scheduler):
         self.held.append(held)
         return held
 
-    def get(self):
+    def get(self, timeout=None):
+        if timeout is not None:
+            raise queue.Empty
         job = self.take()
         return job.key, job.value, None
 

@@ -72,14 +72,19 @@ def test_every_node_and_lane_completion_order_gives_the_sequential_trace(seed, c
     assert set(outcomes) == {sequential}
 
 
-def workload_run(name, workdir):
-    """(a callable running the workload's seed-1 task at concurrency 1, the workload's config)."""
+def workload_task(name, workdir):
+    """(the workload's seed-1 task, its config), with its input files written to workdir."""
     wl = _load_workloads().GENERATORS[name](1)
     for filename, text in wl.files().items():
         (workdir / filename).write_text(text, encoding="utf-8")
-    config = load_config(str(workdir / "config.json"))
+    return wl.task, load_config(str(workdir / "config.json"))
+
+
+def workload_run(name, workdir):
+    """(a callable running the workload's seed-1 task at concurrency 1, the workload's config)."""
+    task, config = workload_task(name, workdir)
     sequential = replace(config, concurrency=1)
-    return (lambda: run_traced(wl.task, sequential)[:2]), config
+    return (lambda: run_traced(task, sequential)[:2]), config
 
 
 @pytest.fixture(scope="module")
