@@ -18,8 +18,11 @@ not nodes: up to c x K nodes are in flight, and every request takes one of
 the c x K + 1 slots of the run's call gate. When none is free, a freed
 slot goes to the waiting request whose node ranks highest, that is, has
 the most nodes on its longest path to F in the current graph, and among
-equal ranks to the one that came first. So calls on the critical path go
-first; node starts stay in id order. One analyst lane also runs
+equal ranks to the one that came first. The gate decides when the slot
+is claimed, not when it is freed: a request that ranks strictly higher
+and arrives before the chosen waiter's thread has woken takes the slot,
+and the waiter waits on at its old place. So calls on the critical path
+go first; node starts stay in id order. One analyst lane also runs
 ahead, one job at a time: the lowest-id node that has not started, and
 whose predecessors all have, gets attempt 1's rules built, since that call
 reads no predecessor's answer. A node's job is handed its node, the goal,
@@ -70,6 +73,9 @@ from .membership import MembershipLabel
 from .rules import DEFAULT_DOMAINS, construct_rules, run_global_rule, run_rules
 
 DETERMINISTIC_RUN_ID = "run-0"
+# Most nodes one subtask's repair tree may reach, 1 + M_max + M_max**2 + ... + M_max**D
+# (13 at the defaults); a config past it is refused, so call_budget stays small to compute.
+MAX_SUBTASK_NODES = 10_000
 _JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an object"}
 
 
@@ -112,7 +118,8 @@ class RunConfig:
     field must have exactly its default's type (a bool is not an int),
     threshold a MembershipLabel, domains a list or tuple of non-empty
     strings (stored as a tuple), temperatures a mapping and each
-    temperature a finite int or float.
+    temperature a finite int or float. max_chain and max_depth may give
+    one subtask's repair tree at most MAX_SUBTASK_NODES nodes.
     Temperatures given for some roles keep the defaults of the others.
     """
 
@@ -156,6 +163,15 @@ class RunConfig:
             raise ConfigError("max_chain must be at least 1")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
+        nodes = level = 1
+        for _ in range(self.max_depth):  # stops once past the bound, so max_depth 10**9 is cheap
+            level *= self.max_chain
+            nodes += level
+            if nodes > MAX_SUBTASK_NODES:
+                raise ConfigError(
+                    f"max_chain {self.max_chain} and max_depth {self.max_depth} allow more than "
+                    f"{MAX_SUBTASK_NODES} nodes per subtask"
+                )
         if self.cluster_mode not in ("model", "lexical"):
             raise ConfigError(f"unknown cluster_mode {self.cluster_mode!r}")
         if not self.domains:
@@ -261,8 +277,8 @@ class Run:
         With a gate, the request holds one of its slots while the provider
         works, so no more requests than the gate has slots are in flight.
         When none is free, it waits under its session's node rank: a freed
-        slot goes to the highest-ranked request waiting, the longest-waiting
-        first among equal ranks.
+        slot goes to the highest-ranked request present when the slot is
+        claimed, the longest-waiting first among equal ranks (CallGate).
         """
         gate = self.gate
         if gate is None:
@@ -657,31 +673,52 @@ class CallGate:
     """A run's call slots, granted highest rank first and, within a rank, in arrival order.
 
     acquire takes a free slot or, when none is, waits in a heap keyed by
-    (-rank, arrival number); release hands its slot straight to the head
-    of that heap, or frees it when no request waits. So a slot is free only
-    while no request waits, and no more requests than `slots` hold one.
+    (-rank, arrival number); release hands its slot to the head of that
+    heap, or frees it when no request waits. Who gets a handed slot is
+    decided when it is claimed, not when it is freed: until its waiter's
+    thread wakes, the grant is pending, and an acquire ranked strictly
+    above the lowest pending grant takes that slot instead. The displaced
+    waiter, once awake, takes a free slot, takes a pending grant ranked
+    below it, or waits again under its old arrival number. So a slot is
+    free only while no request waits, and no more requests than `slots`
+    hold one.
     """
 
-    __slots__ = ("free", "waiting", "lock", "_arrivals")
+    __slots__ = ("free", "waiting", "pending", "lock", "_arrivals")
 
     def __init__(self, slots: int) -> None:
-        self.free, self.waiting = slots, []  # waiting: (-rank, arrival, a lock its request waits on)
+        self.free, self.waiting, self.pending = slots, [], []  # (-rank, arrival, a lock its request waits on)
         self.lock, self._arrivals = threading.Lock(), itertools.count()
 
     def acquire(self, rank: int) -> None:
-        with self.lock:
-            if self.free:
-                self.free -= 1
-                return
-            waiter = threading.Lock()
-            waiter.acquire()
-            heapq.heappush(self.waiting, (-rank, next(self._arrivals), waiter))
-        waiter.acquire()  # released by the release that hands this request its slot
+        entry = None
+        while True:
+            with self.lock:
+                if self._claim(rank, entry):
+                    return
+                if entry is None:
+                    entry = (-rank, next(self._arrivals), threading.Lock())
+                    entry[2].acquire()
+                heapq.heappush(self.waiting, entry)
+            entry[2].acquire()  # released by the release that hands this request a slot
+
+    def _claim(self, rank: int, entry: tuple | None) -> bool:
+        """Take entry's pending grant, a free slot, or the lowest pending grant ranked below rank."""
+        if entry in self.pending:
+            self.pending.remove(entry)
+        elif self.free:
+            self.free -= 1
+        elif self.pending and (lowest := max(self.pending))[0] > -rank:  # ties are never taken
+            self.pending.remove(lowest)
+        else:
+            return False
+        return True
 
     def release(self) -> None:
         with self.lock:
             if self.waiting:
-                heapq.heappop(self.waiting)[2].release()
+                self.pending.append(entry := heapq.heappop(self.waiting))
+                entry[2].release()
             else:
                 self.free += 1
 

@@ -450,7 +450,7 @@ def _rounds(job: _HeldJob) -> list[int]:
     return widths
 
 
-def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
+def virtual_units(monkeypatch, concurrency: int, run, late: bool = False) -> tuple[int, object]:
     """(latency units, run()) with jobs finishing on a virtual clock at concurrency c.
 
     As in a pooled run, up to c x K nodes are in flight, and each call
@@ -463,6 +463,12 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
     id. A lane job's calls take the rank of the node it analyses. Plan and
     final fusion cost one unit each. The first job done comes back first,
     ties by node id.
+
+    With late, a job whose round begins at the current tick (it was just
+    submitted, or its previous round has just ended) is served after the
+    calls already waiting. That models requests that reach the gate only
+    after the slots freed at their tick were granted, as on a real clock a
+    releasing thread's next request does when the gate grants at release.
     """
     clock = [1]  # the plan's round
 
@@ -487,7 +493,10 @@ def virtual_units(monkeypatch, concurrency: int, run) -> tuple[int, object]:
             while not (done := [job for job in self.held if not job.waiting]):
                 free, rank = self.slots, self.shared.ranks.get
                 for job in sorted(
-                    self.held, key=lambda job: (-rank(job.args[0].id, 0), job.since, job.args[0].id)
+                    self.held,
+                    key=lambda job: (
+                        late and job.since == clock[0], -rank(job.args[0].id, 0), job.since, job.args[0].id
+                    ),
                 ):
                     granted = min(job.waiting, free)
                     job.waiting -= granted

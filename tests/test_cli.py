@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,6 +247,18 @@ def test_domains_and_catalog_path_together_exit_3(verb, tmp_path, capsys):
     assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "domains and catalog_path" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["validate-config", "run"])
+@pytest.mark.parametrize("limit", ["max_depth", "max_chain"])
+def test_unbounded_repair_tree_exits_3_at_once(limit, verb, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"provider": {"type": "mock", "script": MOCK_SCRIPT}, limit: 10**9}), encoding="utf-8")
+    started = time.monotonic()
+    assert main(verb_argv(verb, str(path), tmp_path)) == EXIT_CONFIG
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert "nodes per subtask" in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("verb", ["validate-config", "run"])

@@ -1,10 +1,12 @@
 import io
 import json
 import queue
+import random
 import re
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -40,6 +42,7 @@ from rulegraph.engine import (
     CallGate,
     ConfigError,
     EngineError,
+    MAX_SUBTASK_NODES,
     PlanningFailure,
     Repair,
     Run,
@@ -393,8 +396,9 @@ class TestTermination:
                 per_attempt = config.k_rules + (4 if mode == "model" else 2)
                 logical = 1 + nodes_total * config.max_reprocess * per_attempt + nodes_total + nodes_splicable + 1
                 assert call_budget(config, 3) == logical * (1 + REASK_LIMIT), (m, d)
-        started = time.monotonic()
-        call_budget(RunConfig(provider=None, max_depth=10**5, cluster_mode=mode), 3)
+        started = time.monotonic()  # a tree too large to budget is refused, at once, when built
+        with pytest.raises(ConfigError, match="nodes per subtask"):
+            RunConfig(provider=None, max_depth=10**5, cluster_mode=mode)
         assert time.monotonic() - started < 1.0
 
 
@@ -819,6 +823,16 @@ def finish_within(seconds, fn):
     return value
 
 
+def settle(condition, seconds=10):
+    """Poll condition() until it holds; fails if it does not within `seconds`."""
+
+    def poll():
+        while not condition():
+            time.sleep(0.0005)
+
+    finish_within(seconds, poll)
+
+
 TWO_NODES = {
     ("PA", 1): plan_response("a goal", [("a", "first"), ("b", "second")]),
     **{key: SINGLE[key] for key in SINGLE if key[0] != "PA"},
@@ -902,7 +916,7 @@ class TestCallGate:
         for queued, (name, rank) in enumerate(waiters, start=1):
             threads.append(threading.Thread(target=wait, args=(name, rank), daemon=True))
             threads[-1].start()
-            finish_within(10, lambda: self.until(lambda: len(gate.waiting) == queued))
+            settle(lambda: len(gate.waiting) == queued)
         order = []
         for _ in waiters:  # each release, made for a holder, hands its slot to one waiter
             with lock:
@@ -916,11 +930,6 @@ class TestCallGate:
         gate.release()
         gate.release()
         assert gate.free == 2
-
-    @staticmethod
-    def until(condition):
-        while not condition():
-            time.sleep(0.0005)
 
     def test_calls_in_flight_never_exceed_the_slots(self):
         gate, lock, flying = CallGate(3), threading.Lock(), [0, 0]  # in flight, most at once
@@ -948,6 +957,146 @@ class TestCallGate:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert flying[1] == 3 and gate.free == 3 and not gate.waiting
+
+    def test_random_ranks_never_exceed_the_slots_and_every_request_is_served(self):
+        gate, lock, holders = CallGate(2), threading.Lock(), [0, 0]  # holding now, most at once
+
+        def calls(seed):
+            rng = random.Random(seed)
+            for _ in range(60):
+                gate.acquire(rng.randrange(4))
+                with lock:
+                    holders[0] += 1
+                    holders[1] = max(holders)
+                time.sleep(0.0001)
+                with lock:
+                    holders[0] -= 1
+                gate.release()
+
+        def run_all():
+            threads = [threading.Thread(target=calls, args=(seed,), daemon=True) for seed in range(10)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            finish_within(20, run_all)
+        finally:
+            sys.setswitchinterval(interval)
+        assert holders == [0, 2] and gate.free == 2 and not gate.waiting and not gate.pending
+
+
+class HeldWaiter:
+    """A CallGate waiter lock whose wake-up, once the lock is released, waits for `wake`.
+
+    The gate takes a new waiter lock at once and then waits on it; release
+    sets `granted`. Holding `wake` keeps a granted request from claiming
+    its slot, which on a real clock a thread does only once it is scheduled.
+    """
+
+    def __init__(self) -> None:
+        self.lock, self.granted, self.wake = threading.Lock(), threading.Event(), threading.Event()
+        self.taken = False
+
+    def acquire(self) -> None:
+        self.lock.acquire()
+        if self.taken:
+            self.wake.wait()
+        self.taken = True
+
+    def release(self) -> None:
+        self.lock.release()
+        self.granted.set()
+
+
+class TestCallGateClaims:
+    """A handed slot goes to the highest rank present when its grantee wakes and claims it."""
+
+    @staticmethod
+    def gate(monkeypatch, slots=1):
+        """(a gate whose slots this thread holds, the HeldWaiter each waiting request gets, served names)."""
+        gate, waiters = CallGate(slots), []
+        for _ in range(slots):
+            gate.acquire(0)
+
+        def held_waiter():
+            waiters.append(HeldWaiter())
+            return waiters[-1]
+
+        monkeypatch.setattr(engine, "threading", types.SimpleNamespace(Lock=held_waiter))
+        return gate, waiters, queue.SimpleQueue()
+
+    @staticmethod
+    def request(gate, name, rank, served) -> None:
+        """A request of `rank` on its own thread, left waiting in the gate; served gets its name."""
+        queued = len(gate.waiting)
+        threading.Thread(target=lambda: (gate.acquire(rank), served.put(name)), daemon=True).start()
+        settle(lambda: len(gate.waiting) == queued + 1)
+
+    def test_a_higher_rank_takes_the_pending_slot_and_the_displaced_request_keeps_its_place(self, monkeypatch):
+        gate, waiters, served = self.gate(monkeypatch)
+        self.request(gate, "a", 1, served)
+        self.request(gate, "b", 1, served)
+        a, b = waiters
+        b.wake.set()
+        gate.release()  # a is handed the slot but has not woken
+        assert a.granted.is_set() and len(gate.pending) == 1
+        finish_within(10, lambda: gate.acquire(2))  # a strictly higher rank takes it at once
+        assert not gate.pending and gate.free == 0
+        a.wake.set()
+        settle(lambda: len(gate.waiting) == 2)  # a woke to a taken slot and waits again
+        gate.release()  # the rank-2 request's slot: a arrived before b, so a is served first
+        assert served.get(timeout=10) == "a"
+        gate.release()
+        assert served.get(timeout=10) == "b"
+        gate.release()
+        assert gate.free == 1 and not gate.waiting and not gate.pending
+
+    def test_of_two_pending_grants_the_lower_ranked_is_taken(self, monkeypatch):
+        gate, waiters, served = self.gate(monkeypatch, slots=2)
+        self.request(gate, "high", 2, served)
+        self.request(gate, "low", 1, served)
+        gate.release()
+        gate.release()  # both are handed a slot, and neither has woken
+        finish_within(10, lambda: gate.acquire(3))
+        high, low = waiters
+        low.wake.set()
+        settle(lambda: len(gate.waiting) == 1)  # low's grant was the one taken: it waits again
+        assert served.empty()
+        high.wake.set()
+        assert served.get(timeout=10) == "high"
+        gate.release()
+        assert served.get(timeout=10) == "low"
+
+    @pytest.mark.parametrize("rank", [1, 0], ids=["equal", "lower"])
+    def test_an_equal_or_lower_rank_waits_behind_the_pending_grant(self, rank, monkeypatch):
+        gate, waiters, served = self.gate(monkeypatch)
+        self.request(gate, "a", 1, served)
+        gate.release()  # a is handed the slot but has not woken
+        self.request(gate, "late", rank, served)
+        a, late = waiters
+        late.wake.set()
+        assert len(gate.pending) == 1 and served.empty()
+        a.wake.set()
+        assert served.get(timeout=10) == "a"
+        gate.release()
+        assert served.get(timeout=10) == "late"
+        gate.release()
+        assert gate.free == 1 and not gate.waiting and not gate.pending
+
+    def test_a_displaced_request_that_wakes_to_a_free_slot_takes_it(self, monkeypatch):
+        gate, waiters, served = self.gate(monkeypatch)
+        self.request(gate, "a", 1, served)
+        gate.release()  # a is handed the slot but has not woken
+        finish_within(10, lambda: gate.acquire(2))  # taken by a higher rank,
+        gate.release()  # and freed again while no request waits
+        assert gate.free == 1 and not gate.waiting and not gate.pending
+        waiters[0].wake.set()
+        assert served.get(timeout=10) == "a"
+        assert gate.free == 0 and not gate.waiting and not gate.pending
 
 
 class TestPooledRunThreads:
@@ -1274,6 +1423,11 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigError):
                 mk_config(SINGLE, **kwargs).validate()
+
+    def test_repair_tree_bound_admits_exactly_max_subtask_nodes(self):
+        mk_config(SINGLE, max_chain=1, max_depth=MAX_SUBTASK_NODES - 1)  # a chain of 1 + D nodes
+        with pytest.raises(ConfigError, match=f"more than {MAX_SUBTASK_NODES} nodes per subtask"):
+            mk_config(SINGLE, max_chain=1, max_depth=MAX_SUBTASK_NODES)
 
     def test_deterministic_requires_scripted_provider(self):
         class NotScripted:

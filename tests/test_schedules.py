@@ -109,6 +109,13 @@ def test_dag_latency_units_on_a_virtual_clock(concurrency, units, dag_latency_ru
     assert virtual_units(monkeypatch, concurrency, dag_latency_run) == (units, expected)
 
 
+def test_dag_latency_loses_two_units_when_each_round_reaches_the_gate_late(dag_latency_run, monkeypatch):
+    # the late clock serves a request made at the tick its slot freed after those already waiting,
+    # as a gate that grants when a slot is freed, not when it is claimed, does on a real clock
+    expected = dag_latency_run()
+    assert virtual_units(monkeypatch, 2, dag_latency_run, late=True) == (45, expected)
+
+
 # 173 is repair-mix's dependency floor; its 1,545 node calls give a slot floor of 223 at c = 2
 @pytest.mark.parametrize("concurrency, units", [(2, 245), (3, 191), (64, 173)])
 def test_repair_mix_units_on_a_virtual_clock(concurrency, units, repair_mix_run, monkeypatch):
