@@ -527,9 +527,9 @@ class NodeSession:
 
         The first tries take the next len(slot_list) attempt numbers in
         order. With the run's pool, the first runs on this thread and the
-        others on pool threads; without one, they run here in turn. Re-asks
-        follow in order, numbered after them. Each call gets its own event
-        buffer.
+        others on pool threads, and a stopped run raises RuntimeError
+        instead; without one, they run here in turn. Re-asks follow in
+        order, numbered after them. Each call gets its own event buffer.
         Returns (what read made of the document, or the ProviderFailure that
         ended the call, buffer) per call; the caller appends the buffers in
         order. A response still invalid after the re-asks ends its call with
@@ -546,6 +546,8 @@ class NodeSession:
 
         if self.run.pool is None:
             tries = [first_try(i) for i in range(len(calls))]
+        elif self.run.stopped:
+            raise RuntimeError("the run has stopped")
         else:
             tries = self.run.pool.map(first_try, range(len(calls)))
 

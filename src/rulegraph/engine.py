@@ -31,8 +31,8 @@ it starts, and reads no graph and no shared results. No started node loses
 its inputs: a repair rewires only the successors of its own failed node,
 which has no result, so none of them has started. Every session holds the
 one Run of its run: workers read its id, provider, temperatures, pool,
-gate and node ranks, and only the run loop writes the ranks, when it
-starts and after each repair, and the trace.
+gate, node ranks and stop flag; only the run loop writes the ranks, when
+it starts and after each repair, the flag and the trace.
 
 Termination is guaranteed by three bounds: at most R reprocessing attempts
 per node, repair splices clamped to M_max chain nodes, and a depth cap D
@@ -163,15 +163,11 @@ class RunConfig:
             raise ConfigError("max_chain must be at least 1")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
-        nodes = level = 1
-        for _ in range(self.max_depth):  # stops once past the bound, so max_depth 10**9 is cheap
-            level *= self.max_chain
-            nodes += level
-            if nodes > MAX_SUBTASK_NODES:
-                raise ConfigError(
-                    f"max_chain {self.max_chain} and max_depth {self.max_depth} allow more than "
-                    f"{MAX_SUBTASK_NODES} nodes per subtask"
-                )
+        if _repair_tree(self.max_chain, self.max_depth)[0] > MAX_SUBTASK_NODES:
+            raise ConfigError(
+                f"max_chain {self.max_chain} and max_depth {self.max_depth} allow more than "
+                f"{MAX_SUBTASK_NODES} nodes per subtask"
+            )
         if self.cluster_mode not in ("model", "lexical"):
             raise ConfigError(f"unknown cluster_mode {self.cluster_mode!r}")
         if not self.domains:
@@ -187,6 +183,16 @@ class RunConfig:
                 raise ConfigError(
                     f"temperature for {role.value} must be a finite number, got {temperature!r}"
                 )
+
+
+def _repair_tree(max_chain: int, max_depth: int) -> tuple[int, int]:
+    """Most nodes of one subtask's repair tree, 1 + M_max + ... + M_max**D, and of them those of depth below D."""
+    replannable, level = 0, 1
+    for _ in range(max_depth):
+        replannable, level = replannable + level, level * max_chain
+        if replannable + level > MAX_SUBTASK_NODES:  # past the bound: stop, so max_depth 10**9 is cheap
+            break
+    return replannable + level, replannable
 
 
 class TraceEvent(NamedTuple):
@@ -225,25 +231,26 @@ class RunOutcome(NamedTuple):
 
 
 class Run:
-    """What one run's sessions share: its id, provider, temperatures, pool, gate and ranks, and its trace.
+    """What one run's sessions share: id, provider, temperatures, pool, gate, ranks, stop flag and trace.
 
-    pool is the run's RunPool and gate its CallGate; both are None at
-    concurrency 1. ranks maps each node of the current graph to its upward
-    rank (graph.ranks), the key by which the gate grants a slot to a
-    session's request. Node workers only read run_id, provider,
-    temperatures, pool, gate and ranks, and make every request through
-    request. Only the run-loop thread, the one that called execute_task,
-    writes ranks, replacing the whole map, and the trace fields, through
-    flush; an event's seq is its position in events, from 1. It calls
-    encode while it waits, so the first `encoded` events are lines.
-    A buffer holding an unknown kind or a missing field raises ValueError
-    and commits none of its events. A flush that takes provider_calls past
-    budget raises EngineError once its events are in the trace. Flushes
-    come in commit order, so the flush that raises does not depend on the
-    schedule.
+    pool is the process's RunPool and gate the run's CallGate; both are
+    None at concurrency 1. ranks maps each node of the current graph to its
+    upward rank (graph.ranks), the key by which the gate grants a slot to a
+    session's request. stopped is set when an error ends the run; a node
+    job's next pooled expert batch then raises (NodeSession.call_many).
+    Node workers read only these fields, run_id, provider and temperatures,
+    and make every request through request. Only the run-loop thread, the
+    one that called execute_task, writes ranks, replacing the whole map,
+    stopped, and the trace fields, through flush; an event's seq is its
+    position in events, from 1. It calls encode while it waits, so the
+    first `encoded` events are lines. A buffer holding an unknown kind or a
+    missing field raises ValueError and commits none of its events. A flush
+    that takes provider_calls past budget raises EngineError once its
+    events are in the trace. Flushes come in commit order, so the flush
+    that raises does not depend on the schedule.
     """
 
-    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "ranks",
+    __slots__ = ("run_id", "provider", "temperatures", "deterministic", "pool", "gate", "ranks", "stopped",
                  "budget", "events", "provider_calls", "token_usage", "lines", "encoded")
 
     def __init__(
@@ -258,6 +265,7 @@ class Run:
         self.pool: RunPool | None = None
         self.gate: CallGate | None = None
         self.ranks: Mapping[str, int] = {}
+        self.stopped = False
         self.budget: float = math.inf  # execute_task sets call_budget once the plan is known
         self.events: list[TraceEvent] = []
         self.provider_calls = 0
@@ -321,13 +329,11 @@ def call_budget(config: RunConfig, n_subtasks: int) -> int:
     model clustering adds cluster and synthesis), one classification and,
     below D, one replan. A logical call costs at most 1 + REASK_LIMIT tries.
     """
-    m, d, r, k = config.max_chain, config.max_depth, config.max_reprocess, config.k_rules
-    below_cap = d if m == 1 else (m**d - 1) // (m - 1)  # sum of m**level over levels 0..d-1
-    nodes_total = n_subtasks * (1 + m * below_cap)
-    nodes_splicable = n_subtasks * below_cap
+    nodes, replannable = _repair_tree(config.max_chain, config.max_depth)
+    nodes_total, nodes_splicable = n_subtasks * nodes, n_subtasks * replannable
     logical = (
         1  # plan
-        + nodes_total * r * (k + (4 if config.cluster_mode == "model" else 2))
+        + nodes_total * config.max_reprocess * (config.k_rules + (4 if config.cluster_mode == "model" else 2))
         + nodes_total  # failure classifications
         + nodes_splicable  # replans
         + 1  # final fusion
@@ -592,81 +598,64 @@ def _analyze(node: g.TaskNode, config: RunConfig, session: NodeSession) -> tuple
 
 
 class RunPool:
-    """One run's threads for node, lane and expert helper jobs, fed from one queue.
+    """Threads for node, lane and expert helper jobs, fed from one queue and shared by all pooled runs.
 
     A job is (replies, key, fn, args): a thread puts (key, fn(*args), None)
-    on replies, or (key, None, the exception fn raised). map queues its
-    items after the first, then runs the first on the calling thread.
-    close refuses new jobs and queues one stop per thread behind the
-    queued jobs, which still run.
+    on replies, or (key, None, the exception fn raised), having counted
+    itself idle first. submit reserves an idle thread for its job or starts
+    one, so no job waits for a thread; a thread the OS refuses raises EngineError.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self) -> None:
         self.jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self.lock, self.closed = threading.Lock(), False
-        self.threads = [threading.Thread(target=self._work, daemon=True) for _ in range(size)]
-        for thread in self.threads:
-            thread.start()
+        self.lock, self.idle = threading.Lock(), 0
 
     def _work(self) -> None:
-        while (job := self.jobs.get()) is not None:
-            replies, key, fn, args = job
+        while True:
+            replies, key, fn, args = self.jobs.get()
             try:
-                replies.put((key, fn(*args), None))
+                reply = (key, fn(*args), None)
             except BaseException as exc:
-                replies.put((key, None, exc))
+                reply = (key, None, exc)
+            with self.lock:
+                self.idle += 1
+            replies.put(reply)
 
-    def submit(self, *jobs: tuple) -> None:
+    def submit(self, job: tuple) -> None:
         with self.lock:
-            if self.closed:
-                raise RuntimeError("the run's pool is closed")
-            for job in jobs:
-                self.jobs.put(job)
+            reserved = self.idle > 0  # an idle thread that will take this job
+            self.idle -= reserved
+        if not reserved:
+            try:
+                threading.Thread(target=self._work, daemon=True).start()
+            except RuntimeError as exc:
+                raise EngineError(f"cannot start a pool thread: {exc}") from exc
+        self.jobs.put(job)
 
     def map(self, fn: Callable, items: Sequence) -> list:
-        """fn over a non-empty sequence, results in order; the first item in order that raised raises."""
-        replies = [queue.SimpleQueue() for _ in range(1, len(items))]
-        self.submit(*[(reply, None, fn, (item,)) for reply, item in zip(replies, items[1:])])
-        results = [fn(items[0])]
-        for reply in replies:
-            _, value, error = reply.get()
+        """fn over a non-empty sequence, results in order, the first item run on the calling thread.
+
+        The first item in order that raised raises, and only once every queued item has replied.
+        """
+        replies = []
+        try:
+            for item in items[1:]:
+                reply = queue.SimpleQueue()
+                self.submit((reply, None, fn, (item,)))
+                replies.append(reply)
+            results = [fn(items[0])]
+        finally:
+            done = [reply.get() for reply in replies]
+        for _, value, error in done:
             if error is not None:
                 raise error
             results.append(value)
         return results
 
-    def close(self) -> None:
-        with self.lock:
-            self.closed = True
-            for _ in self.threads:
-                self.jobs.put(None)
-        for thread in self.threads:
-            thread.join()
 
-
-_parked: list[RunPool] = []  # at most one idle pool, left by the last pooled run that returned
-_parked_lock = threading.Lock()
-
-
-def _take_pool(size: int) -> RunPool:
-    """The parked pool if it has `size` threads and all are alive, else a new RunPool(size).
-
-    Taking removes the pool from the slot under the lock, so no two live
-    runs share one. A pool whose threads are gone, as in a forked child,
-    stays in the slot until a park displaces it.
-    """
-    with _parked_lock:
-        if _parked and len(_parked[0].threads) == size and all(t.is_alive() for t in _parked[0].threads):
-            return _parked.pop()
-    return RunPool(size)
-
-
-def _park_pool(pool: RunPool) -> None:
-    """Park an idle pool for the next pooled run; close the pool it displaces."""
-    with _parked_lock:
-        displaced, _parked[:] = _parked[:], [pool]
-    for old in displaced:
-        old.close()
+_pool = RunPool()  # every pooled run's pool; reset in a forked child, which has none of its threads
+if hasattr(os, "register_at_fork"):  # absent where the OS cannot fork
+    os.register_at_fork(after_in_child=lambda: _pool.__init__())
 
 
 class CallGate:
@@ -734,9 +723,9 @@ class _Scheduler:
     repair, then commits the wave and reads the next. While it waits,
     _dispatch starts the lowest-id nodes whose predecessors all have
     results, committed or not, up to `cap` in flight: c x K with a pool,
-    where the run's gate bounds the calls, else one. Each job's inputs, its
-    session on the shared Run among them, are read on the run-loop thread
-    when it starts.
+    whose calls the run's gate, built here with c x K + 1 slots, bounds,
+    else one. Each job's inputs, its session on the shared Run among them,
+    are read on the run-loop thread when it starts.
 
     With a pool, _dispatch also feeds the analyst lane one _analyze job at a
     time (see the module docstring); a ready node waits for its analysis.
@@ -758,6 +747,8 @@ class _Scheduler:
         self.started: set[str] = set()
         self.finished: dict[str, _Finished] = {}  # finished nodes whose wave has not committed
         self.cap = config.concurrency * config.k_rules if self.pool is not None else 1
+        if self.pool is not None:
+            run.gate = CallGate(self.cap + 1)
         self.in_flight = 0
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self.lane: str | None = None  # the node whose analysis is in flight
@@ -765,23 +756,32 @@ class _Scheduler:
         self.stale = True  # the lane's candidates may have changed since its last scan
 
     def run(self) -> tuple[g.TaskGraph, dict[str, str]]:
-        """Walk each wave in id order, then commit it; the first error in commit order is raised."""
-        self._rank()
-        while wave := sorted(
-            g.ready_nodes(self.graph, self.results.keys() - self.finished.keys()) - {g.FUSION_ID}
-        ):
-            for nid in wave:
-                while nid not in self.finished:
-                    self._dispatch()
-                    self._receive()
-                done = self.finished[nid]
-                if done.error is not None:
-                    raise done.error
-                if done.result is None:
-                    self.graph = apply_repair(done.repair, self.graph, done.session, self.used_ids)
-                    self._rank()
-            self._commit(wave)
-        return self.graph, self.results
+        """Walk each wave in id order, then commit it; the first error in commit order is raised.
+
+        Any error stops the shared Run and leaves once no node or lane job is outstanding.
+        """
+        try:
+            self._rank()
+            while wave := sorted(
+                g.ready_nodes(self.graph, self.results.keys() - self.finished.keys()) - {g.FUSION_ID}
+            ):
+                for nid in wave:
+                    while nid not in self.finished:
+                        self._dispatch()
+                        self._receive()
+                    done = self.finished[nid]
+                    if done.error is not None:
+                        raise done.error
+                    if done.result is None:
+                        self.graph = apply_repair(done.repair, self.graph, done.session, self.used_ids)
+                        self._rank()
+                self._commit(wave)
+            return self.graph, self.results
+        except BaseException:
+            self.shared.stopped = True
+            for _ in range(self.in_flight + (self.lane is not None)):  # each outstanding job's reply, dropped
+                self.done.get()
+            raise
 
     def _rank(self) -> None:
         """With a pool, give the shared Run the current graph's ranks."""
@@ -798,36 +798,37 @@ class _Scheduler:
             self.stale = False
             ahead = g.ready_nodes(self.graph, self.started) - self.analysed.keys() - {g.FUSION_ID}
             if ahead:
-                self.lane = nid = min(ahead)
+                nid = min(ahead)
                 args = (self.graph.nodes[nid], self.config, NodeSession(self.shared, nid))
                 self.pool.submit((self.done, None, _analyze, args))
+                self.lane = nid
 
     def _receive(self) -> None:
         """Take one reply off `done`, a lane analysis (key None) or a node's; raise what escaped its job.
 
-        A wait past _ENCODE_AFTER_S (never at c = 1, where jobs ran inline) encodes the committed events
-        meanwhile; the delay first lets the jobs just started, which encoding holds up, reach their calls.
+        The job is no longer counted in flight when it raises. A wait past _ENCODE_AFTER_S (never at
+        c = 1, where jobs ran inline) encodes the committed events meanwhile; the delay first lets the
+        jobs just started, which encoding holds up, reach their calls.
         """
         try:
             nid, done, error = self.done.get(timeout=_ENCODE_AFTER_S)
         except queue.Empty:
             self.shared.encode()
             nid, done, error = self.done.get()
+        if nid is None:
+            lane, self.lane, self.stale = self.lane, None, True
+        else:
+            self.in_flight -= 1
         if error is not None:
             raise error
         if nid is None:
-            self.analysed[self.lane] = done
-            self.lane, self.stale = None, True
+            self.analysed[lane] = done
             return
-        self.in_flight -= 1
         self.finished[nid] = done
         if done.result is not None:
             self.results[nid] = done.result
 
     def _start(self, nid: str) -> None:
-        self.started.add(nid)
-        self.in_flight += 1
-        self.stale = True
         preds = g.predecessor_results(self.graph, nid, self.results)
         session, first_rules = self.analysed.pop(nid, None) or (NodeSession(self.shared, nid), None)
         args = (self.graph.nodes[nid], self.goal, preds, self.config, session, first_rules)
@@ -835,6 +836,9 @@ class _Scheduler:
             self.done.put((nid, _run_node(*args), None))
         else:
             self.pool.submit((self.done, nid, _run_node, args))
+        self.started.add(nid)  # counted once submit returns: a refused job is never waited for
+        self.in_flight += 1
+        self.stale = True
 
     def _commit(self, wave: list[str]) -> None:
         """Flush the walked wave: node buffers in node-id order, then repair buffers."""
@@ -853,9 +857,9 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
 
     Every run failure leaves as an EngineError carrying the trace, provider
     calls and token usage of the run so far.
-    Above concurrency 1 the run takes the parked RunPool of its size, or
-    builds one, and parks it again when it returns. Any exception closes
-    the pool and joins its threads before it leaves.
+    Above concurrency 1 the run's node, lane and helper jobs run on the
+    process's RunPool, and any exception leaves only once each of them has
+    ended (_Scheduler.run).
     """
     if run_id is None:
         run_id = DETERMINISTIC_RUN_ID if config.deterministic else os.urandom(6).hex()
@@ -884,11 +888,7 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
         run.flush(root_session.events)
 
         run.budget = call_budget(config, len(the_plan.subtasks))
-        if config.concurrency > 1:
-            # c x K node jobs, each waiting on at most K - 1 helper jobs, and one lane job: on
-            # c x K^2 + 1 threads no job waits for a thread; the gate's c x K + 1 slots bound calls
-            nodes = config.concurrency * config.k_rules
-            run.pool, run.gate = _take_pool(nodes * config.k_rules + 1), CallGate(nodes + 1)
+        run.pool = _pool if config.concurrency > 1 else None
         graph, results = _Scheduler(run, graph, the_plan.global_goal, config).run()
 
         answers = {nid: results[nid] for nid in sorted(graph.predecessors(g.FUSION_ID))}
@@ -908,15 +908,10 @@ def execute_task(task: str, config: RunConfig, run_id: str | None = None) -> Run
             },
         )
         run.flush(fusion_session.events)
-    except BaseException as exc:
-        if run.pool is not None:
-            run.pool.close()  # its queued and running jobs end before the error leaves
-        if isinstance(exc, EngineError):
-            exc.trace, exc.provider_calls = run.events, run.provider_calls
-            exc.token_usage = run.token_usage
+    except EngineError as exc:
+        exc.trace, exc.provider_calls = run.events, run.provider_calls
+        exc.token_usage = run.token_usage
         raise
-    if run.pool is not None:
-        _park_pool(run.pool)  # idle: every node, lane and helper job ended before the last wave committed
     return RunOutcome(
         final=final,
         graph_final=graph,

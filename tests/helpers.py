@@ -78,6 +78,18 @@ def assignments_response(keys: list[str]) -> str:
     return json_doc({"assignments": keys})
 
 
+def refuse_threads_after(monkeypatch, allowed):
+    """Patch threading.Thread.start to raise, as a refusing OS would, once `allowed` threads started."""
+    start, starts = threading.Thread.start, itertools.count()
+
+    def refusing(thread):
+        if next(starts) >= allowed:  # one atomic step, as threads may start threads at once
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refusing)
+
+
 def session_for(provider, node_id="T1") -> NodeSession:
     """A session for node_id in a run of its own, "run-0", answered by provider."""
     return NodeSession(Run("run-0", provider), node_id)
@@ -328,8 +340,8 @@ class _HeldJobScheduler(engine._Scheduler):
     """engine._Scheduler as its own pool and done-queue: jobs finish one at a time, no threads.
 
     Install a subclass with monkeypatch.setattr(engine, "_Scheduler", ...)
-    and run under a concurrency-1 RunConfig. execute_task then builds no
-    pool and no call gate, so expert calls run inline, and __init__ raises
+    and run under a concurrency-1 RunConfig. The run then has no pool and
+    no call gate, so expert calls run inline, and __init__ raises
     the node cap to the subclass's `nodes`. The scheduler is its own pool,
     so its analyst lane runs. submit holds each node and lane job; get
     finishes the job that take() picks and returns its reply, as a pool

@@ -610,11 +610,11 @@ class TestNodeSession:
 
     def test_one_call_never_uses_the_pool(self):
         class NoPool(RunPool):
-            def submit(self, *jobs):
-                assert not jobs, "a single call went to the pool"
+            def submit(self, job):
+                raise AssertionError("a single call went to the pool")
 
         session = make_session({("DEA", n): candidate_response("a") for n in (1, 2)})
-        session.run.pool = NoPool(0)
+        session.run.pool = NoPool()
         assert session.call("execute", SLOTS["execute"], whole) == {"answer": "a"}
         [(outcome, _)] = session.call_many("execute", [SLOTS["execute"]], whole)
         assert outcome == {"answer": "a"}

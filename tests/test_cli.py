@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import refuse_threads_after
 from scenarios import FINAL_EMAIL
 import rulegraph.cli as cli
 from rulegraph.cli import (
@@ -511,6 +512,20 @@ class TestRunCommand:
         assert full.read_text(encoding="utf-8").startswith(text)
         calls = [line for line in text.splitlines() if json.loads(line)["kind"] == "provider_call"]
         assert f"provider calls {len(calls)} exceeded" in captured.err
+
+    def test_a_refused_pool_thread_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        import rulegraph.engine as engine
+
+        with open(DEMO_CONFIG, encoding="utf-8") as f:
+            config = {**json.load(f), "concurrency": 2}
+        config["provider"]["script"] = os.path.join(FIXTURES, config["provider"]["script"])
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.setattr(engine, "_pool", engine.RunPool())  # a warm pool would start no thread
+        refuse_threads_after(monkeypatch, 1)  # the first node job alone needs three threads
+        code = main(verb_argv("run", str(tmp_path / "config.json"), tmp_path))
+        captured = capsys.readouterr()
+        assert code == EXIT_FAILURE and captured.out == ""
+        assert captured.err == "run failed: cannot start a pool thread: can't start new thread\n"
 
     def test_run_exactly_at_the_budget_exits_0_and_one_call_fewer_exits_1(self, tmp_path, capsys, monkeypatch):
         import rulegraph.engine as engine

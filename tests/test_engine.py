@@ -1,9 +1,13 @@
 import io
+import itertools
 import json
+import os
 import queue
 import random
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import types
@@ -22,6 +26,7 @@ from helpers import (
     make_plan,
     plan_response,
     record_starts,
+    refuse_threads_after,
     ruleset_response,
 )
 from scenarios import (
@@ -56,6 +61,9 @@ from rulegraph.engine import (
     write_trace_events,
 )
 from rulegraph.graph import build_graph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DEMO_CONFIG = os.path.join(os.path.dirname(SRC), "fixtures", "config.demo.json")
 
 
 def mk_config(script, **overrides):
@@ -845,14 +853,10 @@ class Halt(BaseException):
 
 class TestRunPool:
     def test_map_runs_the_first_item_on_the_calling_thread(self):
-        def caller_and_results():
-            return threading.get_ident(), pool.map(lambda i: (i, threading.get_ident()), range(3))
-
-        pool = RunPool(2)
-        try:
-            caller, results = finish_within(10, caller_and_results)
-        finally:
-            pool.close()
+        pool = RunPool()
+        caller, results = finish_within(
+            10, lambda: (threading.get_ident(), pool.map(lambda i: (i, threading.get_ident()), range(3)))
+        )
         assert [i for i, _ in results] == [0, 1, 2]
         assert results[0][1] == caller and caller not in {results[1][1], results[2][1]}
 
@@ -868,31 +872,47 @@ class TestRunPool:
                 raise KeyError("item 2")
             return i
 
-        pool = RunPool(2)
-        try:
-            with pytest.raises(ValueError, match="item 1"):
-                finish_within(10, lambda: pool.map(fn, range(3)))
-        finally:
-            pool.close()
+        with pytest.raises(ValueError, match="item 1"):
+            finish_within(10, lambda: RunPool().map(fn, range(3)))
 
-    def test_close_runs_queued_jobs_then_refuses_new_ones(self):
-        pool = RunPool(1)
-        replies = queue.SimpleQueue()
+    def test_map_raises_only_after_its_helpers_ended(self):
+        ended = []
+
+        def fn(i):
+            if i == 0:
+                raise ValueError("the inline item")
+            time.sleep(0.005)
+            ended.append(i)
+
+        with pytest.raises(ValueError, match="the inline item"):
+            finish_within(10, lambda: RunPool().map(fn, range(3)))
+        assert sorted(ended) == [1, 2]
+
+    def test_submit_starts_a_thread_only_when_none_is_idle(self, monkeypatch):
+        pool, replies = RunPool(), queue.SimpleQueue()
+        began, release = threading.Event(), threading.Event()
 
         def held():
-            deadline = time.monotonic() + 5
-            while not pool.closed and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return pool.closed
+            began.set()
+            release.wait(timeout=5)
+            return threading.get_ident()
 
-        pool.submit((replies, "held", held, ()), (replies, "queued", str, (1,)))  # queued waits for close
-        finish_within(10, pool.close)
-        assert [replies.get_nowait() for _ in range(2)] == [("held", True, None), ("queued", "1", None)]
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit((replies, "late", str, (2,)))
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.map(str, [1])  # even one item, which would queue no job
-        assert replies.empty()
+        class IdleAtPut:  # a reply queue that also records the idle count when the reply is put
+            def put(self, reply):
+                replies.put((reply, pool.idle))
+
+        pool.submit((IdleAtPut(), "first", threading.get_ident, ()))
+        (_, first, _), idle = replies.get(timeout=10)
+        assert idle == 1  # counted before its reply was put, so a job its reader submits can reuse it
+        pool.submit((replies, "held", held, ()))
+        assert pool.idle == 0 and began.wait(timeout=10)
+        refuse_threads_after(monkeypatch, 0)
+        with pytest.raises(EngineError, match="cannot start a pool thread: can't start new thread"):
+            pool.submit((replies, "refused", str, (1,)))
+        assert pool.idle == 0 and pool.jobs.empty()  # nothing reserved or queued
+        release.set()
+        assert replies.get(timeout=10) == ("held", first, None)  # the idle thread took it
+        assert pool.idle == 1
 
 
 class TestCallGate:
@@ -1100,9 +1120,10 @@ class TestCallGateClaims:
 
 
 class TestPooledRunThreads:
-    """Real threads at concurrency 2: errors reach execute_task and end the run's pool's threads.
+    """Real threads at concurrency 2 and 3: runs share the process's RunPool and keep its threads.
 
-    A run that returns parks its pool, idle, for the next pooled run (engine._take_pool).
+    An error reaches execute_task only once no job of its run is outstanding. Each test swaps a
+    fresh RunPool in for the process's, so that the threads it starts can be counted.
     """
 
     @staticmethod
@@ -1111,44 +1132,37 @@ class TestPooledRunThreads:
         return finish_within(10, lambda: execute_task("task", config))
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """(the pools runs took, in order; the RunPools built), recorded from here on."""
-        taken, built = [], []
-        take, init = engine._take_pool, RunPool.__init__
-
-        def recording_take(size):
-            taken.append(take(size))
-            return taken[-1]
-
-        def recording_init(pool, size):
-            built.append(pool)
-            init(pool, size)
-
-        monkeypatch.setattr(engine, "_take_pool", recording_take)
-        monkeypatch.setattr(RunPool, "__init__", recording_init)
-        return taken, built
+    def pool(self, monkeypatch):
+        """(a fresh RunPool the runs use, a count of the threads started since)."""
+        pool, others = RunPool(), threading.active_count()
+        monkeypatch.setattr(engine, "_pool", pool)
+        return pool, lambda: threading.active_count() - others
 
     @staticmethod
-    def raises_with_its_pool_ended(pools, provider, error, match):
-        """Run provider's task to `error`: every thread of the run's pool ended before it left."""
-        taken, _ = pools
-        requests = []
+    def raises_with_its_jobs_ended(pool, provider, error, match, run=None):
+        """Run provider's task to `error`; when it leaves, every pool thread is idle, so no call runs or starts.
+
+        Returns the context keys the provider was asked for.
+        """
+        pool, threads = pool
+        requests, running = [], []
         complete = provider.complete
 
         def counting(request):
             requests.append(request.context_key)
-            return complete(request)
+            running.append(request.context_key)
+            try:
+                return complete(request)
+            finally:
+                running.remove(request.context_key)
 
         provider.complete = counting
         with pytest.raises(error, match=match):
-            TestPooledRunThreads.run(provider)
-        made = len(requests)
-        [pool] = taken
-        assert not any(thread.is_alive() for thread in pool.threads) and pool.closed
-        assert pool not in engine._parked
-        assert len(requests) == made  # no request after execute_task returned
+            (run or TestPooledRunThreads.run)(provider)
+        assert not running and pool.idle == threads() and pool.jobs.empty()
+        return requests
 
-    def test_script_miss_on_a_helper_thread_is_raised(self, pools):
+    def test_script_miss_on_a_helper_thread_is_raised(self, pool):
         threads = {}
 
         class MissOnHelper(MockProvider):
@@ -1160,34 +1174,16 @@ class TestPooledRunThreads:
                         raise ScriptMiss("no entry for the third expert")
                 return super().complete(request)
 
-        self.raises_with_its_pool_ended(pools, MissOnHelper(SINGLE), ScriptMiss, "third expert")
+        self.raises_with_its_jobs_ended(pool, MissOnHelper(SINGLE), ScriptMiss, "third expert")
         assert threads[3] not in (threads[1], threading.get_ident())  # first try on the node's thread
 
-    def test_success_parks_the_pool_and_a_kept_error_ends_it(self, pools):
-        taken, built = pools
-        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        after_first = threading.active_count()
-        assert engine._parked == taken
-        built.clear()
-        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        assert threading.active_count() == after_first
-        assert built == [] and taken[1] is taken[0] and engine._parked == [taken[0]]
-        script = repair_script()
-        del script[("run-0", "d", "PA", 2)]  # d's replan misses the script
-        taken.clear()
-        self.raises_with_its_pool_ended(pools, MockProvider(script), ScriptMiss, "'d', 'PA', 2")
-
-    def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch, pools):
-        # a's ruleset misses once b's first expert try has begun, so b's batch is queued
-        # (RunPool.map queues items 2..K first); b's second try holds until the pool is closing
-        mid_batch, closing = threading.Event(), threading.Event()
-        close = RunPool.close
-
-        def close_after_signal(pool):
-            closing.set()
-            close(pool)
-
-        monkeypatch.setattr(RunPool, "close", close_after_signal)
+    def test_threads_end_after_an_error_while_a_sibling_is_mid_batch(self, monkeypatch, pool):
+        # a's ruleset misses once b's first expert try has begun, so b's batch is queued (RunPool.map
+        # queues items 2..K first); b's second try holds until the run has stopped. b then fails its
+        # goal check, and its second attempt's batch raises, so b asks for no expert after attempt 3.
+        runs, mid_batch = [], threading.Event()
+        init = Run.__init__
+        monkeypatch.setattr(Run, "__init__", lambda run, *args: runs.append(run) or init(run, *args))
 
         class SiblingMidBatch(MockProvider):
             waited = None
@@ -1200,28 +1196,55 @@ class TestPooledRunThreads:
                 if (node, role, attempt) == ("b", "DEA", 1):
                     mid_batch.set()
                 if (node, role, attempt) == ("b", "DEA", 2):
-                    self.waited = closing.wait(timeout=5)
+                    deadline = time.monotonic() + 5
+                    while not runs[0].stopped and time.monotonic() < deadline:
+                        time.sleep(0.0005)
+                    self.waited = runs[0].stopped
                 return super().complete(request)
 
-        provider = SiblingMidBatch(TWO_NODES)
-        self.raises_with_its_pool_ended(pools, provider, ScriptMiss, "no ruleset for a")
+        script = {
+            **TWO_NODES,
+            ("run-0", "b", "GEA", 1): assessment_response("L", "b is off goal"),
+            ("run-0", "b", "DAA", 2): ruleset_response([("History", "H"), ("Science", "M"), ("Law", "ML")]),
+        }
+        provider = SiblingMidBatch(script)
+        requests = self.raises_with_its_jobs_ended(pool, provider, ScriptMiss, "no ruleset for a")
         assert mid_batch.is_set() and provider.waited is True
+        assert ("run-0", "b", "DAA", 2) in requests  # b went on to its second attempt
+        assert max(attempt for _, node, role, attempt in requests if (node, role) == ("b", "DEA")) == 3
 
-    def test_exception_past_run_node_reaches_the_run_loop(self, pools):
+    def test_exception_past_run_node_reaches_the_run_loop(self, pool):
         class Halting(MockProvider):
             def complete(self, request):
                 if request.context_key[2] == "GEA":
                     raise Halt()
                 return super().complete(request)
 
-        self.raises_with_its_pool_ended(pools, Halting(TWO_NODES), Halt, None)
+        self.raises_with_its_jobs_ended(pool, Halting(TWO_NODES), Halt, None)
 
-    def test_two_runs_at_once_take_two_pools_and_give_the_sequential_trace(self, pools):
-        taken, _ = pools
+    @pytest.mark.parametrize("allowed", [0, 1, 2])
+    def test_a_refused_thread_ends_the_run_once_its_jobs_ended(self, monkeypatch, pool, allowed):
+        # TWO_NODES at c = 2 needs at least 3 threads: a node job and its two expert helpers
+        def refused_run(provider):
+            refuse_threads_after(monkeypatch, allowed)
+            try:  # on this thread, so that every thread started meanwhile is the pool's
+                return execute_task("task", RunConfig(provider=provider, deterministic=True, concurrency=2))
+            finally:
+                monkeypatch.setattr(threading.Thread, "start", start)
+
+        start = threading.Thread.start
+        match = "cannot start a pool thread: can't start new thread"
+        self.raises_with_its_jobs_ended(pool, MockProvider(TWO_NODES), EngineError, match, refused_run)
+        _, threads = pool
+        assert threads() == allowed
+        expected = trace_text(self.run(MockProvider(TWO_NODES), concurrency=1))
+        assert trace_text(self.run(MockProvider(TWO_NODES))) == expected  # the pool still serves
+
+    def test_two_runs_share_the_pool_and_give_the_sequential_trace(self, monkeypatch, pool):
         expected = trace_text(self.run(FaultInjector(repair_script(), REPAIR_FAULTS), concurrency=1))
-        assert trace_text(self.run(FaultInjector(repair_script(), REPAIR_FAULTS))) == expected  # parks a pool
-        taken.clear()
-        both_live = threading.Barrier(2, timeout=5)
+        runs, both_live = [], threading.Barrier(2, timeout=5)
+        init = Run.__init__
+        monkeypatch.setattr(Run, "__init__", lambda run, *args: runs.append(run) or init(run, *args))
 
         class MeetAtFirstExpert(FaultInjector):
             met = False
@@ -1229,7 +1252,7 @@ class TestPooledRunThreads:
             def complete(self, request):
                 if request.context_key[2] == "DEA" and not self.met:
                     self.met = True
-                    both_live.wait()  # both runs hold a pool here
+                    both_live.wait()  # both runs have jobs on the pool here
                 return super().complete(request)
 
         def one_run():
@@ -1247,37 +1270,62 @@ class TestPooledRunThreads:
             return [mine, *other]
 
         assert finish_within(10, two_runs) == [expected, expected]
-        assert len(taken) == 2 and taken[0] is not taken[1]
-        assert len(engine._parked) == 1 and engine._parked[0] in taken
+        pool, threads = pool
+        assert [run.pool for run in runs] == [pool, pool] and pool.idle == threads()
 
-    def test_runs_of_other_sizes_leave_one_parked_pool(self):
-        others = threading.active_count() - sum(len(pool.threads) for pool in engine._parked)
-        for concurrency in (2, 3, 2):
-            self.run(FateProvider(3), concurrency)
-            [pool] = engine._parked
-            assert len(pool.threads) == concurrency * 3**2 + 1
-            assert threading.active_count() == others + len(pool.threads)
+    def test_runs_start_no_thread_after_the_first_of_each_size(self, pool):
+        # one rule per node, so no expert helpers: c node jobs and the lane job use c + 1 threads at
+        # most, and every run uses them all at once, as its first c + 1 analyst calls meet
+        pool, threads = pool
+        script = {
+            ("PA", 1): plan_response("a goal", [(n, f"step {n}") for n in "abcde"]),
+            ("DAA", 1): ruleset_response([("Law", "ML")]),
+            ("DEA", 1): candidate_response("an answer"),
+            ("GEA", 1): assessment_response("H"),
+            ("FEA", 1): fusion_answer("the final answer"),
+        }
 
-    def test_a_parked_pool_whose_threads_are_gone_is_not_taken(self, pools):
-        # as in a forked child: the pool is parked and not closed, but none of its threads runs
-        taken, built = pools
-        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        [gone] = engine._parked
-        for _ in gone.threads:
-            gone.jobs.put(None)
-        for thread in gone.threads:
-            thread.join(timeout=10)
-        built.clear()
-        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        assert taken[-1] is not gone and built == [taken[-1]] and engine._parked == [taken[-1]]
+        class MeetAtAnalysts(MockProvider):
+            def __init__(self, meeting):
+                super().__init__(script)
+                self.meet, self.arrivals = threading.Barrier(meeting, timeout=5), itertools.count()
 
-    def test_a_run_parks_its_pool_with_no_job_queued(self, monkeypatch):
-        queued = []
-        park = engine._park_pool
-        monkeypatch.setattr(engine, "_park_pool", lambda pool: queued.append(pool.jobs.qsize()) or park(pool))
-        self.run(FaultInjector(repair_script(), REPAIR_FAULTS))
-        self.run(FateProvider(3), concurrency=3)
-        assert queued == [0, 0]
+            def complete(self, request):
+                if request.context_key[2] == "DAA" and next(self.arrivals) < self.meet.parties:
+                    self.meet.wait()
+                return super().complete(request)
+
+        counts = []
+        for concurrency in (2, 2, 3, 3, 2):
+            config = RunConfig(provider=MeetAtAnalysts(concurrency + 1), k_rules=1, concurrency=concurrency)
+            finish_within(10, lambda: execute_task("task", config))
+            assert pool.idle == threads() and pool.jobs.empty()
+            counts.append(threads())
+        assert counts == [3, 3, 4, 4, 4]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_pool_threads(self):
+        # the child has none of its parent's idle threads, so it must not count on them
+        code = textwrap.dedent(
+            f"""
+            import os, signal
+            from dataclasses import replace
+            from rulegraph.cli import load_config
+            from rulegraph.engine import execute_task
+            config = replace(load_config({DEMO_CONFIG!r}), concurrency=2)
+            run = lambda: execute_task("Reply to the film magazine editor", config).provider_calls
+            calls = run()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(10)  # ends a child that waits for a thread it does not have
+                os._exit(0 if run() == calls else 1)
+            raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        paths = [SRC, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
 
     def test_only_the_calling_thread_flushes_and_every_request_carries_the_run_id(self, monkeypatch):
         # the single-writer rule of the shared Run: workers read it, the run loop writes its trace
