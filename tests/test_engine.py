@@ -1303,6 +1303,22 @@ class TestPooledRunThreads:
             counts.append(threads())
         assert counts == [3, 3, 4, 4, 4]
 
+    def test_runs_of_other_sizes_leave_one_parked_pool(self, pool):
+        # parked: the process's one pool, every thread it started idle on its job queue
+        pool, threads = pool
+        for concurrency in (2, 3, 2):
+            self.run(FateProvider(3), concurrency)
+            assert engine._pool is pool and pool.idle == threads() > 0 and pool.jobs.empty()
+
+    def test_a_run_parks_its_pool_with_no_job_queued(self, pool):
+        pool, threads = pool
+        queued = []
+        for provider, concurrency in ((FaultInjector(repair_script(), REPAIR_FAULTS), 2), (FateProvider(3), 3)):
+            self.run(provider, concurrency)
+            queued.append(pool.jobs.qsize())
+            assert pool.idle == threads()
+        assert queued == [0, 0]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_pool_threads(self):
         # the child has none of its parent's idle threads, so it must not count on them
